@@ -219,11 +219,27 @@ Status Kucnet::TryForward(int64_t user, const ExecContext& ctx,
   return TryForwardOnGraph(ctx, out);
 }
 
+Status Kucnet::ValidateUser(int64_t user) const {
+  if (user < 0 || user >= ckg_.num_users()) {
+    return ErrorStatus() << "user " << user
+                         << " outside the graph's users [0, "
+                         << ckg_.num_users() << ")";
+  }
+  if (options_.prune == PruneMode::kPpr && options_.sample_k > 0 &&
+      user >= ppr_->num_users()) {
+    return ErrorStatus() << "user " << user
+                         << " outside the PPR table's users [0, "
+                         << ppr_->num_users() << ")";
+  }
+  return Status::Ok();
+}
+
 Status Kucnet::TryExtractGraph(int64_t user, const ExecContext& ctx,
                                KucnetForward* out) const {
   KUC_TRACE_SPAN("kucnet.extract");
   KucnetForward& result = *out;
   result = KucnetForward();
+  KUC_RETURN_IF_ERROR(ValidateUser(user));
   Rng rng(options_.seed ^ (0x9e37 + static_cast<uint64_t>(user)));
 
   // Stage "ppr": fetching the pruning scores (a precomputed-table lookup

@@ -115,6 +115,11 @@ class Kucnet : public RankModel {
   Status TryForward(int64_t user, const ExecContext& ctx,
                     KucnetForward* out) const;
 
+  /// OK iff the model can build `user`'s graph: a user node of its CKG and,
+  /// under PPR pruning, a row of its PPR table. Otherwise an error naming
+  /// the user and the range; every Try* forward checks this first.
+  Status ValidateUser(int64_t user) const;
+
   /// First half of TryForward: resets `*out` and builds the user's pruned
   /// computation graph into `out->graph` (stages "ppr" and "subgraph"). The
   /// serving pipeline runs this per-request so extraction overlaps with

@@ -2,40 +2,24 @@
 
 #include <algorithm>
 
-#include "store/compact_ckg.h"
 #include "util/logging.h"
 
 namespace kucnet {
 
-template <typename Graph>
-BasicDynamicCkg<Graph>::BasicDynamicCkg(
-    int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
-    int64_t num_kg_relations, std::vector<std::array<int64_t, 2>> interactions,
-    std::vector<std::array<int64_t, 3>> kg_triplets,
-    std::vector<std::array<int64_t, 3>> user_triplets)
-    : base_(Graph::Build(num_users, num_items, num_kg_nodes, num_kg_relations,
-                         interactions, kg_triplets, user_triplets)),
+DynamicCkg::DynamicCkg(int64_t num_users, int64_t num_items,
+                       int64_t num_kg_nodes, int64_t num_kg_relations,
+                       std::vector<std::array<int64_t, 2>> interactions,
+                       std::vector<std::array<int64_t, 3>> kg_triplets,
+                       std::vector<std::array<int64_t, 3>> user_triplets)
+    : base_(Ckg::Build(num_users, num_items, num_kg_nodes, num_kg_relations,
+                       interactions, kg_triplets, user_triplets)),
       interactions_(std::move(interactions)),
       kg_triplets_(std::move(kg_triplets)),
       user_triplets_(std::move(user_triplets)) {
   overflow_.resize(base_.num_nodes());
 }
 
-template <typename Graph>
-BasicDynamicCkg<Graph>::BasicDynamicCkg(
-    Graph base, std::vector<std::array<int64_t, 2>> interactions,
-    std::vector<std::array<int64_t, 3>> kg_triplets,
-    std::vector<std::array<int64_t, 3>> user_triplets)
-    : base_(std::move(base)),
-      interactions_(std::move(interactions)),
-      kg_triplets_(std::move(kg_triplets)),
-      user_triplets_(std::move(user_triplets)) {
-  overflow_.resize(base_.num_nodes());
-}
-
-template <typename Graph>
-bool BasicDynamicCkg<Graph>::HasEdge(int64_t src, int64_t rel,
-                                     int64_t dst) const {
+bool DynamicCkg::HasEdge(int64_t src, int64_t rel, int64_t dst) const {
   // Base CSR rows are sorted by (rel, dst): binary search on the index range.
   const auto rels = base_.OutRelations(src);
   const auto dsts = base_.OutNeighbors(src);
@@ -59,18 +43,15 @@ bool BasicDynamicCkg<Graph>::HasEdge(int64_t src, int64_t rel,
   return false;
 }
 
-template <typename Graph>
-void BasicDynamicCkg<Graph>::InsertDirected(int64_t src, int64_t rel,
-                                            int64_t dst,
-                                            std::vector<Edge>* inserted) {
+void DynamicCkg::InsertDirected(int64_t src, int64_t rel, int64_t dst,
+                                std::vector<Edge>* inserted) {
   overflow_[src].emplace_back(rel, dst);
   ++overflow_edges_;
   if (inserted != nullptr) inserted->push_back({src, rel, dst});
 }
 
-template <typename Graph>
-bool BasicDynamicCkg<Graph>::AddInteraction(int64_t user, int64_t item,
-                                            std::vector<Edge>* inserted) {
+bool DynamicCkg::AddInteraction(int64_t user, int64_t item,
+                                std::vector<Edge>* inserted) {
   KUC_CHECK_GE(user, 0);
   KUC_CHECK_LT(user, num_users());
   KUC_CHECK_GE(item, 0);
@@ -79,18 +60,16 @@ bool BasicDynamicCkg<Graph>::AddInteraction(int64_t user, int64_t item,
   const int64_t i = ItemNode(item);
   // Both directions are always inserted together, so checking the forward
   // edge decides for the pair.
-  if (HasEdge(u, Graph::kInteractRelation, i)) return false;
-  InsertDirected(u, Graph::kInteractRelation, i, inserted);
-  InsertDirected(i, Graph::kInteractRelation + num_base_relations(), u,
+  if (HasEdge(u, Ckg::kInteractRelation, i)) return false;
+  InsertDirected(u, Ckg::kInteractRelation, i, inserted);
+  InsertDirected(i, Ckg::kInteractRelation + num_base_relations(), u,
                  inserted);
   interactions_.push_back({user, item});
   return true;
 }
 
-template <typename Graph>
-bool BasicDynamicCkg<Graph>::AddKgTriplet(int64_t head, int64_t rel,
-                                          int64_t tail,
-                                          std::vector<Edge>* inserted) {
+bool DynamicCkg::AddKgTriplet(int64_t head, int64_t rel, int64_t tail,
+                              std::vector<Edge>* inserted) {
   KUC_CHECK_GE(head, 0);
   KUC_CHECK_LT(head, num_kg_nodes());
   KUC_CHECK_GE(tail, 0);
@@ -107,16 +86,10 @@ bool BasicDynamicCkg<Graph>::AddKgTriplet(int64_t head, int64_t rel,
   return true;
 }
 
-template <typename Graph>
-Graph BasicDynamicCkg<Graph>::Rebuild() const {
-  return Graph::Build(num_users(), num_items(), num_kg_nodes(),
-                      num_kg_relations(), interactions_, kg_triplets_,
-                      user_triplets_);
+Ckg DynamicCkg::Rebuild() const {
+  return Ckg::Build(num_users(), num_items(), num_kg_nodes(),
+                    num_kg_relations(), interactions_, kg_triplets_,
+                    user_triplets_);
 }
-
-// One overlay per base representation; BasicDynamicCkg<Ckg> (= DynamicCkg)
-// is the pre-store code, bit for bit.
-template class BasicDynamicCkg<Ckg>;
-template class BasicDynamicCkg<CompactCkg>;
 
 }  // namespace kucnet

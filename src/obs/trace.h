@@ -13,8 +13,8 @@
 /// Scoped trace spans: the "where did this request spend its time" half of
 /// the observability subsystem.
 ///
-///   Status RecServer::Handle(...) {
-///     KUC_TRACE_SPAN("serve.request");
+///   void RecServer::ExtractStage(ServeJob* job) {
+///     KUC_TRACE_SPAN("serve.extract");
 ///     ...
 ///   }
 ///

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "store/compact_ckg.h"
 #include "util/finite.h"
 #include "util/logging.h"
 
@@ -22,8 +21,7 @@ real_t MapValue(const std::unordered_map<int64_t, real_t>& m, int64_t key) {
 
 }  // namespace
 
-template <typename DynGraph>
-int64_t DynamicPprTable::LocalPush(const DynGraph& graph, real_t alpha,
+int64_t DynamicPprTable::LocalPush(const DynamicCkg& graph, real_t alpha,
                                    real_t epsilon, UserState* state,
                                    const std::vector<int64_t>& seeds) {
   std::unordered_map<int64_t, real_t>& estimate = state->estimate;
@@ -67,8 +65,7 @@ int64_t DynamicPprTable::LocalPush(const DynGraph& graph, real_t alpha,
   return pushes;
 }
 
-template <typename DynGraph>
-DynamicPprTable DynamicPprTable::Compute(const DynGraph& graph,
+DynamicPprTable DynamicPprTable::Compute(const DynamicCkg& graph,
                                          PprTableOptions options,
                                          ThreadPool* pool) {
   KUC_TRACE_SPAN("ppr.dynamic_compute");
@@ -96,8 +93,7 @@ DynamicPprTable DynamicPprTable::Compute(const DynGraph& graph,
   return table;
 }
 
-template <typename DynGraph>
-bool DynamicPprTable::RepairUser(const DynGraph& graph,
+bool DynamicPprTable::RepairUser(const DynamicCkg& graph,
                                  const std::vector<Edge>& inserted,
                                  const std::vector<int64_t>& d_old,
                                  int64_t user, int64_t* corrections,
@@ -174,9 +170,8 @@ bool DynamicPprTable::RepairUser(const DynGraph& graph,
   return touched;
 }
 
-template <typename DynGraph>
 std::vector<int64_t> DynamicPprTable::ApplyEdgeInsertions(
-    const DynGraph& graph, const std::vector<Edge>& inserted,
+    const DynamicCkg& graph, const std::vector<Edge>& inserted,
     ThreadPool* pool) {
   KUC_TRACE_SPAN("ppr.repair");
   if (inserted.empty()) return {};
@@ -225,22 +220,6 @@ std::vector<int64_t> DynamicPprTable::ApplyEdgeInsertions(
   KUC_OBS_COUNT("ppr.repair_pushes", repair_stats_.pushes);
   return touched_users;
 }
-
-// Compiled once per overlay; the DynamicCkg (= BasicDynamicCkg<Ckg>)
-// instantiation is the pre-store code, bit for bit.
-template DynamicPprTable DynamicPprTable::Compute<DynamicCkg>(
-    const DynamicCkg&, PprTableOptions, ThreadPool*);
-template DynamicPprTable
-DynamicPprTable::Compute<BasicDynamicCkg<CompactCkg>>(
-    const BasicDynamicCkg<CompactCkg>&, PprTableOptions, ThreadPool*);
-template std::vector<int64_t>
-DynamicPprTable::ApplyEdgeInsertions<DynamicCkg>(const DynamicCkg&,
-                                                 const std::vector<Edge>&,
-                                                 ThreadPool*);
-template std::vector<int64_t>
-DynamicPprTable::ApplyEdgeInsertions<BasicDynamicCkg<CompactCkg>>(
-    const BasicDynamicCkg<CompactCkg>&, const std::vector<Edge>&,
-    ThreadPool*);
 
 const std::unordered_map<int64_t, real_t>& DynamicPprTable::Estimate(
     int64_t user) const {

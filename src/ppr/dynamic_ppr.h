@@ -61,22 +61,16 @@ class DynamicPprTable {
   /// converged residuals (PprForwardPush discards them; repair needs them).
   /// On a graph with no overflow edges the estimates are bitwise-identical
   /// to PprTable::Compute — the push replays the same operation sequence.
-  /// `DynGraph` is any BasicDynamicCkg instantiation; defined in
-  /// dynamic_ppr.cc with explicit instantiations for the Ckg and CompactCkg
-  /// overlays (the Ckg one is the pre-store code, bit for bit).
-  template <typename DynGraph>
-  static DynamicPprTable Compute(const DynGraph& graph,
+  static DynamicPprTable Compute(const DynamicCkg& graph,
                                  PprTableOptions options = PprTableOptions(),
                                  ThreadPool* pool = nullptr);
 
   /// Repairs every user vector for directed edges just inserted into
-  /// `graph` (pass the exact list BasicDynamicCkg::Add* reported, in order;
+  /// `graph` (pass the exact list DynamicCkg::Add* reported, in order;
   /// the edges must already be present and must be the most recent
   /// insertions). Returns the sorted user ids whose vectors the update
   /// touched — the set whose cache entries must be invalidated.
-  /// Instantiated for both overlays (see Compute).
-  template <typename DynGraph>
-  std::vector<int64_t> ApplyEdgeInsertions(const DynGraph& graph,
+  std::vector<int64_t> ApplyEdgeInsertions(const DynamicCkg& graph,
                                            const std::vector<Edge>& inserted,
                                            ThreadPool* pool = nullptr);
 
@@ -107,16 +101,14 @@ class DynamicPprTable {
   /// Signed local push until |r(v)| < epsilon·deg(v) everywhere reachable;
   /// `seeds` must be sorted and deduplicated for determinism. Returns the
   /// number of push operations.
-  template <typename DynGraph>
-  static int64_t LocalPush(const DynGraph& graph, real_t alpha,
+  static int64_t LocalPush(const DynamicCkg& graph, real_t alpha,
                            real_t epsilon, UserState* state,
                            const std::vector<int64_t>& seeds);
 
   /// Repairs one user for the inserted edges; d_old[j] is the source-node
   /// degree edge j's endpoint had at its insertion. Returns true if the
   /// update touched this user's neighborhood.
-  template <typename DynGraph>
-  bool RepairUser(const DynGraph& graph, const std::vector<Edge>& inserted,
+  bool RepairUser(const DynamicCkg& graph, const std::vector<Edge>& inserted,
                   const std::vector<int64_t>& d_old, int64_t user,
                   int64_t* corrections, int64_t* pushes);
 

@@ -74,9 +74,7 @@ ShardRouter::ShardRouter(std::vector<Kucnet*> shard_models,
                          const PprTable* ppr, ShardRouterOptions options)
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : &RealClock()),
-      dataset_(dataset),
       models_(std::move(shard_models)),
-      train_items_(dataset->TrainItemsByUser()),
       jitter_rng_(options_.jitter_seed) {
   KUC_CHECK(!models_.empty()) << "a fleet needs at least one shard";
   for (const Kucnet* model : models_) KUC_CHECK(model != nullptr);
@@ -103,20 +101,6 @@ ShardRouter::ShardRouter(std::vector<Kucnet*> shard_models,
     }
   }
   std::sort(ring_.begin(), ring_.end());
-
-  // The fleet's own infallible tier, precomputed exactly like a shard's
-  // popularity ranking: it must answer even when every shard is down.
-  std::vector<int64_t> counts(dataset->num_items, 0);
-  for (const auto& [user, item] : dataset->train) ++counts[item];
-  popularity_.reserve(dataset->num_items);
-  for (int64_t item = 0; item < dataset->num_items; ++item) {
-    popularity_.push_back({item, static_cast<double>(counts[item])});
-  }
-  std::sort(popularity_.begin(), popularity_.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
 
   // Every shard runs the router's clock and per-stage fault seam; each gets
   // its own model instance so rolling swap can reload one replica's weights
@@ -276,9 +260,7 @@ ShardRouter::Attempt ShardRouter::AttemptShard(int shard,
   }
 
   RecServer* server = servers_[shard].get();
-  RecResponse response = server->options().num_workers == 0
-                             ? server->ServeSync(request)
-                             : server->Submit(request).get();
+  RecResponse response = server->Submit(request).get();
   attempt.latency_micros = clock_->NowMicros() - t0;
   if (response.status != ResponseStatus::kOk) {
     attempt.reason =
@@ -317,27 +299,9 @@ void ShardRouter::FleetFallback(const RecRequest& request,
   response.status = ResponseStatus::kOk;
   response.tier = ServeTier::kPopularity;
   response.degraded = true;
-  const std::vector<int64_t>* exclude =
-      options_.server.exclude_train_items && request.user >= 0 &&
-              request.user < static_cast<int64_t>(train_items_.size())
-          ? &train_items_[request.user]
-          : nullptr;
-  response.items.clear();
-  for (const ScoredItem& candidate : popularity_) {
-    if (static_cast<int64_t>(response.items.size()) >= top_n) break;
-    if (exclude != nullptr &&
-        std::binary_search(exclude->begin(), exclude->end(),
-                           candidate.item)) {
-      continue;
-    }
-    response.items.push_back(candidate);
-  }
-  if (response.items.empty()) {
-    for (const ScoredItem& candidate : popularity_) {
-      if (static_cast<int64_t>(response.items.size()) >= top_n) break;
-      response.items.push_back(candidate);
-    }
-  }
+  // Every shard ranks popularity over the same dataset, and ranking touches
+  // no shard state, so this answers even with every shard down.
+  servers_.front()->RankPopular(request.user, top_n, &response);
   if (!response.degrade_reason.empty()) response.degrade_reason += "; ";
   response.degrade_reason += "fleet: no shard available, popularity fallback";
   out->path = FleetPath::kFallback;

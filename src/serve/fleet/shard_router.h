@@ -32,7 +32,7 @@
 ///     → health-gated retries on sibling shards (exponential backoff +
 ///       deterministic jitter)
 ///     → optional hedged send to a sibling when the answer was slow
-///     → cross-shard popularity fallback (fleet-precomputed, infallible)
+///     → cross-shard popularity fallback (RecServer::RankPopular, infallible)
 ///
 /// so the fleet never fails to answer. Whole-shard failure modes
 /// (kill/stall/flap) are injectable via `ShardFaultInjector`; per-stage
@@ -246,7 +246,8 @@ class ShardRouter {
   /// Releases the reservation NextCandidate took on `shard`.
   void EndShardAttempt(int shard);
 
-  /// The infallible cross-shard answer: fleet-precomputed popularity.
+  /// The infallible cross-shard answer: the shards' popularity ranking
+  /// (RecServer::RankPopular), which needs no live shard.
   void FleetFallback(const RecRequest& request, FleetResponse* out);
 
   /// True when the tenant may admit one more request this window.
@@ -256,7 +257,6 @@ class ShardRouter {
 
   ShardRouterOptions options_;
   const Clock* clock_;
-  const Dataset* dataset_;
 
   std::vector<Kucnet*> models_;
   std::vector<std::unique_ptr<RecServer>> servers_;
@@ -264,11 +264,6 @@ class ShardRouter {
 
   /// Consistent-hash ring: (point, shard), sorted by point.
   std::vector<std::pair<uint64_t, int>> ring_;
-
-  /// Sorted training items per user and the popularity ranking, for the
-  /// fleet-level fallback (mirrors RecServer's last tier).
-  std::vector<std::vector<int64_t>> train_items_;
-  std::vector<ScoredItem> popularity_;
 
   /// Guards stats_, tenants_, draining_, shard_inflight_, jitter_rng_.
   mutable std::mutex mu_;

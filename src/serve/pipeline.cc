@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "util/logging.h"
 
 namespace kucnet {
 
@@ -18,18 +17,14 @@ constexpr int64_t kLingerPollMicros = 200;
 
 }  // namespace
 
-ServePipeline::ServePipeline(PipelineOptions options, const Clock* clock,
-                             PipelineStages stages)
-    : options_(std::move(options)), clock_(clock), stages_(std::move(stages)) {
-  KUC_CHECK(clock_ != nullptr);
-  KUC_CHECK_GT(options_.num_extract_workers, 0);
-  KUC_CHECK_GT(options_.admission_capacity, 0);
-  KUC_CHECK_GT(options_.batch_max_users, 0);
-  KUC_CHECK_GE(options_.batch_linger_micros, 0);
-  KUC_CHECK_GT(options_.batch_queue_capacity, 0);
-  KUC_CHECK(stages_.extract && stages_.forward && stages_.respond);
-  extract_workers_.reserve(options_.num_extract_workers);
-  for (int w = 0; w < options_.num_extract_workers; ++w) {
+ServePipeline::ServePipeline(RecServer* server, const Clock* clock)
+    : server_(server),
+      options_(server->options()),
+      clock_(clock),
+      batch_queue_capacity_(2 * options_.batch_max_users) {
+  if (options_.num_workers == 0) return;  // inline execution only
+  extract_workers_.reserve(options_.num_workers);
+  for (int w = 0; w < options_.num_workers; ++w) {
     extract_workers_.emplace_back([this] { ExtractLoop(); });
   }
   batcher_ = std::thread([this] { BatchLoop(); });
@@ -37,21 +32,51 @@ ServePipeline::ServePipeline(PipelineOptions options, const Clock* clock,
 
 ServePipeline::~ServePipeline() { Shutdown(); }
 
-bool ServePipeline::TrySubmit(std::unique_ptr<ServeJob> job) {
+ResponseStatus ServePipeline::Submit(std::unique_ptr<ServeJob> job) {
+  const bool run_inline = options_.num_workers == 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Once extraction is shutting down nobody will ever pop this job; reject
     // rather than strand a promise.
-    if (extract_shutdown_) return false;
-    if (static_cast<int64_t>(admitted_.size()) >= options_.admission_capacity) {
-      return false;
+    if (extract_shutdown_) return ResponseStatus::kShutdown;
+    if (run_inline) {
+      // Counted under the same lock as the shutdown check, so Quiesced()
+      // can never miss a job that was accepted.
+      ++in_flight_;
+    } else {
+      if (static_cast<int64_t>(admitted_.size()) >= options_.queue_capacity) {
+        return ResponseStatus::kOverloaded;
+      }
+      admitted_.push_back(std::move(job));
+      KUC_OBS_GAUGE_SET("serve.queue_depth",
+                        static_cast<int64_t>(admitted_.size()));
     }
-    admitted_.push_back(std::move(job));
-    KUC_OBS_GAUGE_SET("serve.queue_depth",
-                      static_cast<int64_t>(admitted_.size()));
   }
-  admitted_cv_.notify_one();
-  return true;
+  if (run_inline) {
+    RunStages(job.get());
+  } else {
+    admitted_cv_.notify_one();
+  }
+  return ResponseStatus::kOk;
+}
+
+void ServePipeline::RunInline(ServeJob* job) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++in_flight_;
+  }
+  RunStages(job);
+}
+
+void ServePipeline::RunStages(ServeJob* job) {
+  server_->ExtractStage(job);
+  if (job->forward_pending) {
+    ForwardAndRespond({job});
+  } else {
+    server_->RespondStage(job);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  --in_flight_;
 }
 
 int64_t ServePipeline::queue_depth() const {
@@ -87,6 +112,14 @@ void ServePipeline::Shutdown() {
   if (batcher_.joinable()) batcher_.join();
 }
 
+void ServePipeline::ForwardAndRespond(const std::vector<ServeJob*>& jobs) {
+  if (options_.batch_observer) {
+    options_.batch_observer(static_cast<int64_t>(jobs.size()));
+  }
+  server_->ForwardStage(jobs);
+  for (ServeJob* job : jobs) server_->RespondStage(job);
+}
+
 void ServePipeline::ExtractLoop() {
   for (;;) {
     std::unique_ptr<ServeJob> job;
@@ -101,7 +134,7 @@ void ServePipeline::ExtractLoop() {
       KUC_OBS_GAUGE_SET("serve.queue_depth",
                         static_cast<int64_t>(admitted_.size()));
     }
-    stages_.extract(job.get());
+    server_->ExtractStage(job.get());
     if (job->forward_pending) {
       std::unique_lock<std::mutex> lock(mu_);
       // Back-pressure: a full batch queue blocks extraction, which stops
@@ -109,8 +142,7 @@ void ServePipeline::ExtractLoop() {
       // waived so draining can never deadlock; the batcher empties it.)
       space_cv_.wait(lock, [this] {
         return extract_shutdown_ ||
-               static_cast<int64_t>(ready_.size()) <
-                   options_.batch_queue_capacity;
+               static_cast<int64_t>(ready_.size()) < batch_queue_capacity_;
       });
       ready_.push_back(std::move(job));
       lock.unlock();
@@ -118,7 +150,7 @@ void ServePipeline::ExtractLoop() {
     } else {
       // Pre-expired deadline or failed extraction: no forward to batch, so
       // fallbacks + response run right here on the extraction worker.
-      stages_.respond(job.get());
+      server_->RespondStage(job.get());
       std::lock_guard<std::mutex> lock(mu_);
       --in_flight_;
     }
@@ -161,14 +193,10 @@ void ServePipeline::BatchLoop() {
       }
       space_cv_.notify_all();
     }
-    if (options_.batch_observer) {
-      options_.batch_observer(static_cast<int64_t>(batch.size()));
-    }
     std::vector<ServeJob*> jobs;
     jobs.reserve(batch.size());
     for (const auto& job : batch) jobs.push_back(job.get());
-    stages_.forward(jobs);
-    for (ServeJob* job : jobs) stages_.respond(job);
+    ForwardAndRespond(jobs);
     {
       std::lock_guard<std::mutex> lock(mu_);
       in_flight_ -= static_cast<int64_t>(batch.size());

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -14,7 +13,7 @@
 #include "util/clock.h"
 
 /// \file
-/// The staged dataflow scheduler behind RecServer::Submit.
+/// The staged dataflow scheduler behind RecServer::Submit and ServeSync.
 ///
 /// PR 3's server ran one-thread-per-request, so concurrent users never
 /// shared a forward pass. This pipeline restructures serving into explicit
@@ -22,9 +21,9 @@
 /// queues and back-pressure between them:
 ///
 ///   Submit ─▶ [admission queue] ─▶ extraction workers ─▶ [batch queue]
-///                 (bounded:              (PPR + subgraph       (bounded:
-///              queue_capacity,            per request)      batch_queue_
-///               full = shed)                                  capacity)
+///                 (bounded:              (PPR + subgraph      (bounded:
+///              queue_capacity,            per request)      2 x batch_
+///               full = shed)                                 max_users)
 ///                                                                │
 ///             respond ◀─ rank/fallbacks ◀─ batched forward ◀────┘
 ///            (promise)    (per request)    (one TryForwardMany of
@@ -39,57 +38,42 @@
 /// never as unbounded memory in the middle.
 ///
 /// The pipeline owns threads and queues only; what each stage *does* is
-/// injected by RecServer as `PipelineStages`, keeping the tier chain (full →
-/// cached → heuristic → popularity), deadlines, and cancellation semantics in
-/// one place whether a request arrives via Submit or ServeSync.
+/// RecServer's ExtractStage, ForwardStage and RespondStage, the one
+/// execution of the tier chain (full → cached → heuristic → popularity).
+/// ServeSync, and Submit on a server with zero workers, run those same
+/// stages on the calling thread as a batch of one (`RunInline`): no threads
+/// are started, and the same in-flight count covers inline and pipelined
+/// jobs.
 
 namespace kucnet {
-
-/// Stage bodies the pipeline drives, bound by RecServer. `extract` runs
-/// per-request on an extraction worker; jobs it leaves `forward_pending` go
-/// to the batch stage, the rest (pre-expired deadline, extraction fault)
-/// respond directly from the extraction worker. `forward` runs one coalesced
-/// multi-user batch. `respond` ranks, runs the fallback tiers, finalizes
-/// stats, and fulfills the job's promise.
-struct PipelineStages {
-  std::function<void(ServeJob*)> extract;
-  std::function<void(const std::vector<ServeJob*>&)> forward;
-  std::function<void(ServeJob*)> respond;
-};
-
-/// Tuning of the staged pipeline (derived from RecServerOptions).
-struct PipelineOptions {
-  int num_extract_workers = 2;
-  int64_t admission_capacity = 64;
-  int64_t batch_max_users = 8;
-  int64_t batch_linger_micros = 0;
-  int64_t batch_queue_capacity = 16;
-  /// Test seam: called after each batch is assembled (outside pipeline
-  /// locks, before the forward) with the batch size. Deterministic tests use
-  /// it to advance a FakeClock mid-batch.
-  std::function<void(int64_t)> batch_observer;
-};
 
 /// Threads + bounded queues of the staged pipeline. Thread-safe.
 class ServePipeline {
  public:
-  ServePipeline(PipelineOptions options, const Clock* clock,
-                PipelineStages stages);
+  /// `server` supplies the stage bodies and the options (validated by the
+  /// server); it must outlive the pipeline. Starts `options.num_workers`
+  /// extraction threads plus one batcher, or none at zero workers.
+  ServePipeline(RecServer* server, const Clock* clock);
   ~ServePipeline();
 
   ServePipeline(const ServePipeline&) = delete;
   ServePipeline& operator=(const ServePipeline&) = delete;
 
-  /// Admission. False = rejected (queue at capacity, or shutting down);
-  /// never blocks. On success the pipeline owns the job and will fulfill its
-  /// promise.
-  bool TrySubmit(std::unique_ptr<ServeJob> job);
+  /// Admission. kOk = accepted: the pipeline fulfills the job's promise (at
+  /// zero workers it already has, on this thread). kOverloaded = the
+  /// admission queue is at capacity; kShutdown = shutting down. Never blocks
+  /// on a full queue.
+  ResponseStatus Submit(std::unique_ptr<ServeJob> job);
+
+  /// Runs `job` through every stage on the calling thread as a batch of one,
+  /// bypassing admission; the respond stage fulfills its promise.
+  void RunInline(ServeJob* job);
 
   /// Admitted, unstarted requests right now.
   int64_t queue_depth() const;
 
-  /// Requests popped from admission but not yet responded (extracting,
-  /// staged for batching, forwarding, or ranking).
+  /// Requests past admission and not yet responded (extracting, staged for
+  /// batching, forwarding, or ranking; inline jobs included).
   int64_t in_flight() const;
 
   /// True when nothing is admitted, staged, or in flight — the precondition
@@ -104,10 +88,18 @@ class ServePipeline {
  private:
   void ExtractLoop();
   void BatchLoop();
+  /// Every stage on the calling thread, then releases the job's in-flight
+  /// slot (taken by the caller).
+  void RunStages(ServeJob* job);
+  /// The batch stage body: the observer seam, one coalesced forward, then
+  /// the respond stage per job.
+  void ForwardAndRespond(const std::vector<ServeJob*>& jobs);
 
-  const PipelineOptions options_;
+  RecServer* const server_;
+  const RecServerOptions& options_;
   const Clock* clock_;
-  const PipelineStages stages_;
+  /// Ready-queue bound between extraction and the batch stage.
+  const int64_t batch_queue_capacity_;
 
   mutable std::mutex mu_;
   std::condition_variable admitted_cv_;  ///< extraction workers sleep here
@@ -115,7 +107,7 @@ class ServePipeline {
   std::condition_variable space_cv_;     ///< extraction back-pressure
   std::deque<std::unique_ptr<ServeJob>> admitted_;
   std::deque<std::unique_ptr<ServeJob>> ready_;
-  /// Popped from admission, response not yet delivered (includes `ready_`).
+  /// Past admission, response not yet delivered (includes `ready_`).
   int64_t in_flight_ = 0;
   bool extract_shutdown_ = false;
   bool batch_shutdown_ = false;

@@ -19,18 +19,12 @@ bool IsInjectedFault(const Status& status) {
   return status.message().find("injected fault") != std::string::npos;
 }
 
-/// Brackets a caller-thread execution in the server's in-flight count, so
-/// Quiesced() covers ServeSync and inline Submit too.
-class ScopedInFlight {
- public:
-  explicit ScopedInFlight(std::atomic<int64_t>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_acq_rel);
-  }
-  ~ScopedInFlight() { counter_->fetch_sub(1, std::memory_order_acq_rel); }
-
- private:
-  std::atomic<int64_t>* counter_;
-};
+/// Appends one "; "-separated entry to the response's degrade reason.
+void AppendReason(RecResponse* response, const std::string& text) {
+  std::string& reason = response->degrade_reason;
+  if (!reason.empty()) reason += "; ";
+  reason += text;
+}
 
 std::future<RecResponse> ReadyResponse(RecResponse response) {
   std::promise<RecResponse> promise;
@@ -86,9 +80,9 @@ RecServer::RecServer(const Kucnet* model, const Dataset* dataset,
       dataset_(dataset),
       ckg_(ckg),
       ppr_(ppr),
-      options_(options),
-      clock_(options.clock != nullptr ? options.clock : &RealClock()),
-      cache_(options.cache, clock_),
+      options_(std::move(options)),
+      clock_(options_.clock != nullptr ? options_.clock : &RealClock()),
+      cache_(options_.cache, clock_),
       train_items_(dataset->TrainItemsByUser()) {
   KUC_CHECK(model != nullptr);
   KUC_CHECK(dataset != nullptr);
@@ -101,77 +95,38 @@ RecServer::RecServer(const Kucnet* model, const Dataset* dataset,
   KUC_CHECK_GT(options_.default_deadline_micros, 0);
   KUC_CHECK_GT(options_.batch_max_users, 0);
   KUC_CHECK_GE(options_.batch_linger_micros, 0);
-  KUC_CHECK_GE(options_.batch_queue_capacity, 0);
 
-  // Precompute the infallible last tier: items by training popularity.
-  std::vector<int64_t> counts(dataset->num_items, 0);
-  for (const auto& [user, item] : dataset->train) ++counts[item];
-  popularity_.reserve(dataset->num_items);
-  for (int64_t item = 0; item < dataset->num_items; ++item) {
-    popularity_.push_back({item, static_cast<double>(counts[item])});
-  }
-  std::sort(popularity_.begin(), popularity_.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  // The infallible last tier's scores: training interactions per item.
+  popularity_.assign(dataset->num_items, 0.0);
+  for (const auto& [user, item] : dataset->train) popularity_[item] += 1.0;
 
   if (options_.warm_cache_users > 0) WarmCache(options_.warm_cache_users);
 
-  if (options_.num_workers > 0) {
-    PipelineOptions popts;
-    popts.num_extract_workers = options_.num_workers;
-    popts.admission_capacity = options_.queue_capacity;
-    popts.batch_max_users = options_.batch_max_users;
-    popts.batch_linger_micros = options_.batch_linger_micros;
-    popts.batch_queue_capacity = options_.batch_queue_capacity > 0
-                                     ? options_.batch_queue_capacity
-                                     : 2 * options_.batch_max_users;
-    popts.batch_observer = options_.batch_observer;
-    PipelineStages stages;
-    stages.extract = [this](ServeJob* job) { ExtractStage(job); };
-    stages.forward = [this](const std::vector<ServeJob*>& batch) {
-      ForwardStage(batch);
-    };
-    stages.respond = [this](ServeJob* job) { RespondStage(job); };
-    pipeline_ = std::make_unique<ServePipeline>(std::move(popts), clock_,
-                                                std::move(stages));
-  }
+  pipeline_ = std::make_unique<ServePipeline>(this, clock_);
 }
 
 RecServer::~RecServer() { Shutdown(); }
 
 std::future<RecResponse> RecServer::Submit(const RecRequest& request) {
-  const int64_t now = clock_->NowMicros();
+  auto job = std::make_unique<ServeJob>();
+  job->request = request;
+  job->submit_micros = clock_->NowMicros();
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.submitted;
   }
   KUC_OBS_COUNT("serve.submitted", 1);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutting_down_) {
-      RecResponse response;
-      response.status = ResponseStatus::kShutdown;
-      return ReadyResponse(std::move(response));
-    }
-  }
-  if (pipeline_ == nullptr) {
-    // Zero workers: serve inline on the calling thread. The pre-pipeline
-    // server enqueued a Pending here that no worker would ever pop, so the
-    // caller's future.get() hung until the destructor broke the promise.
+  std::future<RecResponse> future = job->promise.get_future();
+  const ResponseStatus admission = pipeline_->Submit(std::move(job));
+  if (admission == ResponseStatus::kOk) {
     {
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.admitted;
     }
     KUC_OBS_COUNT("serve.admitted", 1);
-    return ReadyResponse(Handle(request, now));
+    return future;
   }
-  auto job = std::make_unique<ServeJob>();
-  job->request = request;
-  job->submit_micros = now;
-  std::future<RecResponse> future = job->promise.get_future();
-  if (!pipeline_->TrySubmit(std::move(job))) {
+  if (admission == ResponseStatus::kOverloaded) {
     // Overload shedding: reject *now* with an explicit status. The caller
     // can retry with backoff; nothing ever blocks on a full queue.
     {
@@ -179,20 +134,16 @@ std::future<RecResponse> RecServer::Submit(const RecRequest& request) {
       ++stats_.shed;
     }
     KUC_OBS_COUNT("serve.shed", 1);
-    RecResponse response;
-    response.status = ResponseStatus::kOverloaded;
-    return ReadyResponse(std::move(response));
   }
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.admitted;
-  }
-  KUC_OBS_COUNT("serve.admitted", 1);
-  return future;
+  RecResponse rejected;
+  rejected.status = admission;
+  return ReadyResponse(std::move(rejected));
 }
 
 RecResponse RecServer::ServeSync(const RecRequest& request) {
-  const int64_t now = clock_->NowMicros();
+  ServeJob job;
+  job.request = request;
+  job.submit_micros = clock_->NowMicros();
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.submitted;
@@ -200,16 +151,12 @@ RecResponse RecServer::ServeSync(const RecRequest& request) {
   }
   KUC_OBS_COUNT("serve.submitted", 1);
   KUC_OBS_COUNT("serve.admitted", 1);
-  return Handle(request, now);
+  std::future<RecResponse> future = job.promise.get_future();
+  pipeline_->RunInline(&job);
+  return future.get();
 }
 
-void RecServer::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutting_down_ = true;
-  }
-  if (pipeline_ != nullptr) pipeline_->Shutdown();
-}
+void RecServer::Shutdown() { pipeline_->Shutdown(); }
 
 ServerStats RecServer::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -258,29 +205,20 @@ void RecServer::InvalidateUsers(const std::vector<int64_t>& users) {
   for (const int64_t user : users) cache_.InvalidateUser(user);
 }
 
-int64_t RecServer::queue_depth() const {
-  return pipeline_ != nullptr ? pipeline_->queue_depth() : 0;
-}
+int64_t RecServer::queue_depth() const { return pipeline_->queue_depth(); }
 
-int64_t RecServer::in_flight() const {
-  return sync_in_flight_.load(std::memory_order_acquire) +
-         (pipeline_ != nullptr ? pipeline_->in_flight() : 0);
-}
+int64_t RecServer::in_flight() const { return pipeline_->in_flight(); }
 
-bool RecServer::Quiesced() const {
-  if (sync_in_flight_.load(std::memory_order_acquire) > 0) return false;
-  return pipeline_ == nullptr || pipeline_->Quiesced();
-}
+bool RecServer::Quiesced() const { return pipeline_->Quiesced(); }
 
 bool RecServer::RankInto(int64_t user, const std::vector<double>& scores,
                          int64_t top_n, RecResponse* out) const {
   const int64_t num_items = static_cast<int64_t>(scores.size());
   if (num_items == 0) return false;
-  const std::vector<int64_t>* exclude = nullptr;
-  if (options_.exclude_train_items && user >= 0 &&
-      user < static_cast<int64_t>(train_items_.size())) {
-    exclude = &train_items_[user];
-  }
+  const std::vector<int64_t>* exclude =
+      user >= 0 && user < static_cast<int64_t>(train_items_.size())
+          ? &train_items_[user]
+          : nullptr;
   std::vector<int64_t> candidates;
   candidates.reserve(num_items);
   for (int64_t item = 0; item < num_items; ++item) {
@@ -317,11 +255,7 @@ void RecServer::NoteFailure(ServeJob* job, const char* tier,
     job->deadline_missed = true;
     obs::Count(std::string("serve.degrade.deadline.") + tier, 1);
   }
-  std::string& reason = job->response.degrade_reason;
-  if (!reason.empty()) reason += "; ";
-  reason += tier;
-  reason += ": ";
-  reason += status.message();
+  AppendReason(&job->response, std::string(tier) + ": " + status.message());
 }
 
 void RecServer::TimeStage(ServeJob* job, const char* stage,
@@ -330,7 +264,8 @@ void RecServer::TimeStage(ServeJob* job, const char* stage,
       {stage, clock_->NowMicros() - start_micros});
 }
 
-void RecServer::BeginJob(ServeJob* job) const {
+void RecServer::ExtractStage(ServeJob* job) {
+  KUC_TRACE_SPAN("serve.extract");
   job->top_n =
       job->request.top_n > 0 ? job->request.top_n : options_.default_top_n;
   const int64_t budget = job->request.deadline_micros > 0
@@ -345,17 +280,25 @@ void RecServer::BeginJob(ServeJob* job) const {
   // deadline has passed (each is orders of magnitude cheaper than the full
   // tier); only the fault seam can knock one out.
   job->fallback_ctx = ExecContext(Deadline::Infinite(), options_.fault);
-}
 
-bool RecServer::StartFullTier(ServeJob* job) {
   job->full_t0 = clock_->NowMicros();
+  // A user the model has no graph for can never be served by the full tier,
+  // whatever its budget: a bad request, not a deadline miss or a fault.
+  if (const Status known = model_->ValidateUser(job->request.user);
+      !known.ok()) {
+    job->full_skipped = true;
+    KUC_OBS_COUNT("serve.degrade.unknown_user", 1);
+    AppendReason(&job->response, "full: " + known.message());
+    TimeStage(job, "full", job->full_t0);
+    return;
+  }
   if (job->deadline.Expired()) {
-    job->full_pre_expired = true;
+    job->full_skipped = true;
     NoteFailure(job, "full",
                 ErrorStatus() << "deadline expired before execution "
                                  "(queued past the latency budget)");
     TimeStage(job, "full", job->full_t0);
-    return false;
+    return;
   }
   // Snapshot the user's cache generation *before* the forward pass: if the
   // model is hot-swapped (or a streaming update touches this user) while
@@ -365,11 +308,10 @@ bool RecServer::StartFullTier(ServeJob* job) {
   job->full_status =
       model_->TryExtractGraph(job->request.user, job->full_ctx, &job->forward);
   job->forward_pending = job->full_status.ok();
-  return job->forward_pending;
 }
 
 void RecServer::FinishFullTier(ServeJob* job) {
-  if (job->full_pre_expired) return;  // already noted and timed
+  if (job->full_skipped) return;  // already noted and timed
   TimeStage(job, "full", job->full_t0);
   if (!job->full_status.ok()) {
     NoteFailure(job, "full", job->full_status);
@@ -381,10 +323,8 @@ void RecServer::FinishFullTier(ServeJob* job) {
     // fall through the degrade chain (cached → PPR → popularity).
     ++job->nonfinite;
     KUC_OBS_COUNT("serve.degrade.nonfinite", 1);
-    std::string& reason = job->response.degrade_reason;
-    if (!reason.empty()) reason += "; ";
-    reason += "full: non-finite score at item ";
-    reason += std::to_string(bad);
+    AppendReason(&job->response,
+                 "full: non-finite score at item " + std::to_string(bad));
   } else {
     // Deposit for future degraded requests *before* ranking, so even a
     // ranking-size-zero catalogue edge case keeps the cache warm.
@@ -442,11 +382,9 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
       // drop to popularity was invisible in both the response and the stats.
       ++job->no_ppr_user;
       KUC_OBS_COUNT("serve.degrade.no_ppr_user", 1);
-      std::string& reason = job->response.degrade_reason;
-      if (!reason.empty()) reason += "; ";
-      reason += "heuristic: user ";
-      reason += std::to_string(request.user);
-      reason += " outside the PPR table";
+      AppendReason(&job->response, "heuristic: user " +
+                                       std::to_string(request.user) +
+                                       " outside the PPR table");
     }
     TimeStage(job, "heuristic", t0);
   }
@@ -456,94 +394,19 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
     KUC_TRACE_SPAN("serve.popularity");
     const int64_t t0 = clock_->NowMicros();
     // The checkpoint still fires (tests can arm it and see it counted), but
-    // the precomputed ranking is returned regardless: the last tier never
+    // the popularity ranking is returned regardless: the last tier never
     // fails, so no admitted request ever gets an empty response.
     const Status status = job->fallback_ctx.Check("popularity");
     if (!status.ok()) NoteFailure(job, "popularity", status);
-    const std::vector<int64_t>* exclude =
-        options_.exclude_train_items &&
-                request.user >= 0 &&
-                request.user < static_cast<int64_t>(train_items_.size())
-            ? &train_items_[request.user]
-            : nullptr;
-    RecResponse& response = job->response;
-    response.items.clear();
-    for (const ScoredItem& candidate : popularity_) {
-      if (static_cast<int64_t>(response.items.size()) >= job->top_n) break;
-      if (exclude != nullptr &&
-          std::binary_search(exclude->begin(), exclude->end(),
-                             candidate.item)) {
-        continue;
-      }
-      response.items.push_back(candidate);
-    }
-    if (response.items.empty()) {
-      for (const ScoredItem& candidate : popularity_) {
-        if (static_cast<int64_t>(response.items.size()) >= job->top_n) break;
-        response.items.push_back(candidate);
-      }
-    }
-    response.tier = ServeTier::kPopularity;
+    RankPopular(request.user, job->top_n, &job->response);
+    job->response.tier = ServeTier::kPopularity;
     TimeStage(job, "popularity", t0);
   }
 }
 
-RecResponse RecServer::FinalizeJob(ServeJob* job) {
-  RecResponse& response = job->response;
-  response.status = ResponseStatus::kOk;
-  response.degraded = response.tier != ServeTier::kFull;
-  response.total_micros = clock_->NowMicros() - job->submit_micros;
-
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.completed;
-    ++stats_.tier_count[static_cast<int>(response.tier)];
-    if (response.degraded) ++stats_.degraded;
-    if (job->deadline_missed) ++stats_.deadline_missed;
-    if (job->deadline_preempted) ++stats_.deadline_preempted;
-    stats_.fault_events += job->fault_events;
-    stats_.nonfinite_scores += job->nonfinite;
-    stats_.no_ppr_user += job->no_ppr_user;
-    stats_.latency.Record(response.total_micros);
-  }
-  KUC_OBS_COUNT("serve.completed", 1);
-  if (response.degraded) KUC_OBS_COUNT("serve.degraded", 1);
-  if (job->deadline_missed) KUC_OBS_COUNT("serve.deadline_missed", 1);
-  if (job->fault_events > 0) {
-    KUC_OBS_COUNT("serve.fault_events", job->fault_events);
-  }
-  obs::Count(std::string("serve.tier.") + ServeTierName(response.tier), 1);
-  KUC_OBS_HISTOGRAM("serve.latency_micros", response.total_micros);
-  return std::move(response);
-}
-
-RecResponse RecServer::Handle(const RecRequest& request,
-                              int64_t submit_micros) {
-  KUC_TRACE_SPAN("serve.request");
-  ScopedInFlight in_flight(&sync_in_flight_);
-  ServeJob job;
-  job.request = request;
-  job.submit_micros = submit_micros;
-  BeginJob(&job);
-
-  // ---- Tier 1: full KUCNet forward -----------------------------------------
-  {
-    KUC_TRACE_SPAN("serve.full");
-    if (StartFullTier(&job)) {
-      job.full_status = model_->TryForwardOnGraph(job.full_ctx, &job.forward);
-      job.forward_pending = false;
-    }
-    FinishFullTier(&job);
-  }
-
-  RunFallbackTiers(&job);
-  return FinalizeJob(&job);
-}
-
-void RecServer::ExtractStage(ServeJob* job) {
-  KUC_TRACE_SPAN("serve.extract");
-  BeginJob(job);
-  StartFullTier(job);
+void RecServer::RankPopular(int64_t user, int64_t top_n,
+                            RecResponse* out) const {
+  RankInto(user, popularity_, top_n, out);
 }
 
 void RecServer::ForwardStage(const std::vector<ServeJob*>& batch) {
@@ -621,7 +484,32 @@ void RecServer::RespondStage(ServeJob* job) {
   KUC_TRACE_SPAN("serve.respond");
   FinishFullTier(job);
   RunFallbackTiers(job);
-  job->promise.set_value(FinalizeJob(job));
+
+  RecResponse& response = job->response;
+  response.status = ResponseStatus::kOk;
+  response.degraded = response.tier != ServeTier::kFull;
+  response.total_micros = clock_->NowMicros() - job->submit_micros;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.completed;
+    ++stats_.tier_count[static_cast<int>(response.tier)];
+    if (response.degraded) ++stats_.degraded;
+    if (job->deadline_missed) ++stats_.deadline_missed;
+    if (job->deadline_preempted) ++stats_.deadline_preempted;
+    stats_.fault_events += job->fault_events;
+    stats_.nonfinite_scores += job->nonfinite;
+    stats_.no_ppr_user += job->no_ppr_user;
+    stats_.latency.Record(response.total_micros);
+  }
+  KUC_OBS_COUNT("serve.completed", 1);
+  if (response.degraded) KUC_OBS_COUNT("serve.degraded", 1);
+  if (job->deadline_missed) KUC_OBS_COUNT("serve.deadline_missed", 1);
+  if (job->fault_events > 0) {
+    KUC_OBS_COUNT("serve.fault_events", job->fault_events);
+  }
+  obs::Count(std::string("serve.tier.") + ServeTierName(response.tier), 1);
+  KUC_OBS_HISTOGRAM("serve.latency_micros", response.total_micros);
+  job->promise.set_value(std::move(response));
 }
 
 }  // namespace kucnet

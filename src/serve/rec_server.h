@@ -25,15 +25,17 @@
 /// through a bounded admission queue — when the queue is full the request is
 /// rejected immediately with `kOverloaded`, never queued unboundedly — and
 /// executes each admitted request under a per-request `Deadline` anchored at
-/// admission time. Admitted requests flow through a staged dataflow pipeline
-/// (serve/pipeline.h): extraction workers build each user's pruned subgraph,
-/// then a batch stage coalesces up to `batch_max_users` concurrent requests
-/// into one multi-user `Kucnet::TryForwardMany` — bitwise identical to
-/// sequential forwards — before per-request ranking and response. The
-/// expensive stages (PPR scoring, subgraph expansion, per-layer message
-/// passing) are cooperatively cancellable via `ExecContext` checkpoints; when
-/// a stage misses the deadline or an injected fault fires, the server
-/// *degrades* through an explicit fallback chain instead of failing:
+/// admission time. Every request flows through the stages of one dataflow
+/// pipeline (serve/pipeline.h): extraction builds the user's pruned
+/// subgraph, then a batch stage coalesces up to `batch_max_users` concurrent
+/// requests into one multi-user `Kucnet::TryForwardMany` — bitwise identical
+/// to sequential forwards — before per-request ranking and response.
+/// `ServeSync`, and `Submit` on a server with zero workers, run the same
+/// stages on the calling thread as a batch of one. The expensive stages
+/// (PPR scoring, subgraph expansion, per-layer message passing) are
+/// cooperatively cancellable via `ExecContext` checkpoints; when a stage
+/// misses the deadline or an injected fault fires, the server *degrades*
+/// through an explicit fallback chain instead of failing:
 ///
 ///   full KUCNet forward  →  cached scores (LRU, staleness-bounded)
 ///                        →  PPR heuristic (the PprRec ranking)
@@ -164,18 +166,17 @@ struct ServerStats {
 
 /// Knobs of the server.
 struct RecServerOptions {
-  /// Extraction workers of the staged pipeline. 0 = no pipeline: ServeSync
-  /// runs on the caller, and Submit serves inline on the caller too (it used
-  /// to enqueue a request no worker would ever pop — see the PR 10 fix).
+  /// Extraction workers of the staged pipeline. 0 = no threads: Submit and
+  /// ServeSync run the pipeline's stages inline on the calling thread.
   int num_workers = 2;
   /// Maximum queued (admitted, unstarted) requests; beyond this Submit
   /// rejects with kOverloaded instead of blocking.
   int64_t queue_capacity = 64;
   int64_t default_deadline_micros = 50'000;
+  /// List length when a request leaves top_n at 0. Every ranked list leaves
+  /// out the user's training items (do not re-recommend consumed items)
+  /// unless that would empty it.
   int64_t default_top_n = 20;
-  /// Hide each user's training items from their ranked list (standard
-  /// serving practice: do not re-recommend consumed items).
-  bool exclude_train_items = true;
   /// Proactive cache warm-up at construction: full forward passes for the
   /// `warm_cache_users` most active users (by training interaction count)
   /// are deposited into the score cache before the first request, so early
@@ -184,16 +185,14 @@ struct RecServerOptions {
   int64_t warm_cache_users = 0;
   /// Batch stage: up to this many concurrently-admitted requests coalesce
   /// into one multi-user forward (Kucnet::TryForwardMany). 1 keeps the
-  /// staged pipeline but never coalesces.
+  /// staged pipeline but never coalesces. The queue between extraction and
+  /// the batch stage holds 2 x batch_max_users; when full, extraction blocks
+  /// (back-pressure propagates to admission, which sheds).
   int64_t batch_max_users = 8;
   /// How long the batch stage lingers for more extracted requests before
   /// forwarding a partial batch, measured on the Clock seam
   /// (FakeClock-deterministic). 0 = forward whatever is ready immediately.
   int64_t batch_linger_micros = 0;
-  /// Bounded queue between extraction and the batch stage; when full,
-  /// extraction blocks (back-pressure propagates to admission, which
-  /// sheds). 0 = 2 * batch_max_users.
-  int64_t batch_queue_capacity = 0;
   /// Test seam: called by the batch stage after assembling each batch
   /// (outside pipeline locks, before the forward) with the batch size.
   std::function<void(int64_t)> batch_observer;
@@ -204,13 +203,12 @@ struct RecServerOptions {
   FaultInjector* fault = nullptr;
 };
 
-/// One request's state as it moves through the staged pipeline; the
-/// synchronous path runs the same stage bodies inline on one of these.
+/// One request's state as it moves through the pipeline's stages.
 /// Produced by RecServer, scheduled by ServePipeline (serve/pipeline.h).
 struct ServeJob {
   RecRequest request;
   int64_t submit_micros = 0;
-  std::promise<RecResponse> promise;  ///< fulfilled by the pipeline path only
+  std::promise<RecResponse> promise;  ///< fulfilled by the respond stage
 
   // Stage state, owned by the RecServer stage bodies.
   int64_t top_n = 0;
@@ -224,7 +222,10 @@ struct ServeJob {
   int64_t nonfinite = 0;
   int64_t no_ppr_user = 0;
   int64_t full_t0 = 0;  ///< full-tier start; timed when the tier finishes
-  bool full_pre_expired = false;  ///< deadline died before extraction began
+  /// The full tier was ruled out before extraction began (a user the model
+  /// has no graph for, or a deadline already expired); already noted and
+  /// timed.
+  bool full_skipped = false;
   /// Batch stage skipped this job's forward because the predicted cost
   /// exceeded its remaining deadline budget (see ForwardStage).
   bool deadline_preempted = false;
@@ -253,13 +254,14 @@ class RecServer {
   /// Admission point. Returns immediately: either a future the pipeline will
   /// fulfill, or an already-satisfied future carrying kOverloaded /
   /// kShutdown. Never blocks on a full queue. With `num_workers == 0` the
-  /// request is served inline on the calling thread and the returned future
-  /// is already satisfied.
+  /// request runs through the stages inline on the calling thread and the
+  /// returned future is already satisfied.
   std::future<RecResponse> Submit(const RecRequest& request);
 
-  /// Runs the full degradation pipeline on the calling thread, bypassing
-  /// the queue (no admission control, no batching). Used by tests that need
-  /// strict single-threaded determinism and by benchmark warmup.
+  /// Runs the pipeline's stages for one request on the calling thread as a
+  /// batch of one, bypassing admission (no queue bound, no shutdown check).
+  /// Used by tests that need strict single-threaded determinism and by
+  /// benchmark replays.
   RecResponse ServeSync(const RecRequest& request);
 
   /// Rejects new submissions, drains queued requests through every stage,
@@ -288,12 +290,19 @@ class RecServer {
   /// so untouched users keep serving from cache.
   void InvalidateUsers(const std::vector<int64_t>& users);
 
+  /// Ranks the infallible last tier into `out->items`: the `top_n` items
+  /// with the most training interactions (ties by id), `user`'s training
+  /// items excluded unless that empties the list. Any user id is accepted.
+  /// Pure and thread-safe; ShardRouter answers from it when no shard can.
+  void RankPopular(int64_t user, int64_t top_n, RecResponse* out) const;
+
   /// Queued (admitted, unstarted) requests right now.
   int64_t queue_depth() const;
 
-  /// Requests currently being executed (synchronously or anywhere inside
-  /// the pipeline past admission). `queue_depth() == 0` alone does NOT mean
-  /// idle — a popped request may still be reading model parameters.
+  /// Requests currently being executed (inline on a caller's thread or
+  /// anywhere inside the pipeline past admission). `queue_depth() == 0`
+  /// alone does NOT mean idle — a popped request may still be reading model
+  /// parameters.
   int64_t in_flight() const;
 
   /// True when no request is queued or in flight: the precondition for
@@ -305,35 +314,32 @@ class RecServer {
   const RecServerOptions& options() const { return options_; }
 
  private:
-  /// Runs the whole tier chain synchronously for one request.
-  RecResponse Handle(const RecRequest& request, int64_t submit_micros);
+  friend class ServePipeline;
 
-  // ---- Stage bodies (shared by Handle and the pipeline) ----
-  /// Resolves per-request knobs: top_n, the admission-anchored deadline, and
-  /// the execution contexts.
-  void BeginJob(ServeJob* job) const;
-  /// Full-tier front half: deadline pre-check, cache-generation snapshot,
-  /// subgraph extraction. True iff the forward half still has to run.
-  bool StartFullTier(ServeJob* job);
+  // ---- Stage bodies, driven by ServePipeline --------------------------------
+  /// Resolves per-request knobs (top_n, the admission-anchored deadline, the
+  /// execution contexts), then the full tier's front half: user and
+  /// deadline pre-checks, cache-generation snapshot, subgraph extraction.
+  /// Leaves `forward_pending` set iff the forward half still has to run.
+  void ExtractStage(ServeJob* job);
+  /// One coalesced multi-user forward for every job the predictive deadline
+  /// guard admits.
+  void ForwardStage(const std::vector<ServeJob*>& batch);
+  /// Full-tier back half, fallback tiers, stats; fulfills the promise.
+  void RespondStage(ServeJob* job);
+
   /// Full-tier back half: stage timing, nonfinite gate, cache deposit,
   /// ranking. Requires the forward half to have run (or failed).
   void FinishFullTier(ServeJob* job);
   /// Tiers 2-4 (cached → heuristic → popularity). No-op when already served.
   void RunFallbackTiers(ServeJob* job);
-  /// Stats, counters, latency; returns the finished response.
-  RecResponse FinalizeJob(ServeJob* job);
   void NoteFailure(ServeJob* job, const char* tier,
                    const Status& status) const;
   void TimeStage(ServeJob* job, const char* stage, int64_t start_micros) const;
 
-  // ---- Pipeline stage callbacks (see serve/pipeline.h) ----
-  void ExtractStage(ServeJob* job);
-  void ForwardStage(const std::vector<ServeJob*>& batch);
-  void RespondStage(ServeJob* job);
-
   /// Ranks `scores` (indexed by item id) into `out->items`: top-N by score,
-  /// ties by item id, training items excluded when configured (unless that
-  /// would empty the list). Returns false iff there are no items at all.
+  /// ties by item id, the user's training items excluded unless that would
+  /// empty the list. Returns false iff there are no items at all.
   bool RankInto(int64_t user, const std::vector<double>& scores,
                 int64_t top_n, RecResponse* out) const;
 
@@ -347,15 +353,8 @@ class RecServer {
   ScoreCache cache_;
   /// Sorted training items per user (binary searched during ranking).
   std::vector<std::vector<int64_t>> train_items_;
-  /// Items sorted by global training popularity (count desc, id asc) and
-  /// their scores — the infallible last tier, precomputed at construction.
-  std::vector<ScoredItem> popularity_;
-
-  mutable std::mutex mu_;
-  bool shutting_down_ = false;
-  /// Requests executing on caller threads (ServeSync, inline Submit);
-  /// pipeline in-flight is tracked by the pipeline itself.
-  std::atomic<int64_t> sync_in_flight_{0};
+  /// Training interactions per item: the scores of the popularity tier.
+  std::vector<double> popularity_;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;
@@ -368,8 +367,8 @@ class RecServer {
   /// state under a frozen FakeClock, keeping deterministic tests exact.
   std::atomic<int64_t> batch_forward_ewma_micros_{0};
 
-  /// Present iff num_workers > 0. Declared last: its threads call back into
-  /// this object, so it must die first (Shutdown joins them anyway).
+  /// Declared last: its threads call back into this object, so it must die
+  /// first (Shutdown joins them anyway).
   std::unique_ptr<ServePipeline> pipeline_;
 };
 

@@ -46,20 +46,6 @@ Status CompactCkg::TryBuild(
                      emit, out);
 }
 
-CompactCkg CompactCkg::Build(
-    int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
-    int64_t num_kg_relations,
-    const std::vector<std::array<int64_t, 2>>& interactions,
-    const std::vector<std::array<int64_t, 3>>& kg_triplets,
-    const std::vector<std::array<int64_t, 3>>& user_triplets) {
-  CompactCkg g;
-  const Status status =
-      TryBuild(num_users, num_items, num_kg_nodes, num_kg_relations,
-               interactions, kg_triplets, user_triplets, &g);
-  KUC_CHECK(status.ok()) << status.message();
-  return g;
-}
-
 std::vector<int64_t> CompactCkg::ItemsOfUser(int64_t user) const {
   KUC_CHECK(IsUser(user));
   std::vector<int64_t> items;

@@ -64,15 +64,6 @@ class CompactCkg {
       const std::vector<std::array<int64_t, 3>>& user_triplets,
       CompactCkg* out);
 
-  /// Aborting wrapper with `Ckg::Build`'s exact signature, so
-  /// `BasicDynamicCkg<Graph>::Rebuild` works on either graph type.
-  static CompactCkg Build(
-      int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
-      int64_t num_kg_relations,
-      const std::vector<std::array<int64_t, 2>>& interactions,
-      const std::vector<std::array<int64_t, 3>>& kg_triplets,
-      const std::vector<std::array<int64_t, 3>>& user_triplets = {});
-
   /// Streaming two-pass assembly: `emit` is called exactly twice with a
   /// sink `void(int64_t src, int64_t rel, int64_t dst)` and must produce
   /// the identical *directed* CKG-id edge sequence both times (pass 1

@@ -1,16 +1,13 @@
 #include "tensor/serialize.h"
 
 #include <cstring>
-#include <sstream>
 
-#include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace kucnet {
 
 namespace {
 
-constexpr char kMagicV1[] = "KUCNET_CKPT_V1";
 constexpr char kMagicV2[] = "KUCNET_CKPT_V2";
 constexpr char kFooterTag[] = "KUCFOOT1";  // 8 bytes, no terminator on disk
 constexpr size_t kFooterSize = 8 + sizeof(uint64_t);
@@ -34,82 +31,6 @@ Status ParseV2(const std::string& data,
   const Status read = ReadParameterBlock(&in, params);
   if (!read.ok()) return ErrorStatus() << path << ": " << read.message();
   return Status::Ok();
-}
-
-/// Legacy v1: text header (magic, count, `name rows cols` lines) followed by
-/// raw doubles in header order. Kept so pre-v2 checkpoints stay loadable.
-Status ParseV1(const std::string& data,
-               const std::vector<Parameter*>& params,
-               const std::string& path) {
-  // v1 has no checksum footer: silent corruption is detectable only by the
-  // size check. Surface every legacy load so operators know which fleets
-  // still depend on the old format before it can be retired.
-  KUC_LOG(Warning) << path
-                   << ": loading legacy v1 checkpoint (no checksum; "
-                      "re-save to upgrade to v2)";
-  KUC_OBS_COUNT("checkpoint.legacy_load", 1);
-  std::istringstream in(data);
-  std::string magic;
-  std::getline(in, magic);
-  size_t count = 0;
-  in >> count;
-  if (!in.good()) return ErrorStatus() << path << ": malformed v1 header";
-  if (count != params.size()) {
-    return ErrorStatus() << path
-                         << ": checkpoint has a different number of "
-                            "parameters ["
-                         << count << " vs " << params.size() << "]";
-  }
-  for (const Parameter* p : params) {
-    std::string name;
-    int64_t rows = 0, cols = 0;
-    in >> name >> rows >> cols;
-    if (!in.good()) return ErrorStatus() << path << ": malformed v1 header";
-    if (name != p->name()) {
-      return ErrorStatus() << path << ": parameter order/name mismatch ["
-                           << name << " vs " << p->name() << "]";
-    }
-    if (rows != p->rows() || cols != p->cols()) {
-      return ErrorStatus() << path << ": shape mismatch for " << name << " ["
-                           << rows << "x" << cols << " vs " << p->rows()
-                           << "x" << p->cols() << "]";
-    }
-  }
-  in.ignore();  // trailing newline before the binary payload
-  const size_t payload_start = static_cast<size_t>(in.tellg());
-  ByteReader payload(data.data() + payload_start,
-                     data.size() - payload_start);
-  for (Parameter* p : params) {
-    const size_t bytes = static_cast<size_t>(p->value().size()) *
-                         sizeof(real_t);
-    const Status st = payload.Raw(p->value().data(), bytes, "v1 payload");
-    if (!st.ok()) {
-      return ErrorStatus() << path << ": truncated checkpoint ("
-                           << st.message() << ")";
-    }
-  }
-  return Status::Ok();
-}
-
-/// v1 completeness check for IsCheckpoint: the payload must be exactly as
-/// large as the header promises.
-bool V1SizeMatchesHeader(const std::string& data) {
-  std::istringstream in(data);
-  std::string magic;
-  std::getline(in, magic);
-  size_t count = 0;
-  in >> count;
-  if (!in.good()) return false;
-  size_t expected = 0;
-  for (size_t i = 0; i < count; ++i) {
-    std::string name;
-    int64_t rows = 0, cols = 0;
-    in >> name >> rows >> cols;
-    if (!in.good() || rows < 0 || cols < 0) return false;
-    expected += static_cast<size_t>(rows * cols) * sizeof(real_t);
-  }
-  in.ignore();
-  return data.size() - static_cast<size_t>(in.tellg()) == expected;
 }
 
 }  // namespace
@@ -204,9 +125,12 @@ Status TryLoadParameters(const std::vector<Parameter*>& params,
   std::string data;
   KUC_RETURN_IF_ERROR(FsOrDefault(fs).ReadFile(path, &data));
   const std::string magic = FirstLine(data);
-  if (magic == kMagicV2) return ParseV2(data, params, path);
-  if (magic == kMagicV1) return ParseV1(data, params, path);
-  return ErrorStatus() << path << " is not a KUCNet checkpoint";
+  if (magic != kMagicV2) {
+    return ErrorStatus() << path << ": unsupported checkpoint magic \""
+                         << magic.substr(0, 32) << "\" (expected "
+                         << kMagicV2 << ")";
+  }
+  return ParseV2(data, params, path);
 }
 
 void SaveParameters(const std::vector<Parameter*>& params,
@@ -224,13 +148,9 @@ void LoadParameters(const std::vector<Parameter*>& params,
 bool IsCheckpoint(const std::string& path, FileSystem* fs) {
   std::string data;
   if (!FsOrDefault(fs).ReadFile(path, &data).ok()) return false;
-  const std::string magic = FirstLine(data);
-  if (magic == kMagicV2) {
-    size_t payload = 0;
-    return VerifyChecksumFooter(data, &payload).ok();
-  }
-  if (magic == kMagicV1) return V1SizeMatchesHeader(data);
-  return false;
+  size_t payload = 0;
+  return FirstLine(data) == kMagicV2 &&
+         VerifyChecksumFooter(data, &payload).ok();
 }
 
 }  // namespace kucnet

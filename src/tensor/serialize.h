@@ -23,9 +23,8 @@
 /// or interrupted save never destroys an existing checkpoint. Loading
 /// verifies the checksum, names, and shapes, and the `Try*` tier reports
 /// problems as recoverable `Status` errors; the historical aborting
-/// functions remain as wrappers. Legacy v1 checkpoints (text header, no
-/// footer) are still loadable; v1 validity is approximated by checking the
-/// payload size against the header.
+/// functions remain as wrappers. Any other first line — including the
+/// retired v1 magic "KUCNET_CKPT_V1" — is rejected as unsupported.
 
 namespace kucnet {
 
@@ -51,8 +50,9 @@ Status VerifyChecksumFooter(const std::string& data, size_t* payload_size);
 Status TrySaveParameters(const std::vector<Parameter*>& params,
                          const std::string& path, FileSystem* fs = nullptr);
 
-/// Restores parameter values from `path` (v2 or legacy v1). The parameter
-/// list must match the saved one in order, names, and shapes.
+/// Restores parameter values from the v2 checkpoint at `path`. The parameter
+/// list must match the saved one in order, names, and shapes; a file with
+/// any other magic fails with a Status naming the file and its magic.
 Status TryLoadParameters(const std::vector<Parameter*>& params,
                          const std::string& path, FileSystem* fs = nullptr);
 
@@ -64,9 +64,9 @@ void SaveParameters(const std::vector<Parameter*>& params,
 void LoadParameters(const std::vector<Parameter*>& params,
                     const std::string& path);
 
-/// True if `path` holds a complete parameter checkpoint: for v2 the checksum
-/// footer must verify (so a torn file is rejected here, not mid-load); for
-/// legacy v1 the header must parse and the payload size must match it.
+/// True if `path` holds a complete v2 parameter checkpoint: the magic must
+/// match and the checksum footer must verify (so a torn file is rejected
+/// here, not mid-load).
 bool IsCheckpoint(const std::string& path, FileSystem* fs = nullptr);
 
 }  // namespace kucnet

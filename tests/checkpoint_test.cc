@@ -1,7 +1,7 @@
 // Crash safety of the checkpoint formats: v2 integrity footer, atomic
 // saves under a fault-injection sweep (kill the save at every Nth IO op and
-// the previous checkpoint must survive), legacy v1 compatibility, and exact
-// round-trips of optimizer (Adam) and RNG state.
+// the previous checkpoint must survive), rejection of the retired v1 format,
+// and exact round-trips of optimizer (Adam) and RNG state.
 
 #include <fstream>
 #include <string>
@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
 #include "tensor/adam.h"
 #include "tensor/matrix.h"
 #include "tensor/parameter.h"
@@ -88,13 +87,14 @@ TEST(CheckpointV2Test, TornReadDetectedByChecksumNotAbort) {
   EXPECT_FALSE(st.ok());
 }
 
-TEST(CheckpointV2Test, LegacyV1StillLoads) {
+// No writer produces the retired v1 format ("KUCNET_CKPT_V1" text header,
+// raw doubles, no footer). A well-formed v1 file is rejected by name at load
+// and fails discovery, so RollingSwap never takes a shard out for it.
+TEST(CheckpointV2Test, RetiredV1FormatIsRejected) {
   auto params = MakeParams(4);
-  const Matrix emb_saved = params[0].value();
-  const Matrix readout_saved = params[1].value();
-  const std::string path = TempPath("v1_legacy.bin");
+  const Matrix emb_before = params[0].value();
+  const std::string path = TempPath("v1_retired.bin");
   {
-    // Write the pre-v2 format by hand: text header + raw doubles.
     std::ofstream out(path, std::ios::binary);
     out << "KUCNET_CKPT_V1\n" << 2 << '\n';
     for (const Parameter* p : Ptrs(params)) {
@@ -106,53 +106,14 @@ TEST(CheckpointV2Test, LegacyV1StillLoads) {
                                              sizeof(real_t)));
     }
   }
-  EXPECT_TRUE(IsCheckpoint(path));
-  params[0].value().SetZero();
-  params[1].value().SetZero();
-  ASSERT_TRUE(TryLoadParameters(Ptrs(params), path).ok());
-  EXPECT_TRUE(params[0].value().Equals(emb_saved));
-  EXPECT_TRUE(params[1].value().Equals(readout_saved));
-
-  // A truncated v1 file no longer passes discovery: the payload size must
-  // match the header.
-  std::string bytes;
-  ASSERT_TRUE(DefaultFileSystem().ReadFile(path, &bytes).ok());
-  const std::string torn = TempPath("v1_torn.bin");
-  ASSERT_TRUE(DefaultFileSystem()
-                  .WriteFile(torn, bytes.substr(0, bytes.size() - 7))
-                  .ok());
-  EXPECT_FALSE(IsCheckpoint(torn));
-}
-
-TEST(CheckpointV2Test, LegacyV1LoadIsCountedV2IsNot) {
-  auto params = MakeParams(5);
-  const std::string v1_path = TempPath("v1_counted.bin");
-  {
-    std::ofstream out(v1_path, std::ios::binary);
-    out << "KUCNET_CKPT_V1\n" << 2 << '\n';
-    for (const Parameter* p : Ptrs(params)) {
-      out << p->name() << ' ' << p->rows() << ' ' << p->cols() << '\n';
-    }
-    for (const Parameter* p : Ptrs(params)) {
-      out.write(reinterpret_cast<const char*>(p->value().data()),
-                static_cast<std::streamsize>(p->value().size() *
-                                             sizeof(real_t)));
-    }
-  }
-  // Every legacy load bumps checkpoint.legacy_load, so operators can find
-  // which fleets still produce pre-v2 checkpoints before retiring v1.
-  obs::SetEnabled(true);
-  obs::Counter& counter =
-      obs::DefaultRegistry().GetCounter("checkpoint.legacy_load");
-  const int64_t before = counter.Value();
-  ASSERT_TRUE(TryLoadParameters(Ptrs(params), v1_path).ok());
-  EXPECT_EQ(counter.Value(), before + 1);
-  // A v2 round-trip leaves the legacy counter alone.
-  const std::string v2_path = TempPath("v2_not_counted.kuc");
-  ASSERT_TRUE(TrySaveParameters(Ptrs(params), v2_path).ok());
-  ASSERT_TRUE(TryLoadParameters(Ptrs(params), v2_path).ok());
-  EXPECT_EQ(counter.Value(), before + 1);
-  obs::SetEnabled(false);
+  EXPECT_FALSE(IsCheckpoint(path));
+  const Status st = TryLoadParameters(Ptrs(params), path);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find(path), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("unsupported checkpoint magic \"KUCNET_CKPT_V1\""),
+            std::string::npos)
+      << st.message();
+  EXPECT_TRUE(params[0].value().Equals(emb_before));  // nothing applied
 }
 
 /// The crash-safety sweep of the issue: learn how many IO ops a save takes,

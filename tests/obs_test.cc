@@ -4,6 +4,7 @@
 // the `obs` ctest label), and the instrumentation's no-perturbation
 // guarantees on the serving pipeline.
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstring>
@@ -608,6 +609,20 @@ struct ObsServeFixture {
 
 #if KUCNET_OBS
 
+/// The recorded spans as sorted "depth name" strings: the span tree of one
+/// request, independent of which threads ran its stages.
+std::vector<std::string> SpanTree() {
+  std::vector<std::string> tree;
+  for (const obs::TraceEvent& event : obs::TraceRecorder::Default().Collect()) {
+    tree.push_back(std::to_string(event.depth) + " " + event.name);
+  }
+  std::sort(tree.begin(), tree.end());
+  return tree;
+}
+
+// ServeSync and a pipelined Submit run the same stages, so one full-tier
+// request leaves the same span tree either way: one span per stage
+// (extract, batch forward, respond) with the model's work nested inside.
 TEST_F(ObsTest, ServeRequestTraceHasOneSpanPerPipelineStage) {
   ObsServeFixture f;
   // Only the request under test should be in the trace — not the fixture's
@@ -621,25 +636,34 @@ TEST_F(ObsTest, ServeRequestTraceHasOneSpanPerPipelineStage) {
   const std::string json =
       obs::ToChromeTraceJson(obs::TraceRecorder::Default().Collect());
   EXPECT_TRUE(IsValidJson(json));
-  // One span per pipeline stage of a full-tier request.
-  EXPECT_EQ(CountOccurrences(json, "\"serve.request\""), 1);
-  EXPECT_EQ(CountOccurrences(json, "\"serve.full\""), 1);
-  EXPECT_EQ(CountOccurrences(json, "\"kucnet.forward\""), 1);
-  EXPECT_EQ(CountOccurrences(json, "\"compgraph.build\""), 1);
-  // One message-passing span per layer.
-  EXPECT_EQ(CountOccurrences(json, "\"kucnet.layer\""),
-            static_cast<int>(ObsSmallModelOptions().depth));
-  // Fallback tiers never ran, so they must not appear.
-  EXPECT_EQ(CountOccurrences(json, "\"serve.cache\""), 0);
-  EXPECT_EQ(CountOccurrences(json, "\"serve.heuristic\""), 0);
-  EXPECT_EQ(CountOccurrences(json, "\"serve.popularity\""), 0);
+  std::vector<std::string> want = {
+      "0 serve.extract",      "1 kucnet.extract",      "2 compgraph.build",
+      "0 serve.batch_forward", "1 kucnet.forward_many", "2 kucnet.forward",
+      "0 serve.respond"};
+  // One message-passing span per layer. The fallback tiers never ran, so
+  // their spans must not appear.
+  for (int64_t l = 0; l < ObsSmallModelOptions().depth; ++l) {
+    want.push_back("3 kucnet.layer");
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(SpanTree(), want);
 
   const obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
   EXPECT_EQ(snapshot.counters.at("serve.submitted"), 1);
   EXPECT_EQ(snapshot.counters.at("serve.admitted"), 1);
   EXPECT_EQ(snapshot.counters.at("serve.completed"), 1);
   EXPECT_EQ(snapshot.counters.at("serve.tier.full"), 1);
+  EXPECT_EQ(snapshot.counters.at("serve.batch.forwards"), 1);
   EXPECT_EQ(snapshot.histograms.at("serve.latency_micros").total, 1);
+
+  RecServerOptions opts;
+  opts.num_workers = 1;
+  RecServer pipelined(f.model.get(), &f.dataset, &f.ckg, &f.ppr, opts);
+  obs::TraceRecorder::Default().Clear();
+  const RecResponse submitted = pipelined.Submit({0}).get();
+  ASSERT_EQ(submitted.tier, ServeTier::kFull);
+  pipelined.Shutdown();  // joins the stage threads: every span is closed
+  EXPECT_EQ(SpanTree(), want);
 }
 
 TEST_F(ObsTest, ScoreCacheCountersReconcileWithMetrics) {

@@ -17,7 +17,7 @@
 
 /// \file
 /// The staged dataflow pipeline (serve/pipeline.h) behind RecServer::Submit:
-/// batched forwards must be bitwise identical to the synchronous path, the
+/// batched forwards must be bitwise identical to inline execution, the
 /// linger window must be driven by the Clock seam (FakeClock-deterministic),
 /// a deadline that expires mid-batch must degrade only its own request, and
 /// a full batch queue must push back to admission instead of growing.
@@ -324,8 +324,7 @@ TEST(ServePipelineTest, FullBatchQueuePushesBackToAdmissionShed) {
   RecServerOptions options = fx.Options(&clock);
   options.num_workers = 1;
   options.queue_capacity = 2;
-  options.batch_max_users = 1;
-  options.batch_queue_capacity = 1;
+  options.batch_max_users = 1;  // the ready queue holds 2 x 1 jobs
   options.batch_observer = [&](int64_t) {
     if (!blocked_once.exchange(true)) {
       first_batch_entered.set_value();
@@ -339,10 +338,10 @@ TEST(ServePipelineTest, FullBatchQueuePushesBackToAdmissionShed) {
   futures.push_back(server->Submit(UserRequest(0)));
   first_batch_entered.get_future().wait();
 
-  // Job 2 lands in the ready queue (capacity 1); job 3 blocks the extraction
-  // worker trying to push behind it. Feed them one at a time, waiting for
-  // the worker to pop each, so the admission queue is verifiably empty when
-  // jobs 4-5 fill it.
+  // Jobs 2-3 land in the ready queue (capacity 2); job 4 blocks the
+  // extraction worker trying to push behind them. Feed them one at a time,
+  // waiting for the worker to pop each, so the admission queue is verifiably
+  // empty when jobs 5-6 fill it.
   const auto wait_popped = [&](int64_t want_in_flight) {
     while (server->queue_depth() > 0 ||
            server->in_flight() < want_in_flight) {
@@ -354,12 +353,14 @@ TEST(ServePipelineTest, FullBatchQueuePushesBackToAdmissionShed) {
   futures.push_back(server->Submit(UserRequest(2)));
   wait_popped(3);
   futures.push_back(server->Submit(UserRequest(3)));
+  wait_popped(4);
   futures.push_back(server->Submit(UserRequest(4)));
+  futures.push_back(server->Submit(UserRequest(5)));
   ASSERT_EQ(server->queue_depth(), 2);
-  ASSERT_EQ(server->in_flight(), 3);
+  ASSERT_EQ(server->in_flight(), 4);
 
-  // The 6th request finds the admission queue full: shed, instantly.
-  std::future<RecResponse> shed = server->Submit(UserRequest(5));
+  // The 7th request finds the admission queue full: shed, instantly.
+  std::future<RecResponse> shed = server->Submit(UserRequest(6));
   ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   EXPECT_EQ(shed.get().status, ResponseStatus::kOverloaded);
@@ -373,10 +374,10 @@ TEST(ServePipelineTest, FullBatchQueuePushesBackToAdmissionShed) {
   server->Shutdown();
 
   const ServerStats stats = server->stats();
-  EXPECT_EQ(stats.submitted, 6);
-  EXPECT_EQ(stats.admitted, 5);
+  EXPECT_EQ(stats.submitted, 7);
+  EXPECT_EQ(stats.admitted, 6);
   EXPECT_EQ(stats.shed, 1);
-  EXPECT_EQ(stats.completed, 5);
+  EXPECT_EQ(stats.completed, 6);
 }
 
 // ---- Shutdown ----------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "core/kucnet.h"
 #include "data/synthetic.h"
+#include "serve/fleet/shard_router.h"
 #include "serve/rec_server.h"
 #include "serve/score_cache.h"
 #include "util/clock.h"
@@ -447,6 +448,83 @@ TEST(RecServerFaultSweepTest, UserOutsidePprTableSkipsHeuristicWithReason) {
   in_table.user = 0;
   EXPECT_EQ(server.ServeSync(in_table).tier, ServeTier::kHeuristic);
   EXPECT_EQ(server.stats().no_ppr_user, 1);
+}
+
+// Regression: a request for a user id outside [0, num_users) reached
+// PprTable::ScoreFn (or, without PPR pruning, the CSR) and aborted the whole
+// server. Every entry point must answer it from the fallback chain, name the
+// reason, and count it as neither a deadline miss nor a fault.
+TEST(RecServerFaultSweepTest, OutOfRangeUserIsAnsweredNotFatal) {
+  ServeFixture f(SyncOptions());
+  const int64_t num_users = f.dataset.num_users;
+  const std::vector<int64_t> bad_users = {num_users, -1, int64_t{1} << 40};
+  const auto expect_fallback = [&](const RecResponse& got, int64_t user) {
+    SCOPED_TRACE("user " + std::to_string(user));
+    EXPECT_EQ(got.status, ResponseStatus::kOk);
+    EXPECT_EQ(got.tier, ServeTier::kPopularity);
+    EXPECT_TRUE(got.degraded);
+    ASSERT_FALSE(got.items.empty());
+    for (size_t k = 0; k < got.items.size(); ++k) {
+      EXPECT_GE(got.items[k].item, 0);
+      EXPECT_LT(got.items[k].item, f.dataset.num_items);
+      if (k > 0) {
+        EXPECT_GE(got.items[k - 1].score, got.items[k].score);
+      }
+    }
+    EXPECT_NE(got.degrade_reason.find("outside the graph's users"),
+              std::string::npos)
+        << got.degrade_reason;
+  };
+
+  // The model itself refuses the user with a Status, whatever the pruning.
+  KucnetOptions unpruned = SmallModelOptions();
+  unpruned.prune = PruneMode::kNone;
+  const Kucnet unpruned_model(&f.dataset, &f.ckg, &f.ppr, unpruned);
+  for (const int64_t user : bad_users) {
+    KucnetForward forward;
+    EXPECT_FALSE(
+        f.model->TryExtractGraph(user, ExecContext(), &forward).ok());
+    EXPECT_FALSE(
+        unpruned_model.TryExtractGraph(user, ExecContext(), &forward).ok());
+  }
+
+  for (const int64_t user : bad_users) {
+    expect_fallback(f.server->ServeSync({user}), user);
+  }
+  ServerStats stats = f.server->stats();
+  EXPECT_EQ(stats.completed, 3);
+  EXPECT_EQ(stats.deadline_missed, 0);
+  EXPECT_EQ(stats.fault_events, 0);
+
+  RecServerOptions pipelined = SyncOptions();
+  pipelined.num_workers = 2;
+  pipelined.default_deadline_micros = 60'000'000;
+  RecServer server(f.model.get(), &f.dataset, &f.ckg, &f.ppr, pipelined);
+  for (const int64_t user : bad_users) {
+    expect_fallback(server.Submit({user}).get(), user);
+  }
+  server.Shutdown();
+  stats = server.stats();
+  EXPECT_EQ(stats.completed, 3);
+  EXPECT_EQ(stats.deadline_missed, 0);
+  EXPECT_EQ(stats.fault_events, 0);
+
+  ShardRouterOptions fleet_options;
+  fleet_options.server = pipelined;
+  ShardRouter router({f.model.get()}, &f.dataset, &f.ckg, &f.ppr,
+                     fleet_options);
+  for (const int64_t user : bad_users) {
+    FleetRequest request;
+    request.request.user = user;
+    const FleetResponse got = router.Route(request);
+    EXPECT_EQ(got.path, FleetPath::kPrimary);
+    expect_fallback(got.response, user);
+  }
+  router.Shutdown();
+  const FleetStats fleet = router.stats();
+  EXPECT_EQ(fleet.answered, 3);
+  EXPECT_EQ(fleet.shards.deadline_missed, 0);
+  EXPECT_EQ(fleet.shards.fault_events, 0);
 }
 
 TEST(RecServerFaultSweepTest, TransientFaultRecoversNextRequest) {
