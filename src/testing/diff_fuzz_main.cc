@@ -10,7 +10,8 @@
 /// \file
 /// Differential fuzz driver.
 ///
-///   diff_fuzz [--subsystem=tensor|ppr|ranking|serve|fleet|stream|all]
+///   diff_fuzz [--subsystem=tensor|ppr|ranking|serve|fleet|stream|store|
+///              kucnet|all]
 ///             [--seed=N] [--cases=N]
 ///
 /// Runs `cases` seeded random cases per subsystem, comparing the optimized
@@ -56,14 +57,14 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: diff_fuzz [--subsystem=tensor|ppr|ranking|serve|"
-                   "fleet|stream|all] [--seed=N] [--cases=N]\n");
+                   "fleet|stream|store|kucnet|all] [--seed=N] [--cases=N]\n");
       return 2;
     }
   }
 
   std::vector<std::string> subsystems;
   if (subsystem == "all") {
-    subsystems = {"tensor", "ppr", "ranking", "serve", "stream"};
+    subsystems = {"tensor", "ppr", "ranking", "serve", "stream", "kucnet"};
   } else {
     subsystems = {subsystem};
   }

@@ -15,6 +15,7 @@
 #include "core/kucnet.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "graph/subgraph.h"
 #include "ppr/ppr.h"
 #include "serve/fleet/shard_fault.h"
 #include "serve/fleet/shard_router.h"
@@ -478,6 +479,173 @@ void RankingCase(uint64_t case_seed, CaseResult& result) {
   const double ndcg_oracle = OracleNdcgAtN(optimized, test, n);
   if (std::abs(ndcg - ndcg_oracle) > 1e-12) {
     result.Fail() << "ndcg: opt=" << ndcg << " oracle=" << ndcg_oracle;
+  }
+}
+
+// ---- KUCNet forward ---------------------------------------------------------
+
+/// Tiny CKGs the `kucnet` cases draw from, built once per run: a traditional
+/// split with user-user edges (one more relation), and a new-user split
+/// whose held-out users have no CKG edges, so their graphs are self-loops
+/// only.
+struct KucnetFuzzContext {
+  struct Data {
+    explicit Data(Dataset d)
+        : dataset(std::move(d)),
+          ckg(dataset.BuildCkg()),
+          ppr(PprTable::Compute(ckg)) {}
+    Dataset dataset;
+    Ckg ckg;
+    PprTable ppr;
+  };
+
+  KucnetFuzzContext() {
+    SyntheticConfig cfg;
+    cfg.seed = 1517;
+    cfg.num_users = 16;
+    cfg.num_items = 24;
+    cfg.num_topics = 3;
+    cfg.interactions_per_user = 5;
+    cfg.interactions_jitter = 3;
+    cfg.entities_per_topic = 4;
+    cfg.num_shared_entities = 4;
+    cfg.entity_entity_edges_per_topic = 3;
+    cfg.user_user_edges_per_user = 1;
+    Rng split_rng(15);
+    data.push_back(std::make_unique<Data>(
+        TraditionalSplit(GenerateSynthetic(cfg).raw, 0.25, split_rng)));
+    cfg.seed = 1518;
+    cfg.user_user_edges_per_user = 0;
+    data.push_back(std::make_unique<Data>(
+        NewUserSplit(GenerateSynthetic(cfg).raw, 0.25, split_rng)));
+  }
+
+  std::vector<std::unique_ptr<Data>> data;  ///< stable addresses for models
+};
+
+/// Random model options and users against OracleKucnetScores: TryForward,
+/// TryForwardMany (random batch sizes, with and without pre-extracted
+/// graphs) and ScorePairOnUiGraph must equal the per-edge oracle bitwise.
+/// The oracle's bitwise contract needs deterministic kernels, so the case
+/// forces that mode whatever KUCNET_FAST_KERNELS says.
+void KucnetCase(KucnetFuzzContext& ctx, uint64_t case_seed,
+                CaseResult& result) {
+  Rng rng(case_seed);
+  ScopedKernelMode forced_mode(KernelMode::kDeterministic);
+  const int64_t which =
+      rng.UniformInt(static_cast<int64_t>(ctx.data.size()));
+  const KucnetFuzzContext::Data& data = *ctx.data[which];
+  KucnetOptions opts;
+  opts.hidden_dim = 1 + rng.UniformInt(8);
+  opts.attention_dim = 1 + rng.UniformInt(4);
+  opts.depth = 1 + static_cast<int32_t>(rng.UniformInt(4));
+  constexpr std::array<PruneMode, 3> kPrunes = {
+      PruneMode::kPpr, PruneMode::kNone, PruneMode::kRandom};
+  opts.prune = kPrunes[rng.UniformInt(3)];
+  opts.sample_k = rng.Bernoulli(0.25) ? 0 : 1 + rng.UniformInt(8);
+  opts.use_attention = rng.Bernoulli(0.75);
+  opts.attention_on_source = rng.Bernoulli(0.5);
+  opts.activation = static_cast<KucnetActivation>(rng.UniformInt(3));
+  opts.seed = rng.Next64();
+  Kucnet model(&data.dataset, &data.ckg, &data.ppr, opts);
+
+  std::ostringstream config;
+  config << "dataset=" << which << " d=" << opts.hidden_dim
+         << " d_alpha=" << opts.attention_dim << " depth=" << opts.depth
+         << " prune=" << static_cast<int>(opts.prune)
+         << " k=" << opts.sample_k << " attention=" << opts.use_attention
+         << " on_source=" << opts.attention_on_source
+         << " activation=" << static_cast<int>(opts.activation);
+  auto fail = [&]() -> std::ostream& {
+    return result.Fail() << "[" << config.str() << "] ";
+  };
+  const int64_t num_users = data.dataset.num_users;
+  const int64_t num_items = data.dataset.num_items;
+
+  // True when every item score of `fwd` equals the oracle run on its graph.
+  auto matches_oracle = [&](const char* what, int64_t user,
+                            const KucnetForward& fwd) {
+    const std::vector<real_t> want = OracleKucnetScores(model, fwd.graph);
+    if (static_cast<int64_t>(fwd.item_scores.size()) != num_items) {
+      fail() << what << " user " << user << ": " << fwd.item_scores.size()
+             << " scores for " << num_items << " items";
+      return false;
+    }
+    for (int64_t item = 0; item < num_items; ++item) {
+      const int64_t idx = fwd.graph.FinalIndexOf(data.ckg.ItemNode(item));
+      const real_t expected = idx >= 0 ? want[idx] : 0.0;
+      if (UlpDistance(fwd.item_scores[item], expected) != 0) {
+        fail() << what << " user " << user << " item " << item
+               << ": got=" << fwd.item_scores[item] << " oracle=" << expected;
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // (1) Single forwards.
+  const int64_t singles = 1 + rng.UniformInt(3);
+  for (int64_t k = 0; k < singles; ++k) {
+    const int64_t user = rng.UniformInt(num_users);
+    KucnetForward fwd;
+    const Status status = model.TryForward(user, ExecContext(), &fwd);
+    if (!status.ok()) {
+      fail() << "TryForward user " << user << ": " << status.message();
+      return;
+    }
+    if (!matches_oracle("TryForward", user, fwd)) return;
+  }
+
+  // (2) One batched call.
+  const int64_t batch = 1 + rng.UniformInt(6);
+  const bool pre_extract = rng.Bernoulli(0.5);
+  std::vector<KucnetForward> outs(batch);
+  std::vector<KucnetForwardWork> work(batch);
+  for (int64_t k = 0; k < batch; ++k) {
+    work[k].user = rng.UniformInt(num_users);
+    work[k].out = &outs[k];
+    if (pre_extract) {
+      const Status status =
+          model.TryExtractGraph(work[k].user, ExecContext(), &outs[k]);
+      if (!status.ok()) {
+        fail() << "TryExtractGraph user " << work[k].user << ": "
+               << status.message();
+        return;
+      }
+    }
+  }
+  model.TryForwardMany(&work, pre_extract);
+  for (int64_t k = 0; k < batch; ++k) {
+    if (!work[k].status.ok()) {
+      fail() << "TryForwardMany item " << k << ": "
+             << work[k].status.message();
+      return;
+    }
+    if (!matches_oracle("TryForwardMany", work[k].user, outs[k])) return;
+  }
+
+  // (3) Per-pair U-I graphs (Fig. 6's KUCNet-UI).
+  const int64_t pairs = 1 + rng.UniformInt(3);
+  for (int64_t k = 0; k < pairs; ++k) {
+    const int64_t user = rng.UniformInt(num_users);
+    const int64_t item = rng.UniformInt(num_items);
+    const int64_t user_node = data.ckg.UserNode(user);
+    const int64_t item_node = data.ckg.ItemNode(item);
+    const auto [score, edges] = model.ScorePairOnUiGraph(user, item);
+    const LayeredEdges layered =
+        ExtractUiComputationGraph(data.ckg, user_node, item_node, opts.depth);
+    real_t expected = 0.0;
+    if (layered.TotalEdges() > 0) {
+      const UserCompGraph graph = FromLayeredEdges(layered.layers, user_node);
+      const int64_t idx = graph.FinalIndexOf(item_node);
+      if (idx >= 0) expected = OracleKucnetScores(model, graph)[idx];
+    }
+    if (edges != layered.TotalEdges() || UlpDistance(score, expected) != 0) {
+      fail() << "ScorePairOnUiGraph (" << user << ", " << item
+             << "): got=(" << score << ", " << edges << " edges) oracle=("
+             << expected << ", " << layered.TotalEdges() << " edges)";
+      return;
+    }
   }
 }
 
@@ -1491,6 +1659,14 @@ FuzzReport FuzzStore(const FuzzOptions& options) {
   return RunCases("store", options, StoreCase);
 }
 
+FuzzReport FuzzKucnet(const FuzzOptions& options) {
+  KucnetFuzzContext ctx;
+  return RunCases("kucnet", options,
+                  [&ctx](uint64_t seed, CaseResult& result) {
+                    KucnetCase(ctx, seed, result);
+                  });
+}
+
 FuzzReport FuzzSubsystem(const std::string& name, const FuzzOptions& options) {
   if (name == "tensor") return FuzzTensor(options);
   if (name == "ppr") return FuzzPpr(options);
@@ -1499,8 +1675,10 @@ FuzzReport FuzzSubsystem(const std::string& name, const FuzzOptions& options) {
   if (name == "fleet") return FuzzFleet(options);
   if (name == "stream") return FuzzStream(options);
   if (name == "store") return FuzzStore(options);
-  KUC_CHECK(false) << "unknown fuzz subsystem '" << name
-                   << "' (want tensor|ppr|ranking|serve|fleet|stream|store)";
+  if (name == "kucnet") return FuzzKucnet(options);
+  KUC_CHECK(false)
+      << "unknown fuzz subsystem '" << name
+      << "' (want tensor|ppr|ranking|serve|fleet|stream|store|kucnet)";
   return FuzzReport();
 }
 

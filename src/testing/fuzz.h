@@ -78,8 +78,15 @@ FuzzReport FuzzStream(const FuzzOptions& options);
 /// from identically-seeded model stacks over each representation.
 FuzzReport FuzzStore(const FuzzOptions& options);
 
+/// KUCNet inference: random model options (pruning mode, K including 0,
+/// depth 1-4, attention on/off, attention on the source on/off, the three
+/// activations) and users; TryForward, TryForwardMany and ScorePairOnUiGraph
+/// must equal the per-edge OracleKucnetScores bitwise, in deterministic
+/// kernel mode.
+FuzzReport FuzzKucnet(const FuzzOptions& options);
+
 /// Runs one subsystem by name ("tensor", "ppr", "ranking", "topn", "serve",
-/// "fleet", "stream", "store"). Aborts on an unknown name.
+/// "fleet", "stream", "store", "kucnet"). Aborts on an unknown name.
 FuzzReport FuzzSubsystem(const std::string& name, const FuzzOptions& options);
 
 }  // namespace testing

@@ -6,6 +6,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <string>
 
 #include "util/finite.h"
 #include "util/logging.h"
@@ -147,6 +148,72 @@ Matrix OracleSegmentSum(const Matrix& a, const std::vector<int64_t>& seg,
     for (int64_t j = 0; j < a.cols(); ++j) out.at(seg[k], j) += a.at(k, j);
   }
   return out;
+}
+
+// ---- KUCNet ------------------------------------------------------------------
+
+std::vector<real_t> OracleKucnetScores(Kucnet& model,
+                                       const UserCompGraph& graph) {
+  const KucnetOptions& opts = model.options();
+  std::map<std::string, const Matrix*> params;
+  for (const Parameter* p : model.Params()) params[p->name()] = &p->value();
+  auto param = [&params](const std::string& name) -> const Matrix& {
+    const auto it = params.find(name);
+    KUC_CHECK(it != params.end()) << "model has no parameter " << name;
+    return *it->second;
+  };
+
+  Matrix h(1, opts.hidden_dim);  // h^0: the user's zero row
+  for (size_t l = 0; l < graph.layers.size(); ++l) {
+    const CompLayer& layer = graph.layers[l];
+    const std::string suffix = "_l" + std::to_string(l + 1);
+    // Eq. (6): message_e = alpha_e * W^l (h_src(e) + h_rel(e)).
+    const Matrix h_src = OracleGather(h, layer.src_index);
+    const Matrix h_rel = OracleGather(param("rel_emb" + suffix), layer.rel);
+    Matrix messages =
+        OracleMatMul(OracleAdd(h_src, h_rel), param("w" + suffix));
+    if (opts.use_attention) {
+      // alpha_e = sigmoid(w_a^T relu(W_as h_src + W_ar h_rel + b_a)).
+      Matrix logits = OracleMatMul(h_rel, param("attn_r" + suffix));
+      if (opts.attention_on_source) {
+        logits = OracleAdd(OracleMatMul(h_src, param("attn_s" + suffix)),
+                           logits);
+      }
+      const Matrix& bias = param("attn_bias");
+      for (int64_t e = 0; e < logits.rows(); ++e) {
+        for (int64_t j = 0; j < logits.cols(); ++j) {
+          const real_t x = logits.at(e, j) + bias.at(0, j);
+          logits.at(e, j) = x > 0.0 ? x : 0.0;
+        }
+      }
+      const Matrix alpha = OracleMatMul(logits, param("attn_v" + suffix));
+      for (int64_t e = 0; e < messages.rows(); ++e) {
+        const real_t x = alpha.at(e, 0);
+        const real_t a = x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
+                                  : std::exp(x) / (1.0 + std::exp(x));
+        for (int64_t j = 0; j < messages.cols(); ++j) messages.at(e, j) *= a;
+      }
+    }
+    // Eq. (5): h^l_dst = delta(sum of the messages into dst).
+    h = OracleSegmentSum(messages, layer.dst_index,
+                         static_cast<int64_t>(layer.nodes.size()));
+    for (int64_t i = 0; i < h.size(); ++i) {
+      real_t& x = h.data()[i];
+      switch (opts.activation) {
+        case KucnetActivation::kIdentity:
+          break;
+        case KucnetActivation::kTanh:
+          x = std::tanh(x);
+          break;
+        case KucnetActivation::kRelu:
+          x = x > 0.0 ? x : 0.0;
+          break;
+      }
+    }
+  }
+  // Eq. (7): score = w^T h^L.
+  const Matrix scores = OracleMatMul(h, param("readout"));
+  return std::vector<real_t>(scores.data(), scores.data() + scores.size());
 }
 
 // ---- PPR ---------------------------------------------------------------------

@@ -6,7 +6,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/kucnet.h"
 #include "graph/ckg.h"
+#include "graph/compgraph.h"
 #include "graph/dynamic_ckg.h"
 #include "tensor/matrix.h"
 
@@ -66,6 +68,20 @@ Matrix OracleGather(const Matrix& a, const std::vector<int64_t>& idx);
 /// out.row(seg[k]) += a.row(k), k ascending; `num_segments` output rows.
 Matrix OracleSegmentSum(const Matrix& a, const std::vector<int64_t>& seg,
                         int64_t num_segments);
+
+// ---- KUCNet ------------------------------------------------------------------
+
+/// Eq. (5)-(7) on `graph` with `model`'s parameters and options, transcribed
+/// edge by edge from OracleGather, OracleMatMul and OracleSegmentSum: each
+/// layer gathers every edge's source row and relation embedding, computes
+/// that edge's message and attention weight on its own (no tape, nothing
+/// shared between edges), and sums messages into destinations in edge
+/// order. Returns the Eq. (7) score of every final-layer node, by dense
+/// index. Every product and sum keeps the accumulation order of the
+/// optimized forward, so in deterministic kernel mode they agree bitwise.
+/// `model` is non-const only to read its parameters.
+std::vector<real_t> OracleKucnetScores(Kucnet& model,
+                                       const UserCompGraph& graph);
 
 // ---- PPR ---------------------------------------------------------------------
 
