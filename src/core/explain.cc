@@ -45,10 +45,25 @@ void WalkBack(const std::vector<LayerIndex>& by_layer, int32_t layer,
 std::vector<ExplainedPath> ExplainItem(const KucnetForward& forward,
                                        const Ckg& ckg, int64_t item,
                                        double threshold, int64_t max_paths) {
-  const int32_t depth = static_cast<int32_t>(forward.graph.layers.size());
+  const UserCompGraph& graph = forward.graph;
+  const int32_t depth = static_cast<int32_t>(graph.layers.size());
+  KUC_CHECK_EQ(forward.attention.size(), graph.layers.size())
+      << "ExplainItem needs a completed forward pass";
+  // Attribute every edge: global endpoints plus its attention weight.
+  std::vector<std::vector<AttributedEdge>> edges(depth);
   std::vector<LayerIndex> by_layer(depth);
-  for (const AttributedEdge& e : forward.edges) {
-    by_layer[e.layer - 1].emplace(e.dst, &e);
+  std::vector<int64_t> prev_nodes = {graph.user_node};
+  for (int32_t l = 0; l < depth; ++l) {
+    const CompLayer& layer = graph.layers[l];
+    const std::vector<double>& attention = forward.attention[l];
+    KUC_CHECK_EQ(static_cast<int64_t>(attention.size()), layer.num_edges());
+    edges[l].reserve(attention.size());
+    for (int64_t e = 0; e < layer.num_edges(); ++e) {
+      edges[l].push_back({l + 1, prev_nodes[layer.src_index[e]], layer.rel[e],
+                          layer.nodes[layer.dst_index[e]], attention[e]});
+    }
+    for (const AttributedEdge& e : edges[l]) by_layer[l].emplace(e.dst, &e);
+    prev_nodes = layer.nodes;
   }
   std::vector<const AttributedEdge*> stack;
   std::vector<ExplainedPath> paths;

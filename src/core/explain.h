@@ -14,6 +14,15 @@
 
 namespace kucnet {
 
+/// One scored edge of a forward pass, for interpretability (Sec. V-F).
+struct AttributedEdge {
+  int32_t layer;  ///< 1-based hop
+  int64_t src;    ///< global node id
+  int64_t rel;    ///< CKG relation id (may be the self-loop)
+  int64_t dst;    ///< global node id
+  double attention;  ///< alpha in [0, 1]
+};
+
 /// One length-L reasoning path from the user to a recommended item.
 struct ExplainedPath {
   std::vector<AttributedEdge> hops;  ///< hop 1..L in order
@@ -22,9 +31,11 @@ struct ExplainedPath {
 
 /// Enumerates the paths from the user to `item` through the forward pass's
 /// computation graph whose every edge has attention >= `threshold` (the
-/// paper prunes below 0.5). Self-loop hops are kept (they appear as
-/// "(stay)" in the formatted output). At most `max_paths` paths are
-/// returned, strongest (by min attention) first.
+/// paper prunes below 0.5). Edges are attributed from `forward.graph` and
+/// `forward.attention`, so `forward` must be a completed forward pass.
+/// Self-loop hops are kept (they appear as "(stay)" in the formatted
+/// output). At most `max_paths` paths are returned, strongest (by min
+/// attention) first.
 std::vector<ExplainedPath> ExplainItem(const KucnetForward& forward,
                                        const Ckg& ckg, int64_t item,
                                        double threshold = 0.5,

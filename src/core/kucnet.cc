@@ -1,6 +1,7 @@
 #include "core/kucnet.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "graph/subgraph.h"
@@ -134,31 +135,17 @@ Var Kucnet::Activate(Tape& tape, Var x) const {
   return x;
 }
 
-Var Kucnet::RunMessagePassing(
-    Tape& tape, const UserCompGraph& graph, bool training, Rng* rng,
-    std::vector<std::vector<double>>* attention_out) const {
-  Var h;
-  const Status status = TryRunMessagePassing(tape, graph, training, rng,
-                                             ExecContext(), attention_out, &h);
-  KUC_CHECK(status.ok()) << status.message();
-  return h;
-}
-
-Status Kucnet::TryRunMessagePassing(
-    Tape& tape, const UserCompGraph& graph, bool training, Rng* rng,
-    const ExecContext& ctx,
-    std::vector<std::vector<double>>* attention_out, Var* out) const {
+Var Kucnet::RunMessagePassing(Tape& tape, const UserCompGraph& graph,
+                              bool training, Rng* rng) const {
   const int64_t d = options_.hidden_dim;
   // h^0: a single zero row for the user (Alg. 1 line 1).
   Var h = tape.Constant(Matrix::Zeros(1, d));
   for (size_t l = 0; l < graph.layers.size(); ++l) {
     KUC_TRACE_SPAN("kucnet.layer");
-    KUC_RETURN_IF_ERROR(ctx.Check("forward"));
     const CompLayer& layer = graph.layers[l];
     const LayerParams& params = layers_[l];
     if (layer.num_edges() == 0) {
       h = tape.Constant(Matrix::Zeros(0, d));
-      if (attention_out != nullptr) attention_out->emplace_back();
       continue;
     }
     Var h_src = tape.Gather(h, layer.src_index);
@@ -184,14 +171,6 @@ Status Kucnet::TryRunMessagePassing(
       Var alpha = tape.Sigmoid(tape.MatMul(
           tape.Relu(pre), tape.Param(const_cast<Parameter*>(&params.attn_v))));
       messages = tape.RowScale(transformed, alpha);
-      if (attention_out != nullptr) {
-        const Matrix& a = tape.value(alpha);
-        std::vector<double> weights(a.rows());
-        for (int64_t e = 0; e < a.rows(); ++e) weights[e] = a.at(e, 0);
-        attention_out->push_back(std::move(weights));
-      }
-    } else if (attention_out != nullptr) {
-      attention_out->emplace_back(layer.num_edges(), 1.0);
     }
     Var aggregated = tape.SegmentSum(
         messages, layer.dst_index,
@@ -202,7 +181,131 @@ Status Kucnet::TryRunMessagePassing(
                        rng != nullptr ? *rng : dropout_rng_);
     }
   }
-  *out = h;
+  return h;
+}
+
+Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
+                        Matrix* node_scores,
+                        std::vector<std::vector<double>>* attention) const {
+  const int64_t d = options_.hidden_dim;
+  attention->assign(graph.layers.size(), {});
+  // h^0: a single zero row for the user (Alg. 1 line 1).
+  Matrix h(1, d);
+  // Per relation, the message of the last edge that used it. The builder
+  // emits each source's edges together, so this finds every repeated
+  // (source, relation) pair of its graphs; in any other edge order a pair
+  // may get a second, bitwise equal message.
+  std::vector<int64_t> last_message;
+  std::vector<int64_t> message_of, msg_src, msg_rel;
+  for (size_t l = 0; l < graph.layers.size(); ++l) {
+    KUC_TRACE_SPAN("kucnet.layer");
+    KUC_RETURN_IF_ERROR(ctx.Check("forward"));
+    const CompLayer& layer = graph.layers[l];
+    const LayerParams& params = layers_[l];
+    const Matrix& rel_emb = params.rel_emb.value();
+    const int64_t edges = layer.num_edges();
+    const int64_t num_dst = static_cast<int64_t>(layer.nodes.size());
+    KUC_CHECK_EQ(static_cast<int64_t>(layer.src_index.size()), edges);
+    KUC_CHECK_EQ(static_cast<int64_t>(layer.dst_index.size()), edges);
+
+    // A message depends on its edge's source and relation only (Eq. 6):
+    // edges sharing the pair share one message row.
+    last_message.assign(rel_emb.rows(), -1);
+    message_of.resize(edges);
+    msg_src.clear();
+    msg_rel.clear();
+    for (int64_t e = 0; e < edges; ++e) {
+      const int64_t src = layer.src_index[e];
+      const int64_t rel = layer.rel[e];
+      KUC_CHECK_GE(src, 0);
+      KUC_CHECK_LT(src, h.rows());
+      KUC_CHECK_GE(rel, 0);
+      KUC_CHECK_LT(rel, rel_emb.rows());
+      KUC_CHECK_GE(layer.dst_index[e], 0);
+      KUC_CHECK_LT(layer.dst_index[e], num_dst);
+      int64_t& message = last_message[rel];
+      if (message < 0 || msg_src[message] != src) {
+        message = static_cast<int64_t>(msg_src.size());
+        msg_src.push_back(src);
+        msg_rel.push_back(rel);
+      }
+      message_of[e] = message;
+    }
+    const int64_t num_messages = static_cast<int64_t>(msg_src.size());
+
+    // Message input (h_{u:s}^{l-1} + h_r^l), Eq. (6), one row per message.
+    Matrix input(num_messages, d);
+    for (int64_t k = 0; k < num_messages; ++k) {
+      const real_t* hs = h.row(msg_src[k]);
+      const real_t* hr = rel_emb.row(msg_rel[k]);
+      real_t* out = input.row(k);
+      for (int64_t j = 0; j < d; ++j) out[j] = hs[j] + hr[j];
+    }
+    Matrix messages = MatMul(input, params.w.value());
+    std::vector<double>& layer_attention = (*attention)[l];
+    if (options_.use_attention) {
+      // alpha = sigmoid(w_a^T relu(W_as h_s + W_ar h_r + b_a)), Sec. IV-B,
+      // with W_as h_s read from a per-node table and W_ar h_r from a
+      // per-relation table.
+      const Matrix rel_term = MatMul(rel_emb, params.attn_r.value());
+      const Matrix src_term = options_.attention_on_source
+                                  ? MatMul(h, params.attn_s.value())
+                                  : Matrix();
+      const int64_t da = options_.attention_dim;
+      const real_t* bias = attn_bias_.value().row(0);
+      Matrix pre(num_messages, da);
+      for (int64_t k = 0; k < num_messages; ++k) {
+        const real_t* r = rel_term.row(msg_rel[k]);
+        real_t* out = pre.row(k);
+        if (options_.attention_on_source) {
+          const real_t* s_row = src_term.row(msg_src[k]);
+          for (int64_t j = 0; j < da; ++j) out[j] = (s_row[j] + r[j]) + bias[j];
+        } else {
+          for (int64_t j = 0; j < da; ++j) out[j] = r[j] + bias[j];
+        }
+        for (int64_t j = 0; j < da; ++j) out[j] = out[j] > 0.0 ? out[j] : 0.0;
+      }
+      Matrix alpha = MatMul(pre, params.attn_v.value());
+      for (int64_t k = 0; k < num_messages; ++k) {
+        const real_t x = alpha.at(k, 0);
+        const real_t a = x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
+                                  : std::exp(x) / (1.0 + std::exp(x));
+        alpha.at(k, 0) = a;
+        real_t* row = messages.row(k);
+        for (int64_t j = 0; j < d; ++j) row[j] *= a;
+      }
+      layer_attention.resize(edges);
+      for (int64_t e = 0; e < edges; ++e) {
+        layer_attention[e] = alpha.at(message_of[e], 0);
+      }
+    } else {
+      layer_attention.assign(edges, 1.0);
+    }
+
+    // Eq. (5): each destination sums its messages in edge order, the same
+    // accumulation chain as a per-edge segment sum.
+    Matrix aggregated(num_dst, d);
+    for (int64_t e = 0; e < edges; ++e) {
+      const real_t* msg = messages.row(message_of[e]);
+      real_t* out = aggregated.row(layer.dst_index[e]);
+      for (int64_t j = 0; j < d; ++j) out[j] += msg[j];
+    }
+    real_t* x = aggregated.data();
+    switch (options_.activation) {
+      case KucnetActivation::kIdentity:
+        break;
+      case KucnetActivation::kTanh:
+        for (int64_t i = 0; i < aggregated.size(); ++i) x[i] = std::tanh(x[i]);
+        break;
+      case KucnetActivation::kRelu:
+        for (int64_t i = 0; i < aggregated.size(); ++i) {
+          x[i] = x[i] > 0.0 ? x[i] : 0.0;
+        }
+        break;
+    }
+    h = std::move(aggregated);
+  }
+  *node_scores = MatMul(h, readout_.value());  // Eq. (7)
   return Status::Ok();
 }
 
@@ -262,38 +365,17 @@ Status Kucnet::TryForwardOnGraph(const ExecContext& ctx,
                                  KucnetForward* inout) const {
   KUC_TRACE_SPAN("kucnet.forward");
   KucnetForward& result = *inout;
-  Tape tape;
-  std::vector<std::vector<double>> attention;
-  Var h_final;
-  const Status forward_status = TryRunMessagePassing(
-      tape, result.graph, /*training=*/false, nullptr, ctx, &attention,
-      &h_final);
-  if (!forward_status.ok()) {
+  Matrix scores;
+  const Status status =
+      TryInfer(result.graph, ctx, &scores, &result.attention);
+  if (!status.ok()) {
     result = KucnetForward();
-    return forward_status;
+    return status;
   }
-  Var scores = tape.MatMul(
-      h_final, tape.Param(const_cast<Parameter*>(&readout_)));  // Eq. (7)
-  const Matrix& s = tape.value(scores);
-
   result.item_scores.assign(dataset_->num_items, 0.0);
   for (int64_t item = 0; item < dataset_->num_items; ++item) {
     const int64_t idx = result.graph.FinalIndexOf(ckg_.ItemNode(item));
-    if (idx >= 0) result.item_scores[item] = s.at(idx, 0);
-  }
-
-  // Attribute edges for interpretability.
-  std::vector<int64_t> prev_nodes = {result.graph.user_node};
-  for (size_t l = 0; l < result.graph.layers.size(); ++l) {
-    const CompLayer& layer = result.graph.layers[l];
-    for (int64_t e = 0; e < layer.num_edges(); ++e) {
-      result.edges.push_back(
-          {static_cast<int32_t>(l + 1), prev_nodes[layer.src_index[e]],
-           layer.rel[e], layer.nodes[layer.dst_index[e]],
-           l < attention.size() && !attention[l].empty() ? attention[l][e]
-                                                         : 1.0});
-    }
-    prev_nodes = layer.nodes;
+    if (idx >= 0) result.item_scores[item] = scores.at(idx, 0);
   }
   return Status::Ok();
 }
@@ -330,15 +412,13 @@ std::pair<double, int64_t> Kucnet::ScorePairOnUiGraph(int64_t user,
   });
   const int64_t edge_count = layered.TotalEdges();
   if (edge_count == 0) return {0.0, 0};
-  UserCompGraph graph = FromLayeredEdges(layered.layers, user_node);
-  Tape tape;
-  Var h_final =
-      RunMessagePassing(tape, graph, /*training=*/false, nullptr, nullptr);
-  Var scores =
-      tape.MatMul(h_final, tape.Param(const_cast<Parameter*>(&readout_)));
+  const UserCompGraph graph = FromLayeredEdges(layered.layers, user_node);
+  Matrix scores;
+  std::vector<std::vector<double>> attention;
+  const Status status = TryInfer(graph, ExecContext(), &scores, &attention);
+  KUC_CHECK(status.ok()) << status.message();
   const int64_t idx = graph.FinalIndexOf(item_node);
-  const double score = idx >= 0 ? tape.value(scores).at(idx, 0) : 0.0;
-  return {score, edge_count};
+  return {idx >= 0 ? scores.at(idx, 0) : 0.0, edge_count};
 }
 
 void Kucnet::SaveCheckpoint(const std::string& path) {
@@ -355,8 +435,7 @@ Var Kucnet::BuildLoss(Tape& tape, int64_t user,
   KUC_CHECK_EQ(pos.size(), neg.size());
   Rng rng(options_.seed ^ (0x51ab + static_cast<uint64_t>(user)));
   UserCompGraph graph = BuildGraph(user, &rng, {});
-  Var h_final =
-      RunMessagePassing(tape, graph, /*training=*/false, nullptr, nullptr);
+  Var h_final = RunMessagePassing(tape, graph, /*training=*/false, nullptr);
   Var all_scores = tape.MatMul(h_final, tape.Param(&readout_));
   std::vector<int64_t> pos_idx, neg_idx;
   for (size_t k = 0; k < pos.size(); ++k) {
@@ -391,8 +470,7 @@ double Kucnet::TrainUser(int64_t user, Rng& rng, Tape& tape,
   }
   UserCompGraph graph = BuildGraph(user, &rng, excluded);
 
-  Var h_final =
-      RunMessagePassing(tape, graph, /*training=*/true, &rng, nullptr);
+  Var h_final = RunMessagePassing(tape, graph, /*training=*/true, &rng);
   Var all_scores = tape.MatMul(h_final, tape.Param(&readout_));
 
   // Collect positive/negative pairs as gathers over all_scores. An

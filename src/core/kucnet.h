@@ -54,20 +54,14 @@ struct KucnetOptions {
   uint64_t seed = 13;
 };
 
-/// One scored edge of a forward pass, for interpretability (Sec. V-F).
-struct AttributedEdge {
-  int32_t layer;  ///< 1-based hop
-  int64_t src;    ///< global node id
-  int64_t rel;    ///< CKG relation id (may be the self-loop)
-  int64_t dst;    ///< global node id
-  double attention;  ///< alpha in [0, 1]
-};
-
 /// Everything a forward pass produces.
 struct KucnetForward {
   UserCompGraph graph;
-  std::vector<double> item_scores;         ///< size num_items; 0 if unreachable
-  std::vector<AttributedEdge> edges;       ///< all edges with attention weights
+  std::vector<double> item_scores;  ///< size num_items; 0 if unreachable
+  /// attention[l][e]: alpha of edge e of graph.layers[l], in [0, 1]; 1.0
+  /// for every edge without attention (KUCNet-w.o.-Attn). Read by the
+  /// explanation tooling (core/explain.h).
+  std::vector<std::vector<double>> attention;
 };
 
 /// One unit of a batched forward (Kucnet::TryForwardMany): the user, the
@@ -102,8 +96,8 @@ class Kucnet : public RankModel {
   double TrainEpoch(Rng& rng) override;
   std::vector<double> ScoreItems(int64_t user) const override;
 
-  /// Full forward pass on the user's pruned graph, with attention weights
-  /// (used by the explanation tooling and Fig. 6).
+  /// Full forward pass on the user's pruned graph, with per-edge attention
+  /// weights (used by the explanation tooling and Fig. 6).
   KucnetForward Forward(int64_t user) const;
 
   /// Cancellable forward pass — the serving layer's full-quality tier. Hits
@@ -127,8 +121,8 @@ class Kucnet : public RankModel {
   Status TryExtractGraph(int64_t user, const ExecContext& ctx,
                          KucnetForward* out) const;
 
-  /// Second half of TryForward: message passing, readout, and edge
-  /// attribution over the graph already in `inout->graph` (stage "forward"
+  /// Second half of TryForward: message passing, readout, and per-edge
+  /// attention over the graph already in `inout->graph` (stage "forward"
   /// before each layer). On cancellation `*inout` is reset — graph included
   /// — and the checkpoint's status returned. TryForward is exactly
   /// TryExtractGraph followed by TryForwardOnGraph; splitting a call never
@@ -139,16 +133,17 @@ class Kucnet : public RankModel {
   /// global thread pool (the same batching path TrainEpoch uses for
   /// training). When `graphs_extracted` is true each item's `out->graph`
   /// was already built by TryExtractGraph and only the forward half runs;
-  /// otherwise each item runs the complete TryForward. Items are
-  /// independent (private tapes, per-user seeded RNGs), so results are
-  /// bitwise identical to issuing the same calls sequentially, at any
-  /// thread count — enforced by diff_fuzz (`serve` subsystem).
+  /// otherwise each item runs the complete TryForward. Items share no
+  /// mutable state (per-user seeded RNGs), so results are bitwise identical
+  /// to issuing the same calls sequentially, at any thread count — enforced
+  /// by diff_fuzz (`serve` and `kucnet` subsystems).
   void TryForwardMany(std::vector<KucnetForwardWork>* work,
                       bool graphs_extracted) const;
 
   /// Scores a single (user, item) pair on its *individual* U-I computation
-  /// graph C_{u,i|L} — the naive KUCNet-UI costing of Fig. 6. Returns the
-  /// score and the number of edges computed on.
+  /// graph C_{u,i|L} — the naive KUCNet-UI costing of Fig. 6 — with the same
+  /// inference forward as TryForwardOnGraph. Returns the score and the
+  /// number of edges computed on.
   std::pair<double, int64_t> ScorePairOnUiGraph(int64_t user,
                                                 int64_t item) const;
 
@@ -188,19 +183,24 @@ class Kucnet : public RankModel {
     Parameter attn_v;   ///< d_alpha x 1  (w^l_alpha)
   };
 
-  /// Runs L layers of Eq. (5)-(6) over `graph` on `tape`; returns the final
-  /// layer representations (nodes x d). Records attention weights into
-  /// `attention_out` (one vector per layer) when non-null.
+  /// Training forward: runs L layers of Eq. (5)-(6) over `graph` on `tape`,
+  /// one message per edge, and returns the final layer representations
+  /// (nodes x d).
   Var RunMessagePassing(Tape& tape, const UserCompGraph& graph, bool training,
-                        Rng* rng,
-                        std::vector<std::vector<double>>* attention_out) const;
+                        Rng* rng) const;
 
-  /// Cancellable RunMessagePassing: checks `ctx` (stage "forward") before
-  /// each layer, so at most one layer of compute is wasted past a deadline.
-  Status TryRunMessagePassing(Tape& tape, const UserCompGraph& graph,
-                              bool training, Rng* rng, const ExecContext& ctx,
-                              std::vector<std::vector<double>>* attention_out,
-                              Var* out) const;
+  /// Inference forward of Eq. (5)-(7) over `graph`, without a tape. Per
+  /// layer it computes each distinct (source, relation) message once — one
+  /// MatMul against W^l, attention logits from a per-node and a
+  /// per-relation table — and sums messages into destinations in edge
+  /// order, so every output keeps the per-edge accumulation chain and, in
+  /// deterministic kernel mode, equals RunMessagePassing's bitwise. Checks
+  /// `ctx` (stage "forward") before each layer. Sets `*node_scores` to the
+  /// Eq. (7) score of every final-layer node (nodes x 1) and `*attention`
+  /// to each layer's per-edge alpha.
+  Status TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
+                  Matrix* node_scores,
+                  std::vector<std::vector<double>>* attention) const;
 
   /// Builds the pruned computation graph for a user.
   UserCompGraph BuildGraph(int64_t user, Rng* rng,

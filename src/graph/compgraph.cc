@@ -188,10 +188,8 @@ Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
     prev_nodes = layer.nodes;
   }
 
-  graph.final_index.reserve(prev_nodes.size());
-  for (size_t i = 0; i < prev_nodes.size(); ++i) {
-    graph.final_index.emplace(prev_nodes[i], static_cast<int64_t>(i));
-  }
+  // The last layer's node -> dense index map is exactly final_index.
+  graph.final_index = std::move(dst_index);
   return Status::Ok();
 }
 

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -93,10 +94,15 @@ TEST(KucnetTest, ForwardDeterministic) {
 TEST(KucnetTest, AttentionWeightsInUnitInterval) {
   Fixture f(SplitKind::kTraditional, SmallOptions());
   const KucnetForward fwd = f.model->Forward(1);
-  ASSERT_FALSE(fwd.edges.empty());
-  for (const AttributedEdge& e : fwd.edges) {
-    EXPECT_GE(e.attention, 0.0);
-    EXPECT_LE(e.attention, 1.0);
+  ASSERT_GT(fwd.graph.TotalEdges(), 0);
+  ASSERT_EQ(fwd.attention.size(), fwd.graph.layers.size());
+  for (size_t l = 0; l < fwd.attention.size(); ++l) {
+    ASSERT_EQ(static_cast<int64_t>(fwd.attention[l].size()),
+              fwd.graph.layers[l].num_edges());
+    for (const double alpha : fwd.attention[l]) {
+      EXPECT_GE(alpha, 0.0);
+      EXPECT_LE(alpha, 1.0);
+    }
   }
 }
 
@@ -106,8 +112,12 @@ TEST(KucnetTest, NoAttentionVariantHasUnitWeights) {
   Fixture f(SplitKind::kTraditional, opts);
   EXPECT_EQ(f.model->name(), "KUCNet-w.o.-Attn");
   const KucnetForward fwd = f.model->Forward(1);
-  for (const AttributedEdge& e : fwd.edges) {
-    EXPECT_EQ(e.attention, 1.0);
+  ASSERT_GT(fwd.graph.TotalEdges(), 0);
+  ASSERT_EQ(fwd.attention.size(), fwd.graph.layers.size());
+  for (size_t l = 0; l < fwd.attention.size(); ++l) {
+    ASSERT_EQ(static_cast<int64_t>(fwd.attention[l].size()),
+              fwd.graph.layers[l].num_edges());
+    for (const double alpha : fwd.attention[l]) EXPECT_EQ(alpha, 1.0);
   }
 }
 
@@ -206,17 +216,38 @@ TEST(KucnetTest, NewItemsAreScoredThroughTheKg) {
 }
 
 TEST(KucnetTest, ScorePairOnUiGraphAgreesOnReachability) {
-  Fixture f(SplitKind::kTraditional, SmallOptions());
-  const auto train_items = f.dataset.TrainItemsByUser();
-  ASSERT_FALSE(train_items[0].empty());
-  const auto [score, edges] = f.model->ScorePairOnUiGraph(0, train_items[0][0]);
-  EXPECT_GT(edges, 0);
-  // The per-pair graph is unpruned, so it contains at least as much
-  // structure as any single pruned user graph's restriction to this item.
-  const KucnetForward fwd = f.model->Forward(0);
-  EXPECT_GE(edges, 0);
-  (void)score;
-  (void)fwd;
+  // Proposition 1: without pruning, h^L_{u:i} on the user-centric graph
+  // equals h^L_{u:i} on the per-pair graph C_{u,i|L}. Both forwards must
+  // agree on which items are reachable and, up to the order in which the
+  // two graphs sum messages, on their scores.
+  int64_t reachable_pairs = 0;
+  for (const KucnetActivation activation :
+       {KucnetActivation::kRelu, KucnetActivation::kTanh}) {
+    for (const bool on_source : {true, false}) {
+      KucnetOptions opts = SmallOptions();
+      opts.prune = PruneMode::kNone;
+      opts.sample_k = 0;
+      opts.activation = activation;
+      opts.attention_on_source = on_source;
+      Fixture f(SplitKind::kTraditional, opts);
+      for (int64_t u = 0; u < 6; ++u) {
+        const KucnetForward fwd = f.model->Forward(u);
+        for (int64_t i = 0; i < f.dataset.num_items; ++i) {
+          const auto [score, edges] = f.model->ScorePairOnUiGraph(u, i);
+          const bool reachable =
+              fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) >= 0;
+          ASSERT_EQ(edges > 0, reachable) << "user " << u << " item " << i;
+          reachable_pairs += reachable ? 1 : 0;
+          const double want = fwd.item_scores[i];
+          EXPECT_LE(std::abs(score - want),
+                    1e-12 * std::max(std::abs(score), std::abs(want)))
+              << "user " << u << " item " << i << " on_source=" << on_source
+              << " activation=" << static_cast<int>(activation);
+        }
+      }
+    }
+  }
+  EXPECT_GT(reachable_pairs, 0);
 }
 
 TEST(KucnetTest, PerPairGraphCostExceedsUserCentric) {
