@@ -523,11 +523,30 @@ struct KucnetFuzzContext {
   std::vector<std::unique_ptr<Data>> data;  ///< stable addresses for models
 };
 
+/// Permutes every layer's edges: the forward must be correct for any edge
+/// order, not only the builder's source-grouped one.
+void ShuffleEdges(Rng& rng, UserCompGraph* graph) {
+  for (CompLayer& layer : graph->layers) {
+    std::vector<int64_t> order(layer.num_edges());
+    for (int64_t e = 0; e < layer.num_edges(); ++e) order[e] = e;
+    rng.Shuffle(order);
+    CompLayer shuffled;
+    shuffled.nodes = layer.nodes;
+    for (const int64_t e : order) {
+      shuffled.src_index.push_back(layer.src_index[e]);
+      shuffled.rel.push_back(layer.rel[e]);
+      shuffled.dst_index.push_back(layer.dst_index[e]);
+    }
+    layer = std::move(shuffled);
+  }
+}
+
 /// Random model options and users against OracleKucnetScores: TryForward,
 /// TryForwardMany (random batch sizes, with and without pre-extracted
-/// graphs) and ScorePairOnUiGraph must equal the per-edge oracle bitwise.
-/// The oracle's bitwise contract needs deterministic kernels, so the case
-/// forces that mode whatever KUCNET_FAST_KERNELS says.
+/// graphs, some with their edges shuffled) and ScorePairOnUiGraph must equal
+/// the per-edge oracle bitwise. The oracle's bitwise contract needs
+/// deterministic kernels, so the case forces that mode whatever
+/// KUCNET_FAST_KERNELS says.
 void KucnetCase(KucnetFuzzContext& ctx, uint64_t case_seed,
                 CaseResult& result) {
   Rng rng(case_seed);
@@ -612,6 +631,7 @@ void KucnetCase(KucnetFuzzContext& ctx, uint64_t case_seed,
                << status.message();
         return;
       }
+      if (rng.Bernoulli(0.5)) ShuffleEdges(rng, &outs[k].graph);
     }
   }
   model.TryForwardMany(&work, pre_extract);

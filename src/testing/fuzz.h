@@ -80,9 +80,9 @@ FuzzReport FuzzStore(const FuzzOptions& options);
 
 /// KUCNet inference: random model options (pruning mode, K including 0,
 /// depth 1-4, attention on/off, attention on the source on/off, the three
-/// activations) and users; TryForward, TryForwardMany and ScorePairOnUiGraph
-/// must equal the per-edge OracleKucnetScores bitwise, in deterministic
-/// kernel mode.
+/// activations) and users; TryForward, TryForwardMany (on graphs in the
+/// builder's edge order and shuffled) and ScorePairOnUiGraph must equal the
+/// per-edge OracleKucnetScores bitwise, in deterministic kernel mode.
 FuzzReport FuzzKucnet(const FuzzOptions& options);
 
 /// Runs one subsystem by name ("tensor", "ppr", "ranking", "topn", "serve",
