@@ -433,8 +433,7 @@ Var Kucnet::BuildLoss(Tape& tape, int64_t user,
                       const std::vector<int64_t>& pos,
                       const std::vector<int64_t>& neg) {
   KUC_CHECK_EQ(pos.size(), neg.size());
-  Rng rng(options_.seed ^ (0x51ab + static_cast<uint64_t>(user)));
-  UserCompGraph graph = BuildGraph(user, &rng, {});
+  const UserCompGraph graph = LossGraph(user);
   Var h_final = RunMessagePassing(tape, graph, /*training=*/false, nullptr);
   Var all_scores = tape.MatMul(h_final, tape.Param(&readout_));
   std::vector<int64_t> pos_idx, neg_idx;
@@ -448,6 +447,11 @@ Var Kucnet::BuildLoss(Tape& tape, int64_t user,
   if (pos_idx.empty()) return Var{};
   return tape.BprLoss(tape.Gather(all_scores, pos_idx),
                       tape.Gather(all_scores, neg_idx));
+}
+
+UserCompGraph Kucnet::LossGraph(int64_t user) const {
+  Rng rng(options_.seed ^ (0x51ab + static_cast<uint64_t>(user)));
+  return BuildGraph(user, &rng, {});
 }
 
 double Kucnet::TrainUser(int64_t user, Rng& rng, Tape& tape,

@@ -154,6 +154,10 @@ class Kucnet : public RankModel {
   Var BuildLoss(Tape& tape, int64_t user, const std::vector<int64_t>& pos,
                 const std::vector<int64_t>& neg);
 
+  /// The pruned graph BuildLoss scores `user` on: deterministic for a given
+  /// model, built without dropout or target-edge exclusion.
+  UserCompGraph LossGraph(int64_t user) const;
+
   const KucnetOptions& options() const { return options_; }
 
   /// All trainable parameters (layer weights, attention, relation

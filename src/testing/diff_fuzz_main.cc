@@ -11,7 +11,7 @@
 /// Differential fuzz driver.
 ///
 ///   diff_fuzz [--subsystem=tensor|ppr|ranking|serve|fleet|stream|store|
-///              kucnet|all]
+///              kucnet|kucnet_grad|all]
 ///             [--seed=N] [--cases=N]
 ///
 /// Runs `cases` seeded random cases per subsystem, comparing the optimized
@@ -57,14 +57,16 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: diff_fuzz [--subsystem=tensor|ppr|ranking|serve|"
-                   "fleet|stream|store|kucnet|all] [--seed=N] [--cases=N]\n");
+                   "fleet|stream|store|kucnet|kucnet_grad|all] [--seed=N] "
+                   "[--cases=N]\n");
       return 2;
     }
   }
 
   std::vector<std::string> subsystems;
   if (subsystem == "all") {
-    subsystems = {"tensor", "ppr", "ranking", "serve", "stream", "kucnet"};
+    subsystems = {"tensor", "ppr",    "ranking",    "serve",
+                  "stream", "kucnet", "kucnet_grad"};
   } else {
     subsystems = {subsystem};
   }

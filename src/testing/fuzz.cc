@@ -541,6 +541,36 @@ void ShuffleEdges(Rng& rng, UserCompGraph* graph) {
   }
 }
 
+/// The model options both KUCNet subsystems draw: pruning mode, K including
+/// 0, depth 1-4, attention and attention on the source on/off, and the three
+/// activations, over small widths.
+KucnetOptions RandomKucnetOptions(Rng& rng) {
+  KucnetOptions opts;
+  opts.hidden_dim = 1 + rng.UniformInt(8);
+  opts.attention_dim = 1 + rng.UniformInt(4);
+  opts.depth = 1 + static_cast<int32_t>(rng.UniformInt(4));
+  constexpr std::array<PruneMode, 3> kPrunes = {
+      PruneMode::kPpr, PruneMode::kNone, PruneMode::kRandom};
+  opts.prune = kPrunes[rng.UniformInt(3)];
+  opts.sample_k = rng.Bernoulli(0.25) ? 0 : 1 + rng.UniformInt(8);
+  opts.use_attention = rng.Bernoulli(0.75);
+  opts.attention_on_source = rng.Bernoulli(0.5);
+  opts.activation = static_cast<KucnetActivation>(rng.UniformInt(3));
+  opts.seed = rng.Next64();
+  return opts;
+}
+
+std::string DescribeKucnetCase(int64_t which, const KucnetOptions& opts) {
+  std::ostringstream config;
+  config << "dataset=" << which << " d=" << opts.hidden_dim
+         << " d_alpha=" << opts.attention_dim << " depth=" << opts.depth
+         << " prune=" << static_cast<int>(opts.prune)
+         << " k=" << opts.sample_k << " attention=" << opts.use_attention
+         << " on_source=" << opts.attention_on_source
+         << " activation=" << static_cast<int>(opts.activation);
+  return config.str();
+}
+
 /// Random model options and users against OracleKucnetScores: TryForward,
 /// TryForwardMany (random batch sizes, with and without pre-extracted
 /// graphs, some with their edges shuffled) and ScorePairOnUiGraph must equal
@@ -554,29 +584,12 @@ void KucnetCase(KucnetFuzzContext& ctx, uint64_t case_seed,
   const int64_t which =
       rng.UniformInt(static_cast<int64_t>(ctx.data.size()));
   const KucnetFuzzContext::Data& data = *ctx.data[which];
-  KucnetOptions opts;
-  opts.hidden_dim = 1 + rng.UniformInt(8);
-  opts.attention_dim = 1 + rng.UniformInt(4);
-  opts.depth = 1 + static_cast<int32_t>(rng.UniformInt(4));
-  constexpr std::array<PruneMode, 3> kPrunes = {
-      PruneMode::kPpr, PruneMode::kNone, PruneMode::kRandom};
-  opts.prune = kPrunes[rng.UniformInt(3)];
-  opts.sample_k = rng.Bernoulli(0.25) ? 0 : 1 + rng.UniformInt(8);
-  opts.use_attention = rng.Bernoulli(0.75);
-  opts.attention_on_source = rng.Bernoulli(0.5);
-  opts.activation = static_cast<KucnetActivation>(rng.UniformInt(3));
-  opts.seed = rng.Next64();
+  const KucnetOptions opts = RandomKucnetOptions(rng);
   Kucnet model(&data.dataset, &data.ckg, &data.ppr, opts);
 
-  std::ostringstream config;
-  config << "dataset=" << which << " d=" << opts.hidden_dim
-         << " d_alpha=" << opts.attention_dim << " depth=" << opts.depth
-         << " prune=" << static_cast<int>(opts.prune)
-         << " k=" << opts.sample_k << " attention=" << opts.use_attention
-         << " on_source=" << opts.attention_on_source
-         << " activation=" << static_cast<int>(opts.activation);
+  const std::string config = DescribeKucnetCase(which, opts);
   auto fail = [&]() -> std::ostream& {
-    return result.Fail() << "[" << config.str() << "] ";
+    return result.Fail() << "[" << config << "] ";
   };
   const int64_t num_users = data.dataset.num_users;
   const int64_t num_items = data.dataset.num_items;
@@ -665,6 +678,137 @@ void KucnetCase(KucnetFuzzContext& ctx, uint64_t case_seed,
              << "): got=(" << score << ", " << edges << " edges) oracle=("
              << expected << ", " << layered.TotalEdges() << " edges)";
       return;
+    }
+  }
+}
+
+/// Every parameter's accumulated gradient, in Params() order, each then
+/// zeroed so the next Backward starts clean.
+std::vector<Matrix> TakeGradients(Kucnet& model) {
+  std::vector<Matrix> grads;
+  for (Parameter* p : model.Params()) {
+    grads.push_back(p->grad());
+    p->ZeroGrad();
+  }
+  return grads;
+}
+
+/// Random model options, users and (positive, negative) pairs against
+/// OracleKucnetLoss: BuildLoss's loss must equal the per-edge tape's
+/// bitwise, and every element of every parameter gradient must lie within
+/// 1e-12 * scale (+1e-300) of the oracle's, since the shared-message
+/// backward sums the same terms in another order. A pair's gradient is
+/// sigmoid(neg - pos) * (grad neg - grad pos), which cancels to rounding
+/// noise when both items are reached through the same messages (every item
+/// of a depth-1 graph is), so the scale is the larger of max|g_oracle| and
+/// max|g| of sum_k sigmoid(neg_k - pos_k) * (pos_k + neg_k): the same terms
+/// added instead of subtracted. Pairs are drawn from the items of the final
+/// layer of the graph BuildLoss builds, and now and then from all items, so
+/// unreachable pairs get skipped on both sides. Kernel mode is forced
+/// deterministic, as in the `kucnet` subsystem.
+void KucnetGradCase(KucnetFuzzContext& ctx, uint64_t case_seed,
+                    CaseResult& result) {
+  Rng rng(case_seed);
+  ScopedKernelMode forced_mode(KernelMode::kDeterministic);
+  const int64_t which =
+      rng.UniformInt(static_cast<int64_t>(ctx.data.size()));
+  const KucnetFuzzContext::Data& data = *ctx.data[which];
+  const KucnetOptions opts = RandomKucnetOptions(rng);
+  Kucnet model(&data.dataset, &data.ckg, &data.ppr, opts);
+  const std::string config = DescribeKucnetCase(which, opts);
+  const int64_t user = rng.UniformInt(data.dataset.num_users);
+  auto fail = [&]() -> std::ostream& {
+    return result.Fail() << "[" << config << " user=" << user << "] ";
+  };
+
+  const UserCompGraph graph = model.LossGraph(user);
+  std::vector<int64_t> reachable;
+  for (int64_t item = 0; item < data.dataset.num_items; ++item) {
+    if (graph.FinalIndexOf(data.ckg.ItemNode(item)) >= 0) {
+      reachable.push_back(item);
+    }
+  }
+  auto draw_item = [&]() {
+    if (reachable.empty() || rng.Bernoulli(0.15)) {
+      return rng.UniformInt(data.dataset.num_items);
+    }
+    return reachable[rng.UniformInt(static_cast<int64_t>(reachable.size()))];
+  };
+  const int64_t pairs = 1 + rng.UniformInt(4);
+  std::vector<int64_t> pos, neg, pos_idx, neg_idx;
+  for (int64_t k = 0; k < pairs; ++k) {
+    pos.push_back(draw_item());
+    neg.push_back(draw_item());
+    const int64_t pi = graph.FinalIndexOf(data.ckg.ItemNode(pos.back()));
+    const int64_t ni = graph.FinalIndexOf(data.ckg.ItemNode(neg.back()));
+    if (pi < 0 || ni < 0) continue;
+    pos_idx.push_back(pi);
+    neg_idx.push_back(ni);
+  }
+
+  Tape tape;
+  const Var loss = model.BuildLoss(tape, user, pos, neg);
+  if (pos_idx.empty()) {
+    if (loss.valid()) fail() << "BuildLoss scored pairs that are unreachable";
+    return;
+  }
+  if (!loss.valid()) {
+    fail() << "BuildLoss found none of " << pos_idx.size()
+           << " reachable pairs";
+    return;
+  }
+  tape.Backward(loss);
+  const std::vector<Matrix> got = TakeGradients(model);
+  Tape oracle_tape;
+  const Var oracle_loss =
+      OracleKucnetLoss(model, oracle_tape, graph, pos_idx, neg_idx);
+  oracle_tape.Backward(oracle_loss);
+  const std::vector<Matrix> want = TakeGradients(model);
+  Tape mass_tape;
+  {
+    const Var scores = OracleKucnetTapeScores(model, mass_tape, graph);
+    const Var pos_scores = mass_tape.Gather(scores, pos_idx);
+    const Var neg_scores = mass_tape.Gather(scores, neg_idx);
+    Matrix weight(static_cast<int64_t>(pos_idx.size()), 1);
+    for (int64_t k = 0; k < weight.rows(); ++k) {
+      const real_t x = mass_tape.value(neg_scores).at(k, 0) -
+                       mass_tape.value(pos_scores).at(k, 0);
+      weight.at(k, 0) = 1.0 / (1.0 + std::exp(-x));
+    }
+    mass_tape.Backward(mass_tape.Sum(
+        mass_tape.Hadamard(mass_tape.Add(pos_scores, neg_scores),
+                           mass_tape.Constant(std::move(weight)))));
+  }
+  const std::vector<Matrix> mass = TakeGradients(model);
+
+  const real_t loss_value = tape.value(loss).at(0, 0);
+  const real_t oracle_value = oracle_tape.value(oracle_loss).at(0, 0);
+  if (UlpDistance(loss_value, oracle_value) != 0) {
+    fail() << "loss=" << loss_value << " oracle=" << oracle_value;
+    return;
+  }
+  const std::vector<Parameter*> params = model.Params();
+  for (size_t p = 0; p < params.size(); ++p) {
+    if (got[p].rows() != want[p].rows() || got[p].cols() != want[p].cols()) {
+      fail() << params[p]->name() << " gradient shape " << got[p].rows()
+             << "x" << got[p].cols() << " vs oracle " << want[p].rows()
+             << "x" << want[p].cols();
+      return;
+    }
+    real_t scale = 0.0;
+    for (int64_t i = 0; i < want[p].size(); ++i) {
+      scale = std::max({scale, std::abs(want[p].data()[i]),
+                        std::abs(mass[p].data()[i])});
+    }
+    const real_t bound = 1e-12 * scale + 1e-300;
+    for (int64_t i = 0; i < want[p].size(); ++i) {
+      const real_t g = got[p].data()[i];
+      const real_t w = want[p].data()[i];
+      if (!(std::abs(g - w) <= bound)) {
+        fail() << params[p]->name() << " gradient flat index " << i
+               << ": got=" << g << " oracle=" << w << " bound=" << bound;
+        return;
+      }
     }
   }
 }
@@ -1687,6 +1831,14 @@ FuzzReport FuzzKucnet(const FuzzOptions& options) {
                   });
 }
 
+FuzzReport FuzzKucnetGrad(const FuzzOptions& options) {
+  KucnetFuzzContext ctx;
+  return RunCases("kucnet_grad", options,
+                  [&ctx](uint64_t seed, CaseResult& result) {
+                    KucnetGradCase(ctx, seed, result);
+                  });
+}
+
 FuzzReport FuzzSubsystem(const std::string& name, const FuzzOptions& options) {
   if (name == "tensor") return FuzzTensor(options);
   if (name == "ppr") return FuzzPpr(options);
@@ -1696,9 +1848,10 @@ FuzzReport FuzzSubsystem(const std::string& name, const FuzzOptions& options) {
   if (name == "stream") return FuzzStream(options);
   if (name == "store") return FuzzStore(options);
   if (name == "kucnet") return FuzzKucnet(options);
-  KUC_CHECK(false)
-      << "unknown fuzz subsystem '" << name
-      << "' (want tensor|ppr|ranking|serve|fleet|stream|store|kucnet)";
+  if (name == "kucnet_grad") return FuzzKucnetGrad(options);
+  KUC_CHECK(false) << "unknown fuzz subsystem '" << name
+                   << "' (want tensor|ppr|ranking|serve|fleet|stream|store|"
+                      "kucnet|kucnet_grad)";
   return FuzzReport();
 }
 

@@ -85,8 +85,16 @@ FuzzReport FuzzStore(const FuzzOptions& options);
 /// per-edge OracleKucnetScores bitwise, in deterministic kernel mode.
 FuzzReport FuzzKucnet(const FuzzOptions& options);
 
+/// KUCNet training loss and gradients: the `kucnet` subsystem's random
+/// options and users, plus (positive, negative) pairs from the final layer
+/// of the graph BuildLoss builds. BuildLoss's loss must equal the per-edge
+/// OracleKucnetLoss bitwise and every parameter gradient must lie within
+/// 1e-12 * max|g_oracle| of the oracle's, in deterministic kernel mode.
+FuzzReport FuzzKucnetGrad(const FuzzOptions& options);
+
 /// Runs one subsystem by name ("tensor", "ppr", "ranking", "topn", "serve",
-/// "fleet", "stream", "store", "kucnet"). Aborts on an unknown name.
+/// "fleet", "stream", "store", "kucnet", "kucnet_grad"). Aborts on an
+/// unknown name.
 FuzzReport FuzzSubsystem(const std::string& name, const FuzzOptions& options);
 
 }  // namespace testing

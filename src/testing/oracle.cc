@@ -216,6 +216,73 @@ std::vector<real_t> OracleKucnetScores(Kucnet& model,
   return std::vector<real_t>(scores.data(), scores.data() + scores.size());
 }
 
+Var OracleKucnetTapeScores(Kucnet& model, Tape& tape,
+                           const UserCompGraph& graph) {
+  const KucnetOptions& opts = model.options();
+  std::map<std::string, Parameter*> params;
+  for (Parameter* p : model.Params()) params[p->name()] = p;
+  auto param = [&params](const std::string& name) -> Parameter* {
+    const auto it = params.find(name);
+    KUC_CHECK(it != params.end()) << "model has no parameter " << name;
+    return it->second;
+  };
+
+  // h^0: the user's zero row.
+  Var h = tape.Constant(Matrix::Zeros(1, opts.hidden_dim));
+  for (size_t l = 0; l < graph.layers.size(); ++l) {
+    const CompLayer& layer = graph.layers[l];
+    const std::string suffix = "_l" + std::to_string(l + 1);
+    if (layer.num_edges() == 0) {
+      h = tape.Constant(Matrix::Zeros(0, opts.hidden_dim));
+      continue;
+    }
+    // Eq. (6): message_e = alpha_e * W^l (h_src(e) + h_rel(e)).
+    const Var h_src = tape.Gather(h, layer.src_index);
+    const Var h_rel = tape.GatherParam(param("rel_emb" + suffix), layer.rel);
+    const Var m = tape.Add(h_src, h_rel);
+    Var messages = tape.MatMul(m, tape.Param(param("w" + suffix)));
+    if (opts.use_attention) {
+      // alpha_e = sigmoid(w_a^T relu(W_as h_src + W_ar h_rel + b_a)).
+      Var logits = tape.MatMul(h_rel, tape.Param(param("attn_r" + suffix)));
+      if (opts.attention_on_source) {
+        logits = tape.Add(
+            tape.MatMul(h_src, tape.Param(param("attn_s" + suffix))), logits);
+      }
+      const Var pre =
+          tape.AddRowBroadcast(logits, tape.Param(param("attn_bias")));
+      const Var alpha = tape.Sigmoid(
+          tape.MatMul(tape.Relu(pre), tape.Param(param("attn_v" + suffix))));
+      messages = tape.RowScale(messages, alpha);
+    }
+    // Eq. (5): h^l_dst = delta(sum of the messages into dst).
+    const Var aggregated = tape.SegmentSum(
+        messages, layer.dst_index, static_cast<int64_t>(layer.nodes.size()));
+    switch (opts.activation) {
+      case KucnetActivation::kIdentity:
+        h = aggregated;
+        break;
+      case KucnetActivation::kTanh:
+        h = tape.Tanh(aggregated);
+        break;
+      case KucnetActivation::kRelu:
+        h = tape.Relu(aggregated);
+        break;
+    }
+  }
+  // Eq. (7): score = w^T h^L.
+  return tape.MatMul(h, tape.Param(param("readout")));
+}
+
+Var OracleKucnetLoss(Kucnet& model, Tape& tape, const UserCompGraph& graph,
+                     const std::vector<int64_t>& pos_idx,
+                     const std::vector<int64_t>& neg_idx) {
+  KUC_CHECK_EQ(pos_idx.size(), neg_idx.size());
+  KUC_CHECK(!pos_idx.empty());
+  const Var scores = OracleKucnetTapeScores(model, tape, graph);
+  return tape.BprLoss(tape.Gather(scores, pos_idx),
+                      tape.Gather(scores, neg_idx));
+}
+
 // ---- PPR ---------------------------------------------------------------------
 
 OraclePprResult OraclePprPush(const Ckg& ckg, int64_t source, real_t alpha,

@@ -11,6 +11,7 @@
 #include "graph/compgraph.h"
 #include "graph/dynamic_ckg.h"
 #include "tensor/matrix.h"
+#include "tensor/tape.h"
 
 /// \file
 /// Differential-testing oracles: deliberately naive, single-threaded scalar
@@ -82,6 +83,25 @@ Matrix OracleSegmentSum(const Matrix& a, const std::vector<int64_t>& seg,
 /// `model` is non-const only to read its parameters.
 std::vector<real_t> OracleKucnetScores(Kucnet& model,
                                        const UserCompGraph& graph);
+
+/// Eq. (5)-(7) on `graph`, recorded on `tape` edge by edge: each layer
+/// gathers every edge's source row (Tape::Gather) and relation embedding
+/// (Tape::GatherParam), runs W^l and the attention chain once per edge, and
+/// sums messages into destinations with Tape::SegmentSum. It uses only the
+/// finite-difference-checked tape ops, none of the model's message
+/// numbering and not Tape::GatherSegmentSum. Returns the score of every
+/// final-layer node (nodes x 1); a Backward through it leaves reference
+/// gradients in `model`'s parameters.
+Var OracleKucnetTapeScores(Kucnet& model, Tape& tape,
+                           const UserCompGraph& graph);
+
+/// Kucnet::BuildLoss's BPR loss (Eq. 14) over OracleKucnetTapeScores.
+/// `graph` is `model.LossGraph(user)`; `pos_idx` and `neg_idx` are
+/// final-layer indices of the (positive, negative) pairs, equally many and
+/// at least one.
+Var OracleKucnetLoss(Kucnet& model, Tape& tape, const UserCompGraph& graph,
+                     const std::vector<int64_t>& pos_idx,
+                     const std::vector<int64_t>& neg_idx);
 
 // ---- PPR ---------------------------------------------------------------------
 
