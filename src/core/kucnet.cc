@@ -31,6 +31,49 @@ Adam MakeOptimizer(const KucnetOptions& options) {
   return Adam(a);
 }
 
+/// One layer's distinct messages. A message depends on its edge's source
+/// and relation only (Eq. 6), so edges sharing the pair share one row.
+struct LayerMessages {
+  std::vector<int64_t> message_of;  ///< per edge: its message row
+  std::vector<int64_t> src;         ///< per message: row of h^{l-1}
+  std::vector<int64_t> rel;         ///< per message: relation
+};
+
+/// Numbers the distinct (source, relation) pairs of `layer`'s edges, after
+/// checking every edge's src_index < num_src, rel < num_rel and dst_index
+/// < its node count. Per relation it keeps the message of the last edge
+/// that used it. The builder emits each source's edges together, so this
+/// finds every repeated pair of its graphs; in any other edge order a pair
+/// may get a second, bitwise equal message.
+LayerMessages NumberMessages(const CompLayer& layer, int64_t num_src,
+                             int64_t num_rel) {
+  const int64_t edges = layer.num_edges();
+  const int64_t num_dst = static_cast<int64_t>(layer.nodes.size());
+  KUC_CHECK_EQ(static_cast<int64_t>(layer.src_index.size()), edges);
+  KUC_CHECK_EQ(static_cast<int64_t>(layer.dst_index.size()), edges);
+  LayerMessages out;
+  out.message_of.resize(edges);
+  std::vector<int64_t> last_message(num_rel, -1);
+  for (int64_t e = 0; e < edges; ++e) {
+    const int64_t src = layer.src_index[e];
+    const int64_t rel = layer.rel[e];
+    KUC_CHECK_GE(src, 0);
+    KUC_CHECK_LT(src, num_src);
+    KUC_CHECK_GE(rel, 0);
+    KUC_CHECK_LT(rel, num_rel);
+    KUC_CHECK_GE(layer.dst_index[e], 0);
+    KUC_CHECK_LT(layer.dst_index[e], num_dst);
+    int64_t& message = last_message[rel];
+    if (message < 0 || out.src[message] != src) {
+      message = static_cast<int64_t>(out.src.size());
+      out.src.push_back(src);
+      out.rel.push_back(rel);
+    }
+    out.message_of[e] = message;
+  }
+  return out;
+}
+
 }  // namespace
 
 Kucnet::Kucnet(const Dataset* dataset, GraphRef ckg, const PprTable* ppr,
@@ -44,8 +87,7 @@ Kucnet::Kucnet(const Dataset* dataset, GraphRef ckg, const PprTable* ppr,
       train_items_(dataset->TrainItemsByUser()),
       attn_bias_("attn_bias", Matrix::Zeros(1, options.attention_dim)),
       readout_("readout", Matrix()),
-      optimizer_(MakeOptimizer(options)),
-      dropout_rng_(options.seed ^ 0xd20f00d) {
+      optimizer_(MakeOptimizer(options)) {
   KUC_CHECK(dataset != nullptr);
   KUC_CHECK(ckg.valid());
   if (options.prune == PruneMode::kPpr && options.sample_k > 0) {
@@ -136,7 +178,7 @@ Var Kucnet::Activate(Tape& tape, Var x) const {
 }
 
 Var Kucnet::RunMessagePassing(Tape& tape, const UserCompGraph& graph,
-                              bool training, Rng* rng) const {
+                              Rng* dropout) const {
   const int64_t d = options_.hidden_dim;
   // h^0: a single zero row for the user (Alg. 1 line 1).
   Var h = tape.Constant(Matrix::Zeros(1, d));
@@ -148,10 +190,12 @@ Var Kucnet::RunMessagePassing(Tape& tape, const UserCompGraph& graph,
       h = tape.Constant(Matrix::Zeros(0, d));
       continue;
     }
-    Var h_src = tape.Gather(h, layer.src_index);
+    LayerMessages msgs = NumberMessages(layer, tape.value(h).rows(),
+                                        params.rel_emb.rows());
+    Var h_src = tape.Gather(h, std::move(msgs.src));
     Var h_rel = tape.GatherParam(const_cast<Parameter*>(&params.rel_emb),
-                                 layer.rel);
-    // Message input (h_{u:s}^{l-1} + h_r^l), Eq. (6).
+                                 std::move(msgs.rel));
+    // Message input (h_{u:s}^{l-1} + h_r^l), Eq. (6), one row per message.
     Var m = tape.Add(h_src, h_rel);
     Var transformed =
         tape.MatMul(m, tape.Param(const_cast<Parameter*>(&params.w)));
@@ -172,13 +216,13 @@ Var Kucnet::RunMessagePassing(Tape& tape, const UserCompGraph& graph,
           tape.Relu(pre), tape.Param(const_cast<Parameter*>(&params.attn_v))));
       messages = tape.RowScale(transformed, alpha);
     }
-    Var aggregated = tape.SegmentSum(
-        messages, layer.dst_index,
+    // Eq. (5): each destination sums its edges' messages in edge order.
+    Var aggregated = tape.GatherSegmentSum(
+        messages, std::move(msgs.message_of), layer.dst_index,
         static_cast<int64_t>(layer.nodes.size()));
     h = Activate(tape, aggregated);
-    if (training && options_.dropout > 0.0) {
-      h = tape.Dropout(h, options_.dropout, /*training=*/true,
-                       rng != nullptr ? *rng : dropout_rng_);
+    if (dropout != nullptr && options_.dropout > 0.0) {
+      h = tape.Dropout(h, options_.dropout, /*training=*/true, *dropout);
     }
   }
   return h;
@@ -191,12 +235,6 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
   attention->assign(graph.layers.size(), {});
   // h^0: a single zero row for the user (Alg. 1 line 1).
   Matrix h(1, d);
-  // Per relation, the message of the last edge that used it. The builder
-  // emits each source's edges together, so this finds every repeated
-  // (source, relation) pair of its graphs; in any other edge order a pair
-  // may get a second, bitwise equal message.
-  std::vector<int64_t> last_message;
-  std::vector<int64_t> message_of, msg_src, msg_rel;
   for (size_t l = 0; l < graph.layers.size(); ++l) {
     KUC_TRACE_SPAN("kucnet.layer");
     KUC_RETURN_IF_ERROR(ctx.Check("forward"));
@@ -205,39 +243,14 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
     const Matrix& rel_emb = params.rel_emb.value();
     const int64_t edges = layer.num_edges();
     const int64_t num_dst = static_cast<int64_t>(layer.nodes.size());
-    KUC_CHECK_EQ(static_cast<int64_t>(layer.src_index.size()), edges);
-    KUC_CHECK_EQ(static_cast<int64_t>(layer.dst_index.size()), edges);
-
-    // A message depends on its edge's source and relation only (Eq. 6):
-    // edges sharing the pair share one message row.
-    last_message.assign(rel_emb.rows(), -1);
-    message_of.resize(edges);
-    msg_src.clear();
-    msg_rel.clear();
-    for (int64_t e = 0; e < edges; ++e) {
-      const int64_t src = layer.src_index[e];
-      const int64_t rel = layer.rel[e];
-      KUC_CHECK_GE(src, 0);
-      KUC_CHECK_LT(src, h.rows());
-      KUC_CHECK_GE(rel, 0);
-      KUC_CHECK_LT(rel, rel_emb.rows());
-      KUC_CHECK_GE(layer.dst_index[e], 0);
-      KUC_CHECK_LT(layer.dst_index[e], num_dst);
-      int64_t& message = last_message[rel];
-      if (message < 0 || msg_src[message] != src) {
-        message = static_cast<int64_t>(msg_src.size());
-        msg_src.push_back(src);
-        msg_rel.push_back(rel);
-      }
-      message_of[e] = message;
-    }
-    const int64_t num_messages = static_cast<int64_t>(msg_src.size());
+    const LayerMessages msgs = NumberMessages(layer, h.rows(), rel_emb.rows());
+    const int64_t num_messages = static_cast<int64_t>(msgs.src.size());
 
     // Message input (h_{u:s}^{l-1} + h_r^l), Eq. (6), one row per message.
     Matrix input(num_messages, d);
     for (int64_t k = 0; k < num_messages; ++k) {
-      const real_t* hs = h.row(msg_src[k]);
-      const real_t* hr = rel_emb.row(msg_rel[k]);
+      const real_t* hs = h.row(msgs.src[k]);
+      const real_t* hr = rel_emb.row(msgs.rel[k]);
       real_t* out = input.row(k);
       for (int64_t j = 0; j < d; ++j) out[j] = hs[j] + hr[j];
     }
@@ -255,10 +268,10 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
       const real_t* bias = attn_bias_.value().row(0);
       Matrix pre(num_messages, da);
       for (int64_t k = 0; k < num_messages; ++k) {
-        const real_t* r = rel_term.row(msg_rel[k]);
+        const real_t* r = rel_term.row(msgs.rel[k]);
         real_t* out = pre.row(k);
         if (options_.attention_on_source) {
-          const real_t* s_row = src_term.row(msg_src[k]);
+          const real_t* s_row = src_term.row(msgs.src[k]);
           for (int64_t j = 0; j < da; ++j) out[j] = (s_row[j] + r[j]) + bias[j];
         } else {
           for (int64_t j = 0; j < da; ++j) out[j] = r[j] + bias[j];
@@ -276,7 +289,7 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
       }
       layer_attention.resize(edges);
       for (int64_t e = 0; e < edges; ++e) {
-        layer_attention[e] = alpha.at(message_of[e], 0);
+        layer_attention[e] = alpha.at(msgs.message_of[e], 0);
       }
     } else {
       layer_attention.assign(edges, 1.0);
@@ -286,7 +299,7 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
     // accumulation chain as a per-edge segment sum.
     Matrix aggregated(num_dst, d);
     for (int64_t e = 0; e < edges; ++e) {
-      const real_t* msg = messages.row(message_of[e]);
+      const real_t* msg = messages.row(msgs.message_of[e]);
       real_t* out = aggregated.row(layer.dst_index[e]);
       for (int64_t j = 0; j < d; ++j) out[j] += msg[j];
     }
@@ -434,7 +447,7 @@ Var Kucnet::BuildLoss(Tape& tape, int64_t user,
                       const std::vector<int64_t>& neg) {
   KUC_CHECK_EQ(pos.size(), neg.size());
   const UserCompGraph graph = LossGraph(user);
-  Var h_final = RunMessagePassing(tape, graph, /*training=*/false, nullptr);
+  Var h_final = RunMessagePassing(tape, graph, /*dropout=*/nullptr);
   Var all_scores = tape.MatMul(h_final, tape.Param(&readout_));
   std::vector<int64_t> pos_idx, neg_idx;
   for (size_t k = 0; k < pos.size(); ++k) {
@@ -474,7 +487,7 @@ double Kucnet::TrainUser(int64_t user, Rng& rng, Tape& tape,
   }
   UserCompGraph graph = BuildGraph(user, &rng, excluded);
 
-  Var h_final = RunMessagePassing(tape, graph, /*training=*/true, &rng);
+  Var h_final = RunMessagePassing(tape, graph, &rng);
   Var all_scores = tape.MatMul(h_final, tape.Param(&readout_));
 
   // Collect positive/negative pairs as gathers over all_scores. An

@@ -187,21 +187,26 @@ class Kucnet : public RankModel {
     Parameter attn_v;   ///< d_alpha x 1  (w^l_alpha)
   };
 
-  /// Training forward: runs L layers of Eq. (5)-(6) over `graph` on `tape`,
-  /// one message per edge, and returns the final layer representations
-  /// (nodes x d).
-  Var RunMessagePassing(Tape& tape, const UserCompGraph& graph, bool training,
-                        Rng* rng) const;
+  /// Training forward: runs L layers of Eq. (5)-(6) over `graph` on `tape`
+  /// and returns the final layer representations (nodes x d). Per layer it
+  /// gathers each distinct (source, relation) message's inputs once, runs
+  /// W^l and the attention chain over those message rows, and sums them
+  /// into destinations in edge order with Tape::GatherSegmentSum, so the
+  /// forward equals a per-edge one bitwise in deterministic kernel mode.
+  /// Applies dropout after each layer's activation, drawing from `*dropout`;
+  /// null means no dropout.
+  Var RunMessagePassing(Tape& tape, const UserCompGraph& graph,
+                        Rng* dropout) const;
 
   /// Inference forward of Eq. (5)-(7) over `graph`, without a tape. Per
   /// layer it computes each distinct (source, relation) message once — one
   /// MatMul against W^l, attention logits from a per-node and a
   /// per-relation table — and sums messages into destinations in edge
   /// order, so every output keeps the per-edge accumulation chain and, in
-  /// deterministic kernel mode, equals RunMessagePassing's bitwise. Checks
-  /// `ctx` (stage "forward") before each layer. Sets `*node_scores` to the
-  /// Eq. (7) score of every final-layer node (nodes x 1) and `*attention`
-  /// to each layer's per-edge alpha.
+  /// deterministic kernel mode, equals testing::OracleKucnetScores bitwise.
+  /// Checks `ctx` (stage "forward") before each layer. Sets `*node_scores`
+  /// to the Eq. (7) score of every final-layer node (nodes x 1) and
+  /// `*attention` to each layer's per-edge alpha.
   Status TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
                   Matrix* node_scores,
                   std::vector<std::vector<double>>* attention) const;
@@ -232,7 +237,6 @@ class Kucnet : public RankModel {
   Parameter attn_bias_;  ///< 1 x d_alpha (b_alpha, shared across layers)
   Parameter readout_;    ///< d x 1 (w of Eq. 7)
   Adam optimizer_;
-  mutable Rng dropout_rng_;
 };
 
 }  // namespace kucnet

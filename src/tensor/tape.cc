@@ -60,7 +60,8 @@ constexpr int64_t kLocalAccCols = 64;
 
 /// dst->row(rows[k]) += src.row(k) for all k, deterministically: each
 /// destination row receives its contributions in ascending-k order no matter
-/// the thread count.
+/// the thread count. With `src_rows`, contribution k reads
+/// src.row((*src_rows)[k]) instead, so a gather fuses into the scatter.
 ///
 /// Serial form is a direct scatter with software prefetch of upcoming
 /// indexed rows. The parallel form groups contributions by destination row
@@ -75,16 +76,20 @@ constexpr int64_t kLocalAccCols = 64;
 /// the same element-wise adds, so results are bit-identical to the in-place
 /// loop).
 void ScatterAddRows(const std::vector<int64_t>& rows, const Matrix& src,
-                    Matrix* dst) {
+                    Matrix* dst,
+                    const std::vector<int64_t>* src_rows = nullptr) {
   const int64_t d = src.cols();
   const int64_t n = static_cast<int64_t>(rows.size());
   const detail::RowBinaryFn row_add = detail::ActiveKernelSet().row_add;
+  auto src_row = [&src, src_rows](int64_t k) {
+    return src.row(src_rows == nullptr ? k : (*src_rows)[k]);
+  };
   if (!(WantParallel(n * d) && dst->rows() > 1)) {
     for (int64_t k = 0; k < n; ++k) {
       if (k + kPrefetchAhead < n) {
         __builtin_prefetch(dst->row(rows[k + kPrefetchAhead]));
       }
-      row_add(dst->row(rows[k]), src.row(k), d);
+      row_add(dst->row(rows[k]), src_row(k), d);
     }
     return;
   }
@@ -108,7 +113,7 @@ void ScatterAddRows(const std::vector<int64_t>& rows, const Matrix& src,
   cuts.push_back(dst->rows());
   ParallelFor(
       static_cast<int64_t>(cuts.size()) - 1,
-      [&groups, &cuts, &src, dst, d, row_add](int64_t blk) {
+      [&groups, &cuts, &src_row, dst, d, row_add](int64_t blk) {
         alignas(64) real_t tile[kLocalAccCols];
         for (int64_t r = cuts[blk]; r < cuts[blk + 1]; ++r) {
           const int64_t e0 = groups.offsets[r];
@@ -119,17 +124,17 @@ void ScatterAddRows(const std::vector<int64_t>& rows, const Matrix& src,
             for (int64_t j = 0; j < d; ++j) tile[j] = dstrow[j];
             for (int64_t e = e0; e < e1; ++e) {
               if (e + kPrefetchAhead < e1) {
-                __builtin_prefetch(src.row(groups.order[e + kPrefetchAhead]));
+                __builtin_prefetch(src_row(groups.order[e + kPrefetchAhead]));
               }
-              row_add(tile, src.row(groups.order[e]), d);
+              row_add(tile, src_row(groups.order[e]), d);
             }
             for (int64_t j = 0; j < d; ++j) dstrow[j] = tile[j];
           } else {
             for (int64_t e = e0; e < e1; ++e) {
               if (e + kPrefetchAhead < e1) {
-                __builtin_prefetch(src.row(groups.order[e + kPrefetchAhead]));
+                __builtin_prefetch(src_row(groups.order[e + kPrefetchAhead]));
               }
-              row_add(dstrow, src.row(groups.order[e]), d);
+              row_add(dstrow, src_row(groups.order[e]), d);
             }
           }
         }
@@ -611,6 +616,38 @@ Var Tape::SegmentSum(Var a, std::vector<int64_t> seg, int64_t num_segments) {
     } else {
       scatter_back(0, n);
     }
+  };
+  return out;
+}
+
+Var Tape::GatherSegmentSum(Var messages, std::vector<int64_t> message_of,
+                           std::vector<int64_t> dst_index, int64_t num_dst) {
+  const Matrix& mv = value(messages);
+  KUC_CHECK_EQ(message_of.size(), dst_index.size());
+  const int64_t edges = static_cast<int64_t>(dst_index.size());
+  for (int64_t e = 0; e < edges; ++e) {
+    KUC_CHECK_GE(message_of[e], 0);
+    KUC_CHECK_LT(message_of[e], mv.rows());
+    KUC_CHECK_GE(dst_index[e], 0);
+    KUC_CHECK_LT(dst_index[e], num_dst);
+  }
+  Matrix y(num_dst, mv.cols());
+  // y.row(dst_index[e]) += messages.row(message_of[e]): each destination
+  // sums its edges' messages in edge order, the accumulation chain of
+  // SegmentSum(Gather(messages, message_of), dst_index), without the
+  // per-edge copy.
+  ScatterAddRows(dst_index, mv, &y, &message_of);
+  const bool ng = NeedsGrad(messages);
+  Var out = NewNode(std::move(y), ng, nullptr);
+  if (!ng) return out;
+  const int32_t id = out.id;
+  nodes_[id].backward = [id, messages, message_of = std::move(message_of),
+                         dst_index = std::move(dst_index)](Tape& t) {
+    // dmessages.row(message_of[e]) += dy.row(dst_index[e]), each message
+    // row in edge order: the same grouped, edge-balanced scatter as the
+    // forward with the two index lists swapped.
+    ScatterAddRows(message_of, t.nodes_[id].grad, &t.node(messages).grad,
+                   &dst_index);
   };
   return out;
 }

@@ -82,6 +82,15 @@ class Tape {
   /// with no members are zero (this implements Eq. (5)'s neighborhood sum).
   Var SegmentSum(Var a, std::vector<int64_t> seg, int64_t num_segments);
 
+  /// Fused SegmentSum(Gather(messages, message_of), dst_index, num_dst):
+  /// out.row(dst_index[e]) += messages.row(message_of[e]) for every edge e,
+  /// in edge order, so the forward equals the unfused pair bitwise. The
+  /// backward adds each destination's gradient to its edge's message row,
+  /// in edge order. Implements Eq. (5) over messages shared by several
+  /// edges without materializing one row per edge.
+  Var GatherSegmentSum(Var messages, std::vector<int64_t> message_of,
+                       std::vector<int64_t> dst_index, int64_t num_dst);
+
   /// Scales row i of `a` (n x d) by s(i, 0) where `s` is n x 1. This applies
   /// per-edge attention weights (Eq. (6)).
   Var RowScale(Var a, Var s);

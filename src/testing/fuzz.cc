@@ -309,6 +309,22 @@ void TensorCase(uint64_t case_seed, CaseResult& result) {
     CompareMatrices(tape.value(summed),
                     OracleSegmentSum(OracleGather(src, idx), seg, segments), 0,
                     "segment_sum", result);
+
+    // The fused op on the same edges, `src` as the message table: forward
+    // as the pair above, and a backward that adds each segment's gradient
+    // row to its edge's message row in edge order. Sum(dy ∘ out) seeds the
+    // output gradient with exactly dy.
+    Parameter messages("messages", src);
+    const Var leaf = tape.Param(&messages);
+    const Var fused = tape.GatherSegmentSum(leaf, idx, seg, segments);
+    CompareMatrices(tape.value(fused),
+                    OracleSegmentSum(OracleGather(src, idx), seg, segments), 0,
+                    "gather_segment_sum", result);
+    const Matrix dy = RandomMatrix(rng, segments, cols, profile);
+    tape.Backward(tape.Sum(tape.Hadamard(fused, tape.Constant(dy))));
+    CompareMatrices(tape.grad(leaf),
+                    OracleSegmentSum(OracleGather(dy, seg), idx, rows), 0,
+                    "gather_segment_sum backward", result);
   }
 }
 
@@ -695,7 +711,8 @@ std::vector<Matrix> TakeGradients(Kucnet& model) {
 
 /// Random model options, users and (positive, negative) pairs against
 /// OracleKucnetLoss: BuildLoss's loss must equal the per-edge tape's
-/// bitwise, and every element of every parameter gradient must lie within
+/// bitwise, that tape's scores must equal OracleKucnetScores bitwise, and
+/// every element of every parameter gradient must lie within
 /// 1e-12 * scale (+1e-300) of the oracle's, since the shared-message
 /// backward sums the same terms in another order. A pair's gradient is
 /// sigmoid(neg - pos) * (grad neg - grad pos), which cancels to rounding
@@ -767,6 +784,17 @@ void KucnetGradCase(KucnetFuzzContext& ctx, uint64_t case_seed,
   Tape mass_tape;
   {
     const Var scores = OracleKucnetTapeScores(model, mass_tape, graph);
+    // The two oracles agree, so BuildLoss's bitwise loss ties its scores to
+    // OracleKucnetScores too.
+    const std::vector<real_t> plain = OracleKucnetScores(model, graph);
+    const Matrix& taped = mass_tape.value(scores);
+    for (int64_t i = 0; i < taped.rows(); ++i) {
+      if (UlpDistance(taped.at(i, 0), plain[i]) != 0) {
+        fail() << "OracleKucnetTapeScores node " << i << ": "
+               << taped.at(i, 0) << " vs OracleKucnetScores " << plain[i];
+        return;
+      }
+    }
     const Var pos_scores = mass_tape.Gather(scores, pos_idx);
     const Var neg_scores = mass_tape.Gather(scores, neg_idx);
     Matrix weight(static_cast<int64_t>(pos_idx.size()), 1);

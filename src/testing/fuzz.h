@@ -36,7 +36,8 @@ struct FuzzReport {
 };
 
 /// Dense kernels: matmul family, elementwise Add/Axpy/Scale, Sum /
-/// SquaredNorm reductions, and the tape's Gather / SegmentSum primitives,
+/// SquaredNorm reductions, and the tape's Gather / SegmentSum primitives
+/// and their fused GatherSegmentSum (forward and backward),
 /// across degenerate (0/1-dim) and parallel-threshold-crossing shapes, with
 /// mixed-magnitude / sparse / denormal value profiles. Runs with finite
 /// checks enabled, so the KUC_CHECK_FINITE boundaries are exercised too.
@@ -88,8 +89,11 @@ FuzzReport FuzzKucnet(const FuzzOptions& options);
 /// KUCNet training loss and gradients: the `kucnet` subsystem's random
 /// options and users, plus (positive, negative) pairs from the final layer
 /// of the graph BuildLoss builds. BuildLoss's loss must equal the per-edge
-/// OracleKucnetLoss bitwise and every parameter gradient must lie within
-/// 1e-12 * max|g_oracle| of the oracle's, in deterministic kernel mode.
+/// OracleKucnetLoss bitwise, that tape's scores must equal
+/// OracleKucnetScores bitwise, and every parameter gradient must lie within
+/// 1e-12 of the oracle's, relative to the larger of max|g_oracle| and the
+/// same pairs' gradient with pos and neg added instead of subtracted, in
+/// deterministic kernel mode.
 FuzzReport FuzzKucnetGrad(const FuzzOptions& options);
 
 /// Runs one subsystem by name ("tensor", "ppr", "ranking", "topn", "serve",

@@ -149,36 +149,56 @@ TEST(KucnetTest, ParamCountMatchesParams) {
             10 * d * d * f.model->options().depth + 10 * d);
 }
 
+/// BuildLoss's gradients against central differences, for the default
+/// model and each variant whose backward through shared messages differs:
+/// no attention, relation-only attention with tanh, identity activation,
+/// and the unpruned graph (kNone, K=0).
 TEST(KucnetTest, GradientsMatchFiniteDifferences) {
-  KucnetOptions opts = SmallOptions();
-  opts.hidden_dim = 6;
-  opts.attention_dim = 2;
-  opts.sample_k = 6;
-  Fixture f(SplitKind::kTraditional, opts);
-  // Pick a user with reachable positives.
-  const auto train_items = f.dataset.TrainItemsByUser();
-  int64_t user = -1;
-  std::vector<int64_t> pos, neg;
-  for (int64_t u = 0; u < f.dataset.num_users && user < 0; ++u) {
-    if (train_items[u].size() < 2) continue;
-    Tape probe;
-    Var loss = f.model->BuildLoss(probe, u, {train_items[u][0]},
-                                  {train_items[u][1]});
-    if (loss.valid()) {
-      user = u;
-      pos = {train_items[u][0]};
-      neg = {train_items[u][1]};
+  KucnetOptions base = SmallOptions();
+  base.hidden_dim = 6;
+  base.attention_dim = 2;
+  base.sample_k = 6;
+  std::vector<std::pair<const char*, KucnetOptions>> variants;
+  variants.emplace_back("default", base);
+  variants.emplace_back("no attention", base);
+  variants.back().second.use_attention = false;
+  variants.emplace_back("relation-only attention, tanh", base);
+  variants.back().second.attention_on_source = false;
+  variants.back().second.activation = KucnetActivation::kTanh;
+  variants.emplace_back("identity activation", base);
+  variants.back().second.activation = KucnetActivation::kIdentity;
+  variants.emplace_back("unpruned (kNone, K=0)", base);
+  variants.back().second.prune = PruneMode::kNone;
+  variants.back().second.sample_k = 0;
+
+  for (const auto& [variant, opts] : variants) {
+    SCOPED_TRACE(variant);
+    Fixture f(SplitKind::kTraditional, opts);
+    // Pick a user with reachable positives.
+    const auto train_items = f.dataset.TrainItemsByUser();
+    int64_t user = -1;
+    std::vector<int64_t> pos, neg;
+    for (int64_t u = 0; u < f.dataset.num_users && user < 0; ++u) {
+      if (train_items[u].size() < 2) continue;
+      Tape probe;
+      Var loss = f.model->BuildLoss(probe, u, {train_items[u][0]},
+                                    {train_items[u][1]});
+      if (loss.valid()) {
+        user = u;
+        pos = {train_items[u][0]};
+        neg = {train_items[u][1]};
+      }
     }
+    ASSERT_GE(user, 0) << "no user with reachable pair found";
+    auto fn = [&](Tape& tape) {
+      Var loss = f.model->BuildLoss(tape, user, pos, neg);
+      EXPECT_TRUE(loss.valid());
+      return loss;
+    };
+    const auto result =
+        CheckGradients(f.model->Params(), fn, 1e-5, 5e-4, /*max_entries=*/60);
+    EXPECT_TRUE(result.ok) << "max_rel_err=" << result.max_rel_err;
   }
-  ASSERT_GE(user, 0) << "no user with reachable pair found";
-  auto fn = [&](Tape& tape) {
-    Var loss = f.model->BuildLoss(tape, user, pos, neg);
-    EXPECT_TRUE(loss.valid());
-    return loss;
-  };
-  const auto result =
-      CheckGradients(f.model->Params(), fn, 1e-5, 5e-4, /*max_entries=*/60);
-  EXPECT_TRUE(result.ok) << "max_rel_err=" << result.max_rel_err;
 }
 
 TEST(KucnetTest, TrainingReducesLossAndBeatsChance) {

@@ -104,6 +104,20 @@ TEST(ParallelDeterminismTest, SegmentSumAndGatherForwardBackward) {
     out.Add(tape.value(aggregated));  // and the forward value
     return out;
   });
+
+  // The fused op over a transformed message table, both index lists long
+  // enough for its parallel forward and backward.
+  ExpectThreadCountInvariant("GatherSegmentSum fwd+bwd", [&] {
+    Tape tape;
+    Var messages = tape.Tanh(tape.Param(&table));
+    Var aggregated = tape.GatherSegmentSum(messages, idx, seg, nodes);
+    Var loss = tape.Sum(tape.Square(aggregated));
+    tape.Backward(loss);
+    Matrix out = table.grad();
+    table.ZeroGrad();
+    out.Add(tape.value(aggregated));
+    return out;
+  });
 }
 
 TEST(ParallelDeterminismTest, AdamStep) {

@@ -41,7 +41,9 @@ TEST_P(RandomGraphGradTest, RandomCompositionMatchesFiniteDifferences) {
         case 5: x = t.ScalarMul(x, 0.7); break;
         case 6: x = t.MatMul(x, t.Param(&w)); break;
         case 7: {
-          // Gather a few embedding rows and fold them in via segment-sum.
+          // Gather a few embedding rows and fold them in via segment-sum,
+          // then fold the same edges in again through the fused op, over
+          // transformed embedding rows.
           std::vector<int64_t> idx, seg;
           for (int64_t r = 0; r < rows; ++r) {
             idx.push_back(ops.UniformInt(6));
@@ -51,6 +53,8 @@ TEST_P(RandomGraphGradTest, RandomCompositionMatchesFiniteDifferences) {
           }
           Var g = t.GatherParam(&emb, idx);
           x = t.Add(x, t.SegmentSum(g, seg, rows));
+          Var messages = t.MatMul(t.Tanh(t.Param(&emb)), t.Param(&w));
+          x = t.Add(x, t.GatherSegmentSum(messages, idx, seg, rows));
           break;
         }
         default: {

@@ -240,6 +240,22 @@ TEST(TapeGradTest, GatherSegmentSumRoundTrip) {
   };
   auto r = CheckGradients({&emb}, fn);
   EXPECT_TRUE(r.ok) << "rel_err=" << r.max_rel_err;
+
+  // The fused op: same value as the pair, bitwise, and FD-correct gradients
+  // through a non-leaf message matrix.
+  Tape tape;
+  Var x = tape.Param(&emb);
+  const Matrix unfused =
+      tape.value(tape.SegmentSum(tape.Gather(x, idx), seg, 4));
+  const Var fused_value = tape.GatherSegmentSum(x, idx, seg, 4);
+  EXPECT_TRUE(tape.value(fused_value).Equals(unfused));
+  auto fused_fn = [&](Tape& t) {
+    Var messages = t.Sigmoid(t.Param(&emb));
+    Var s = t.GatherSegmentSum(messages, idx, seg, 4);
+    return t.Sum(t.Tanh(s));
+  };
+  auto fused = CheckGradients({&emb}, fused_fn);
+  EXPECT_TRUE(fused.ok) << "fused rel_err=" << fused.max_rel_err;
 }
 
 TEST(TapeGradTest, GatherParamSparseLeaf) {
