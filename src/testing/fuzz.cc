@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -1482,6 +1483,20 @@ Status ApplyStreamOp(StreamingCkg* stream, const StreamOp& op) {
                         : stream->AppendKgTriplet(op.a, op.b, op.c);
 }
 
+/// Same keys, and the same raw bits under every key.
+bool SameBits(const std::unordered_map<int64_t, real_t>& a,
+              const std::unordered_map<int64_t, real_t>& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& [node, value] : a) {
+    const auto it = b.find(node);
+    if (it == b.end() ||
+        std::bit_cast<uint64_t>(it->second) != std::bit_cast<uint64_t>(value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void StreamCase(uint64_t case_seed, CaseResult& result) {
   Rng rng(case_seed);
   const Dataset data = RandomStreamDataset(rng);
@@ -1500,6 +1515,22 @@ void StreamCase(uint64_t case_seed, CaseResult& result) {
     result.Fail() << "clean open: " << st.message();
     return;
   }
+  // A freshly opened table is a plain push per user on the base graph:
+  // estimate and residual must equal the naive push transcript entry for
+  // entry, bit for bit.
+  const Ckg& base = clean->graph().base();
+  for (int64_t u = 0; u < data.num_users; ++u) {
+    const OraclePprResult oracle = OraclePprPush(
+        base, base.UserNode(u), opts.ppr.alpha, opts.ppr.epsilon);
+    if (!SameBits(clean->ppr().Estimate(u), oracle.estimate) ||
+        !SameBits(clean->ppr().Residual(u), oracle.residual)) {
+      result.Fail() << "fresh PPR state of user " << u
+                    << " differs from the oracle push (alpha="
+                    << opts.ppr.alpha << " eps=" << opts.ppr.epsilon << ")";
+      return;
+    }
+  }
+
   std::vector<uint64_t> digests{clean->StateDigest()};
   for (const StreamOp& op : script) {
     st = ApplyStreamOp(clean.get(), op);

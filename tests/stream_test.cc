@@ -510,6 +510,21 @@ TEST(StreamingCkgTest, RecoveryReplayMatchesUninterruptedRun) {
   EXPECT_EQ(recovered->StateDigest(), uninterrupted_digest);
 }
 
+TEST(StreamingCkgTest, StateDigestAfterScriptIsPinned) {
+  // Every estimate and residual bit of the streamed table, pinned: a change
+  // to the push loop or the repair rule that moves any of them moves this
+  // literal. Move it only in a change that means to alter the PPR state.
+  InMemoryFileSystem fs;
+  std::unique_ptr<StreamingCkg> ckg;
+  ASSERT_TRUE(StreamingCkg::Open(TinyDataset(), &fs, "wal", SmallSegments(),
+                                 nullptr, &ckg)
+                  .ok());
+  for (const GraphUpdate& update : UpdateScript()) {
+    ASSERT_TRUE(ApplyUpdate(*ckg, update).ok());
+  }
+  EXPECT_EQ(ckg->StateDigest(), 0x210efd0e3970fe9dULL);
+}
+
 TEST(StreamingCkgTest, RepairIsIdenticalAcrossThreadCounts) {
   InMemoryFileSystem fs_serial;
   InMemoryFileSystem fs_pooled;
