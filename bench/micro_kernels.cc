@@ -26,8 +26,6 @@
 #include "tensor/adam.h"
 #include "tensor/matrix.h"
 #include "tensor/simd.h"
-#include "tensor/sparse.h"
-#include "tensor/sparse_ops.h"
 #include "tensor/tape.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -68,23 +66,6 @@ void BM_GatherSegmentSum(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * edges * dim);
 }
 BENCHMARK(BM_GatherSegmentSum)->Arg(1 << 12)->Arg(1 << 15);
-
-void BM_SpMM(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const int64_t nnz = n * 8;
-  Rng rng(3);
-  std::vector<SparseEntry> entries;
-  for (int64_t k = 0; k < nnz; ++k) {
-    entries.push_back({rng.UniformInt(n), rng.UniformInt(n), 1.0});
-  }
-  SparseMatrix a = SparseMatrix::FromEntries(n, n, std::move(entries));
-  Matrix x = Matrix::RandomNormal(n, 32, 1.0, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.Multiply(x));
-  }
-  state.SetItemsProcessed(state.iterations() * a.nnz() * 32);
-}
-BENCHMARK(BM_SpMM)->Arg(1 << 10)->Arg(1 << 13);
 
 struct GraphFixture {
   GraphFixture()

@@ -358,8 +358,8 @@ Status Kucnet::TryExtractGraph(int64_t user, const ExecContext& ctx,
   KUC_RETURN_IF_ERROR(ValidateUser(user));
   Rng rng(options_.seed ^ (0x9e37 + static_cast<uint64_t>(user)));
 
-  // Stage "ppr": fetching the pruning scores (a precomputed-table lookup
-  // here; the push itself has its own in-loop checkpoints, see ppr/ppr.h).
+  // Stage "ppr": fetching the pruning scores (a lookup in the precomputed
+  // table; the push runs ahead of serving and takes no context).
   KUC_RETURN_IF_ERROR(ctx.Check("ppr"));
   const int64_t user_node = ckg_.UserNode(user);
   const bool use_ppr = options_.prune == PruneMode::kPpr && options_.sample_k > 0;

@@ -90,20 +90,4 @@ std::vector<int64_t> Ckg::ItemsOfUser(int64_t user) const {
   return items;
 }
 
-SparseMatrix Ckg::AdjacencyMatrix() const {
-  std::vector<SparseEntry> entries;
-  entries.reserve(num_edges());
-  const int64_t n = num_nodes();
-  std::vector<int64_t> neighbors;
-  for (int64_t v = 0; v < n; ++v) {
-    const auto dsts = OutNeighbors(v);
-    neighbors.assign(dsts.begin(), dsts.end());
-    std::sort(neighbors.begin(), neighbors.end());
-    neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                    neighbors.end());
-    for (const int64_t d : neighbors) entries.push_back({v, d, 1.0});
-  }
-  return SparseMatrix::FromEntries(n, n, std::move(entries));
-}
-
 }  // namespace kucnet

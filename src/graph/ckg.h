@@ -6,8 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "tensor/sparse.h"
-
 /// \file
 /// The Collaborative Knowledge Graph (CKG) of Sec. III.
 ///
@@ -115,10 +113,6 @@ class Ckg {
 
   /// All items a user interacted with (via the interact relation).
   std::vector<int64_t> ItemsOfUser(int64_t user) const;
-
-  /// Unweighted adjacency as a sparse matrix over global node ids (one entry
-  /// per stored directed edge, parallel edges collapsed). Used for PPR.
-  SparseMatrix AdjacencyMatrix() const;
 
  private:
   Ckg() = default;

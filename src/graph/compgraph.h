@@ -9,6 +9,7 @@
 
 #include "graph/ckg.h"
 #include "graph/graph_ref.h"
+#include "tensor/matrix.h"
 #include "util/fault.h"
 #include "util/rng.h"
 #include "util/status.h"

@@ -13,32 +13,13 @@ namespace kucnet {
 template <typename Graph>
 std::vector<int32_t> BfsDistances(const Graph& ckg, int64_t source,
                                   int32_t max_depth) {
-  std::vector<int32_t> dist;
-  const Status status =
-      TryBfsDistances(ckg, source, max_depth, ExecContext(), &dist);
-  KUC_CHECK(status.ok()) << status.message();
-  return dist;
-}
-
-template <typename Graph>
-Status TryBfsDistances(const Graph& ckg, int64_t source, int32_t max_depth,
-                       const ExecContext& ctx, std::vector<int32_t>* out) {
   KUC_TRACE_SPAN("subgraph.bfs");
   KUC_CHECK_GE(source, 0);
   KUC_CHECK_LT(source, ckg.num_nodes());
-  std::vector<int32_t>& dist = *out;
-  dist.assign(ckg.num_nodes(), -1);
+  std::vector<int32_t> dist(ckg.num_nodes(), -1);
   dist[source] = 0;
   std::deque<int64_t> frontier = {source};
-  int64_t pops = 0;
   while (!frontier.empty()) {
-    if (pops++ % kSubgraphCheckEveryNodes == 0) {
-      const Status status = ctx.Check("subgraph");
-      if (!status.ok()) {
-        dist.clear();
-        return status;
-      }
-    }
     const int64_t v = frontier.front();
     frontier.pop_front();
     if (dist[v] >= max_depth) continue;
@@ -49,7 +30,7 @@ Status TryBfsDistances(const Graph& ckg, int64_t source, int32_t max_depth,
       }
     }
   }
-  return Status::Ok();
+  return dist;
 }
 
 template <typename Graph>
@@ -84,33 +65,14 @@ int64_t LayeredEdges::TotalEdges() const {
 template <typename Graph>
 LayeredEdges ExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
                                        int64_t item_node, int32_t depth) {
-  LayeredEdges out;
-  const Status status = TryExtractUiComputationGraph(
-      ckg, user_node, item_node, depth, ExecContext(), &out);
-  KUC_CHECK(status.ok()) << status.message();
-  return out;
-}
-
-template <typename Graph>
-Status TryExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
-                                    int64_t item_node, int32_t depth,
-                                    const ExecContext& ctx, LayeredEdges* out) {
   KUC_TRACE_SPAN("subgraph.extract");
-  out->layers.clear();
-  std::vector<int32_t> du, di;
-  KUC_RETURN_IF_ERROR(TryBfsDistances(ckg, user_node, depth, ctx, &du));
-  KUC_RETURN_IF_ERROR(TryBfsDistances(ckg, item_node, depth, ctx, &di));
+  const auto du = BfsDistances(ckg, user_node, depth);
+  const auto di = BfsDistances(ckg, item_node, depth);
   const int64_t self_rel = ckg.self_loop_relation();
-  out->layers.resize(depth);
+  LayeredEdges out;
+  out.layers.resize(depth);
   for (int32_t l = 1; l <= depth; ++l) {
-    {
-      const Status status = ctx.Check("subgraph");
-      if (!status.ok()) {
-        out->layers.clear();
-        return status;
-      }
-    }
-    auto& layer = out->layers[l - 1];
+    auto& layer = out.layers[l - 1];
     // A node can be the source of a layer-l edge if it is within l-1 hops of
     // u; the destination must reach i within depth-l hops.
     for (int64_t v = 0; v < ckg.num_nodes(); ++v) {
@@ -129,7 +91,7 @@ Status TryExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
       }
     }
   }
-  return Status::Ok();
+  return out;
 }
 
 // The BFS/extraction hot paths are compiled here once per graph
@@ -137,12 +99,6 @@ Status TryExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
 template std::vector<int32_t> BfsDistances<Ckg>(const Ckg&, int64_t, int32_t);
 template std::vector<int32_t> BfsDistances<CompactCkg>(const CompactCkg&,
                                                        int64_t, int32_t);
-template Status TryBfsDistances<Ckg>(const Ckg&, int64_t, int32_t,
-                                     const ExecContext&,
-                                     std::vector<int32_t>*);
-template Status TryBfsDistances<CompactCkg>(const CompactCkg&, int64_t,
-                                            int32_t, const ExecContext&,
-                                            std::vector<int32_t>*);
 template UiSubgraph ExtractUiSubgraph<Ckg>(const Ckg&, int64_t, int64_t,
                                            int32_t);
 template UiSubgraph ExtractUiSubgraph<CompactCkg>(const CompactCkg&, int64_t,
@@ -152,11 +108,5 @@ template LayeredEdges ExtractUiComputationGraph<Ckg>(const Ckg&, int64_t,
 template LayeredEdges ExtractUiComputationGraph<CompactCkg>(const CompactCkg&,
                                                             int64_t, int64_t,
                                                             int32_t);
-template Status TryExtractUiComputationGraph<Ckg>(const Ckg&, int64_t, int64_t,
-                                                  int32_t, const ExecContext&,
-                                                  LayeredEdges*);
-template Status TryExtractUiComputationGraph<CompactCkg>(
-    const CompactCkg&, int64_t, int64_t, int32_t, const ExecContext&,
-    LayeredEdges*);
 
 }  // namespace kucnet

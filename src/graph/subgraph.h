@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "graph/ckg.h"
-#include "util/fault.h"
-#include "util/status.h"
 
 /// \file
 /// U-I subgraphs (Definition 2) and their per-pair computation graphs
@@ -26,17 +24,6 @@ namespace kucnet {
 template <typename Graph>
 std::vector<int32_t> BfsDistances(const Graph& ckg, int64_t source,
                                   int32_t max_depth);
-
-/// Cancellable BFS: hits the `ctx` checkpoint (stage "subgraph") every
-/// `kSubgraphCheckEveryNodes` dequeued nodes. On cancellation `*out` is
-/// cleared and the checkpoint's status is returned. Instantiated for `Ckg`
-/// and `CompactCkg`.
-template <typename Graph>
-Status TryBfsDistances(const Graph& ckg, int64_t source, int32_t max_depth,
-                       const ExecContext& ctx, std::vector<int32_t>* out);
-
-/// Dequeues between cancellation checkpoints in the BFS / expansion loops.
-inline constexpr int64_t kSubgraphCheckEveryNodes = 64;
 
 /// The U-I subgraph G_{u,i|L} of Definition 2: nodes whose summed distance
 /// to u and i is at most L, and all edges among them.
@@ -70,15 +57,6 @@ struct LayeredEdges {
 template <typename Graph>
 LayeredEdges ExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
                                        int64_t item_node, int32_t depth);
-
-/// Cancellable variant of ExtractUiComputationGraph: the two BFS sweeps and
-/// each layer's edge scan hit the `ctx` checkpoint (stage "subgraph"). On
-/// cancellation `*out` is cleared and the checkpoint's status is returned.
-/// Instantiated for `Ckg` and `CompactCkg`.
-template <typename Graph>
-Status TryExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
-                                    int64_t item_node, int32_t depth,
-                                    const ExecContext& ctx, LayeredEdges* out);
 
 }  // namespace kucnet
 

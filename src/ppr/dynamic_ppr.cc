@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/finite.h"
 #include "util/logging.h"
 
 namespace kucnet {
@@ -21,50 +19,6 @@ real_t MapValue(const std::unordered_map<int64_t, real_t>& m, int64_t key) {
 
 }  // namespace
 
-int64_t DynamicPprTable::LocalPush(const DynamicCkg& graph, real_t alpha,
-                                   real_t epsilon, UserState* state,
-                                   const std::vector<int64_t>& seeds) {
-  std::unordered_map<int64_t, real_t>& estimate = state->estimate;
-  std::unordered_map<int64_t, real_t>& residual = state->residual;
-  std::deque<int64_t> queue;
-  std::unordered_map<int64_t, bool> queued;
-  for (const int64_t v : seeds) {
-    queue.push_back(v);
-    queued[v] = true;
-  }
-  int64_t pushes = 0;
-  while (!queue.empty()) {
-    const int64_t v = queue.front();
-    queue.pop_front();
-    queued[v] = false;
-    const int64_t deg = graph.OutDegree(v);
-    real_t& rv = residual[v];
-    if (deg == 0) {
-      // Dangling node: all residual mass becomes estimate (self-restart),
-      // exactly as in TryPprForwardPush.
-      estimate[v] += rv;
-      rv = 0.0;
-      continue;
-    }
-    if (std::abs(rv) < epsilon * static_cast<real_t>(deg)) continue;
-    const real_t mass = rv;
-    estimate[v] += alpha * mass;
-    rv = 0.0;
-    ++pushes;
-    const real_t push = (1.0 - alpha) * mass / static_cast<real_t>(deg);
-    graph.ForEachOutNeighbor(v, [&](int64_t /*rel*/, int64_t w) {
-      real_t& rw = residual[w];
-      rw += push;
-      if (std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w)) &&
-          !queued[w]) {
-        queued[w] = true;
-        queue.push_back(w);
-      }
-    });
-  }
-  return pushes;
-}
-
 DynamicPprTable DynamicPprTable::Compute(const DynamicCkg& graph,
                                          PprTableOptions options,
                                          ThreadPool* pool) {
@@ -76,14 +30,8 @@ DynamicPprTable DynamicPprTable::Compute(const DynamicCkg& graph,
     UserState& state = table.users_[user];
     const int64_t source = graph.UserNode(user);
     state.residual[source] = 1.0;
-    LocalPush(graph, options.alpha, options.epsilon, &state, {source});
-    if (FiniteChecksEnabled()) {
-      for (const auto& [node, value] : state.estimate) {
-        KUC_CHECK(std::isfinite(value))
-            << "ppr.dynamic: non-finite estimate " << value << " at node "
-            << node;
-      }
-    }
+    PushToConvergence(graph, options.alpha, options.epsilon, {source},
+                      &state.estimate, &state.residual);
   };
   if (pool != nullptr) {
     ParallelFor(*pool, graph.num_users(), compute_one);
@@ -164,8 +112,9 @@ bool DynamicPprTable::RepairUser(const DynamicCkg& graph,
     }
   }
   if (!seeds.empty()) {
-    *pushes += LocalPush(graph, options_.alpha, options_.epsilon, &state,
-                         seeds);
+    *pushes += PushToConvergence(graph, options_.alpha, options_.epsilon,
+                                 seeds, &state.estimate, &state.residual)
+                   .pushes;
   }
   return touched;
 }
@@ -243,13 +192,6 @@ real_t DynamicPprTable::ResidualMass(int64_t user) const {
 
 real_t DynamicPprTable::Score(int64_t user, int64_t node) const {
   return MapValue(Estimate(user), node);
-}
-
-PprTable DynamicPprTable::ToTable() const {
-  std::vector<std::unordered_map<int64_t, real_t>> vectors;
-  vectors.reserve(users_.size());
-  for (const UserState& state : users_) vectors.push_back(state.estimate);
-  return PprTable::FromVectors(std::move(vectors));
 }
 
 }  // namespace kucnet

@@ -33,11 +33,12 @@
 ///
 /// The corrections sum to zero (mass is conserved exactly) and restore (*)
 /// on the new graph. Special case d == 0: a dangling node absorbed its
-/// residual into p̂ outright (see TryPprForwardPush), and — degrees only
+/// residual into p̂ outright (see PushToConvergence), and — degrees only
 /// grow — it was *always* dangling, so all of p̂(u) is absorbed mass; the
 /// reversal is r(u) += p̂(u), p̂(u) = 0, which is degree-independent and
-/// exact. Afterwards a *signed* local push (|r(v)| ≥ epsilon·deg(v) drives
-/// the queue; negative residuals push negative mass) restores the
+/// exact. Afterwards the same PushToConvergence, seeded with the corrected
+/// nodes, runs as a *signed* local push (|r(v)| ≥ epsilon·deg(v) drives the
+/// queue; negative residuals push negative mass) and restores the
 /// convergence criterion touching only the affected neighborhood.
 ///
 /// The repaired estimate is not bitwise-equal to a from-scratch push on the
@@ -60,7 +61,8 @@ class DynamicPprTable {
   /// Full forward push for every user on the dynamic graph, keeping the
   /// converged residuals (PprForwardPush discards them; repair needs them).
   /// On a graph with no overflow edges the estimates are bitwise-identical
-  /// to PprTable::Compute — the push replays the same operation sequence.
+  /// to PprTable::Compute — both run PushToConvergence, and the graphs list
+  /// every node's neighbors in the same order.
   static DynamicPprTable Compute(const DynamicCkg& graph,
                                  PprTableOptions options = PprTableOptions(),
                                  ThreadPool* pool = nullptr);
@@ -84,10 +86,6 @@ class DynamicPprTable {
   real_t Score(int64_t user, int64_t node) const;
   int64_t num_users() const { return static_cast<int64_t>(users_.size()); }
 
-  /// Copies the estimates into a PprTable for consumers of the static
-  /// interface (RecServer, CompGraphBuilder).
-  PprTable ToTable() const;
-
   const PprRepairStats& last_repair_stats() const { return repair_stats_; }
   real_t alpha() const { return options_.alpha; }
   real_t epsilon() const { return options_.epsilon; }
@@ -97,13 +95,6 @@ class DynamicPprTable {
     std::unordered_map<int64_t, real_t> estimate;
     std::unordered_map<int64_t, real_t> residual;
   };
-
-  /// Signed local push until |r(v)| < epsilon·deg(v) everywhere reachable;
-  /// `seeds` must be sorted and deduplicated for determinism. Returns the
-  /// number of push operations.
-  static int64_t LocalPush(const DynamicCkg& graph, real_t alpha,
-                           real_t epsilon, UserState* state,
-                           const std::vector<int64_t>& seeds);
 
   /// Repairs one user for the inserted edges; d_old[j] is the source-node
   /// degree edge j's endpoint had at its insertion. Returns true if the

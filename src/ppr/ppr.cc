@@ -1,107 +1,100 @@
 #include "ppr/ppr.h"
 
+#include <cmath>
 #include <deque>
 
+#include "graph/dynamic_ckg.h"
 #include "obs/metrics.h"
-#include "store/compact_ckg.h"
 #include "obs/trace.h"
+#include "store/compact_ckg.h"
 #include "util/clock.h"
 #include "util/finite.h"
 #include "util/logging.h"
 
 namespace kucnet {
 
-std::vector<real_t> PprPowerIteration(const SparseMatrix& column_normalized_adj,
-                                      int64_t source, real_t alpha,
-                                      int iterations) {
-  const int64_t n = column_normalized_adj.rows();
-  KUC_CHECK_EQ(column_normalized_adj.cols(), n);
-  KUC_CHECK_GE(source, 0);
-  KUC_CHECK_LT(source, n);
-  std::vector<real_t> r(n, 0.0);
-  r[source] = 1.0;
-  for (int it = 0; it < iterations; ++it) {
-    std::vector<real_t> next = column_normalized_adj.Multiply(r);
-    for (auto& x : next) x *= (1.0 - alpha);
-    next[source] += alpha;
-    r = std::move(next);
+namespace {
+
+/// Calls fn(w) for each out-neighbor w of v, in the graph's own order.
+template <typename Graph, typename Fn>
+void ForEachOutNeighbor(const Graph& graph, int64_t v, Fn&& fn) {
+  if constexpr (requires { graph.OutNeighbors(v); }) {
+    for (const int64_t w : graph.OutNeighbors(v)) fn(w);
+  } else {
+    graph.ForEachOutNeighbor(v, [&](int64_t /*rel*/, int64_t w) { fn(w); });
   }
-  return r;
+}
+
+}  // namespace
+
+template <typename Graph>
+PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
+                             const std::vector<int64_t>& seeds,
+                             std::unordered_map<int64_t, real_t>* estimate,
+                             std::unordered_map<int64_t, real_t>* residual) {
+  std::deque<int64_t> queue;
+  std::unordered_map<int64_t, bool> queued;
+  for (const int64_t v : seeds) {
+    queue.push_back(v);
+    queued[v] = true;
+  }
+  PushCounts counts;
+  while (!queue.empty()) {
+    const int64_t v = queue.front();
+    queue.pop_front();
+    queued[v] = false;
+    ++counts.pops;
+    const int64_t deg = graph.OutDegree(v);
+    real_t& rv = (*residual)[v];
+    if (deg == 0) {
+      // Dangling node: all residual mass becomes estimate (self-restart).
+      (*estimate)[v] += rv;
+      rv = 0.0;
+      continue;
+    }
+    if (std::abs(rv) < epsilon * static_cast<real_t>(deg)) continue;
+    const real_t mass = rv;
+    (*estimate)[v] += alpha * mass;
+    rv = 0.0;
+    ++counts.pushes;
+    const real_t push = (1.0 - alpha) * mass / static_cast<real_t>(deg);
+    ForEachOutNeighbor(graph, v, [&](int64_t w) {
+      real_t& rw = (*residual)[w];
+      rw += push;
+      if (std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w)) &&
+          !queued[w]) {
+        queued[w] = true;
+        queue.push_back(w);
+      }
+    });
+  }
+  // PPR boundary: estimates feed pruning and the serving heuristic tier; a
+  // non-finite entry (degenerate alpha/epsilon, corrupt graph weights) must
+  // fail here rather than skew rankings downstream.
+  if (FiniteChecksEnabled()) {
+    for (const auto& [node, value] : *estimate) {
+      KUC_CHECK(std::isfinite(value))
+          << "ppr.estimate: non-finite value " << value << " at node " << node;
+    }
+  }
+  return counts;
 }
 
 template <typename Graph>
 std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
                                                    int64_t source, real_t alpha,
                                                    real_t epsilon) {
-  std::unordered_map<int64_t, real_t> estimate;
-  const Status status =
-      TryPprForwardPush(ckg, source, alpha, epsilon, ExecContext(), &estimate);
-  KUC_CHECK(status.ok()) << status.message();
-  return estimate;
-}
-
-template <typename Graph>
-Status TryPprForwardPush(const Graph& ckg, int64_t source, real_t alpha,
-                         real_t epsilon, const ExecContext& ctx,
-                         std::unordered_map<int64_t, real_t>* out) {
   KUC_TRACE_SPAN("ppr.push");
   KUC_OBS_COUNT("ppr.push_calls", 1);
   KUC_CHECK_GE(source, 0);
   KUC_CHECK_LT(source, ckg.num_nodes());
-  std::unordered_map<int64_t, real_t>& estimate = *out;
-  estimate.clear();
+  std::unordered_map<int64_t, real_t> estimate;
   std::unordered_map<int64_t, real_t> residual;
   residual[source] = 1.0;
-  std::deque<int64_t> queue = {source};
-  std::unordered_map<int64_t, bool> queued;
-  queued[source] = true;
-
-  int64_t pops = 0;
-  while (!queue.empty()) {
-    if (pops++ % kPprCheckEveryPushes == 0) {
-      const Status status = ctx.Check("ppr");
-      if (!status.ok()) {
-        estimate.clear();
-        return status;
-      }
-    }
-    const int64_t v = queue.front();
-    queue.pop_front();
-    queued[v] = false;
-    KUC_OBS_COUNT("ppr.push_pops", 1);
-    const int64_t deg = ckg.OutDegree(v);
-    real_t& rv = residual[v];
-    if (deg == 0) {
-      // Dangling node: all residual mass becomes estimate (self-restart).
-      estimate[v] += rv;
-      rv = 0.0;
-      continue;
-    }
-    if (rv < epsilon * static_cast<real_t>(deg)) continue;
-    const real_t mass = rv;
-    estimate[v] += alpha * mass;
-    rv = 0.0;
-    const real_t push = (1.0 - alpha) * mass / static_cast<real_t>(deg);
-    for (const int64_t w : ckg.OutNeighbors(v)) {
-      real_t& rw = residual[w];
-      rw += push;
-      if (rw >= epsilon * static_cast<real_t>(ckg.OutDegree(w)) &&
-          !queued[w]) {
-        queued[w] = true;
-        queue.push_back(w);
-      }
-    }
-  }
-  // PPR boundary: estimates feed pruning and the serving heuristic tier; a
-  // non-finite entry (degenerate alpha/epsilon, corrupt graph weights) must
-  // fail here rather than skew rankings downstream.
-  if (FiniteChecksEnabled()) {
-    for (const auto& [node, value] : estimate) {
-      KUC_CHECK(std::isfinite(value))
-          << "ppr.estimate: non-finite value " << value << " at node " << node;
-    }
-  }
-  return Status::Ok();
+  const PushCounts counts =
+      PushToConvergence(ckg, alpha, epsilon, {source}, &estimate, &residual);
+  KUC_OBS_COUNT("ppr.push_pops", counts.pops);
+  return estimate;
 }
 
 template <typename Graph>
@@ -124,18 +117,20 @@ PprTable PprTable::Compute(const Graph& ckg, PprTableOptions options,
   return table;
 }
 
-// The hot push paths are compiled here once per graph representation; the
-// Ckg instantiation is the pre-store code, bit for bit.
+// The push is compiled here once per graph representation.
+template PushCounts PushToConvergence<Ckg>(
+    const Ckg&, real_t, real_t, const std::vector<int64_t>&,
+    std::unordered_map<int64_t, real_t>*, std::unordered_map<int64_t, real_t>*);
+template PushCounts PushToConvergence<CompactCkg>(
+    const CompactCkg&, real_t, real_t, const std::vector<int64_t>&,
+    std::unordered_map<int64_t, real_t>*, std::unordered_map<int64_t, real_t>*);
+template PushCounts PushToConvergence<DynamicCkg>(
+    const DynamicCkg&, real_t, real_t, const std::vector<int64_t>&,
+    std::unordered_map<int64_t, real_t>*, std::unordered_map<int64_t, real_t>*);
 template std::unordered_map<int64_t, real_t> PprForwardPush<Ckg>(
     const Ckg&, int64_t, real_t, real_t);
 template std::unordered_map<int64_t, real_t> PprForwardPush<CompactCkg>(
     const CompactCkg&, int64_t, real_t, real_t);
-template Status TryPprForwardPush<Ckg>(const Ckg&, int64_t, real_t, real_t,
-                                       const ExecContext&,
-                                       std::unordered_map<int64_t, real_t>*);
-template Status TryPprForwardPush<CompactCkg>(
-    const CompactCkg&, int64_t, real_t, real_t, const ExecContext&,
-    std::unordered_map<int64_t, real_t>*);
 template PprTable PprTable::Compute<Ckg>(const Ckg&, PprTableOptions,
                                          ThreadPool*);
 template PprTable PprTable::Compute<CompactCkg>(const CompactCkg&,

@@ -7,9 +7,7 @@
 
 #include "graph/ckg.h"
 #include "graph/compgraph.h"
-#include "tensor/sparse.h"
-#include "util/fault.h"
-#include "util/status.h"
+#include "tensor/matrix.h"
 #include "util/thread_pool.h"
 
 /// \file
@@ -17,43 +15,48 @@
 ///
 /// The paper computes PPR scores r_u for every user as a preprocessing step
 /// (Eq. 13, ~20 power iterations, restart alpha = 0.15) and uses them to keep
-/// the top-K out-edges per head node. We provide the paper's dense power
-/// iteration plus the classic Andersen-Chung-Lang forward-push approximation,
-/// which is what `PprTable` uses at scale; the two agree to the push's
-/// residual bound (verified in tests/ppr_test.cc).
+/// the top-K out-edges per head node. Every PPR vector here comes from one
+/// loop, the classic Andersen-Chung-Lang forward push (`PushToConvergence`):
+/// the static `PprTable`, the streaming `DynamicPprTable` and its repair
+/// (ppr/dynamic_ppr.h). The dense power iteration survives only as the test
+/// reference `testing::OraclePprDense`; the push agrees with it to its
+/// residual bound (tests/ppr_test.cc, the `ppr` diff_fuzz subsystem).
 
 namespace kucnet {
 
-/// Dense PPR by iterating r <- (1-alpha) M r + alpha e_source (Eq. 13).
-/// `column_normalized_adj` is M: the column-normalized adjacency.
-std::vector<real_t> PprPowerIteration(const SparseMatrix& column_normalized_adj,
-                                      int64_t source, real_t alpha = 0.15,
-                                      int iterations = 20);
+/// What one PushToConvergence call did.
+struct PushCounts {
+  int64_t pops = 0;    ///< queue pops
+  int64_t pushes = 0;  ///< pops that moved mass onto out-neighbors
+};
 
-/// Sparse PPR by forward push with per-node residual threshold
-/// `epsilon * degree(v)`. Returns only nonzero estimates. The estimate
-/// undershoots the true PPR by at most epsilon * degree summed over nodes.
-/// Works on any graph exposing the Ckg span API; instantiated in ppr.cc for
-/// `Ckg` and `CompactCkg` (the Ckg instantiation is the exact code that
-/// predates the compact store, so the int64 path is bitwise identical).
+/// Forward push from `seeds`, the nodes whose residual the caller set
+/// (sorted and deduplicated, for determinism), until |r(v)| < epsilon *
+/// deg(v) at every node the push reached. The queue is FIFO. A popped node
+/// at or above its threshold moves alpha of its residual into its estimate
+/// and spreads the rest evenly over its out-edges, enqueueing each neighbor
+/// that crosses its own threshold; a dangling node (degree 0) absorbs its
+/// whole residual instead. Residuals may be negative: the streaming repair
+/// seeds signed corrections, and negative mass pushes like positive. A push
+/// from a fresh source (residual 1 at the source, nothing else) only ever
+/// holds non-negative residuals. Instantiated in ppr.cc for `Ckg`,
+/// `CompactCkg` and `DynamicCkg`; neighbors are visited in each graph's own
+/// order (for `DynamicCkg`, base CSR then overflow).
+template <typename Graph>
+PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
+                             const std::vector<int64_t>& seeds,
+                             std::unordered_map<int64_t, real_t>* estimate,
+                             std::unordered_map<int64_t, real_t>* residual);
+
+/// Sparse PPR of `source` by forward push with per-node residual threshold
+/// `epsilon * degree(v)`. Returns only the estimates, which undershoot the
+/// true PPR by at most epsilon * degree summed over nodes. Instantiated for
+/// `Ckg` and `CompactCkg`.
 template <typename Graph>
 std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
                                                    int64_t source,
                                                    real_t alpha = 0.15,
                                                    real_t epsilon = 1e-6);
-
-/// Cancellable forward push: hits the `ctx` checkpoint (stage "ppr") every
-/// `kPprCheckEveryPushes` queue pops, so a request deadline or injected
-/// fault abandons the walk mid-push instead of running to convergence. On
-/// cancellation `*out` is cleared and the checkpoint's status is returned.
-/// Instantiated for `Ckg` and `CompactCkg` (see PprForwardPush).
-template <typename Graph>
-Status TryPprForwardPush(const Graph& ckg, int64_t source, real_t alpha,
-                         real_t epsilon, const ExecContext& ctx,
-                         std::unordered_map<int64_t, real_t>* out);
-
-/// Push iterations between cancellation checkpoints in TryPprForwardPush.
-inline constexpr int64_t kPprCheckEveryPushes = 64;
 
 /// Options for PprTable::Compute.
 struct PprTableOptions {
@@ -72,9 +75,8 @@ class PprTable {
                           PprTableOptions options = PprTableOptions(),
                           ThreadPool* pool = nullptr);
 
-  /// Wraps externally-computed per-user vectors (vector index = user id).
-  /// The streaming path uses this to hand incrementally-repaired estimates
-  /// (ppr/dynamic_ppr.h) to components that consume a PprTable.
+  /// Wraps externally-computed per-user vectors (vector index = user id),
+  /// e.g. pushes for a sample of users at web scale (bench/scale_bench.cc).
   static PprTable FromVectors(
       std::vector<std::unordered_map<int64_t, real_t>> vectors);
 

@@ -117,8 +117,9 @@ struct OraclePprResult {
 };
 
 /// Naive Andersen-Chung-Lang forward push with the exact queue discipline of
-/// TryPprForwardPush (FIFO, dangling nodes absorb their residual), so the
-/// estimates must agree bitwise with the optimized implementation.
+/// PushToConvergence from a fresh source (FIFO, dangling nodes absorb their
+/// residual), so estimates and residuals must agree bitwise with the
+/// optimized implementation.
 OraclePprResult OraclePprPush(const Ckg& ckg, int64_t source, real_t alpha,
                               real_t epsilon);
 

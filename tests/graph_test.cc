@@ -119,14 +119,24 @@ TEST(CkgTest, OutDegreeCountsBothDirections) {
 }
 
 TEST(CkgTest, AdjacencyIsSymmetricAndBinary) {
+  // Every stored edge (v, r, w) has its inverse (w, -r, v) stored too, and
+  // no labeled edge is stored twice.
   Ckg g = RandomCkg(11);
-  SparseMatrix a = g.AdjacencyMatrix();
-  SparseMatrix at = a.Transposed();
-  EXPECT_EQ(a.nnz(), at.nnz());
-  // Symmetric: A and A^T have identical CSR contents.
-  EXPECT_EQ(a.row_ptr(), at.row_ptr());
-  EXPECT_EQ(a.col_idx(), at.col_idx());
-  for (const real_t v : a.values()) EXPECT_EQ(v, 1.0);
+  std::set<std::array<int64_t, 3>> edges;
+  for (int64_t v = 0; v < g.num_nodes(); ++v) {
+    const auto rels = g.OutRelations(v);
+    const auto dsts = g.OutNeighbors(v);
+    ASSERT_EQ(rels.size(), dsts.size());
+    for (size_t k = 0; k < dsts.size(); ++k) {
+      EXPECT_TRUE(edges.insert({v, rels[k], dsts[k]}).second)
+          << "duplicate edge " << v << " -" << rels[k] << "-> " << dsts[k];
+    }
+  }
+  EXPECT_EQ(static_cast<int64_t>(edges.size()), g.num_edges());
+  for (const auto& [v, rel, w] : edges) {
+    EXPECT_EQ(edges.count({w, g.InverseRelation(rel), v}), 1u)
+        << "edge " << v << " -" << rel << "-> " << w << " has no inverse";
+  }
 }
 
 TEST(CkgTest, DuplicateInputEdgesCollapse) {

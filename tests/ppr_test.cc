@@ -13,8 +13,7 @@
 namespace kucnet {
 namespace {
 
-// Connected random CKG without parallel (multi-relation) edges, so the push
-// walk and the deduplicated adjacency walk coincide exactly.
+// Connected random CKG with a single KG relation.
 Ckg SimpleRandomCkg(uint64_t seed, int64_t users = 5, int64_t items = 12,
                     int64_t extra = 6) {
   Rng rng(seed);
@@ -42,10 +41,14 @@ Ckg SimpleRandomCkg(uint64_t seed, int64_t users = 5, int64_t items = 12,
   return Ckg::Build(users, items, kg_nodes, 1, inter, kg);
 }
 
+// The power-iteration tests run on testing::OraclePprDense, the dense
+// iteration of Eq. 13: after k rounds its estimate holds all but
+// (1 - alpha)^k of the restart mass, so 200 rounds at alpha = 0.15 leave
+// under 1e-14 in flight.
+
 TEST(PprTest, PowerIterationIsAProbabilityVector) {
   Ckg g = SimpleRandomCkg(1);
-  SparseMatrix m = g.AdjacencyMatrix().ColumnNormalized();
-  const auto r = PprPowerIteration(m, g.UserNode(0), 0.15, 50);
+  const auto r = testing::OraclePprDense(g, g.UserNode(0), 0.15, 200).estimate;
   real_t total = std::accumulate(r.begin(), r.end(), 0.0);
   EXPECT_NEAR(total, 1.0, 1e-9);
   for (const real_t x : r) EXPECT_GE(x, 0.0);
@@ -53,9 +56,8 @@ TEST(PprTest, PowerIterationIsAProbabilityVector) {
 
 TEST(PprTest, RestartMassConcentratesAtSource) {
   Ckg g = SimpleRandomCkg(2);
-  SparseMatrix m = g.AdjacencyMatrix().ColumnNormalized();
   const int64_t src = g.UserNode(1);
-  const auto r = PprPowerIteration(m, src, 0.15, 50);
+  const auto r = testing::OraclePprDense(g, src, 0.15, 200).estimate;
   // The source must hold at least the restart probability.
   EXPECT_GE(r[src], 0.15);
   // And be the argmax in this small graph.
@@ -64,18 +66,16 @@ TEST(PprTest, RestartMassConcentratesAtSource) {
 
 TEST(PprTest, HigherAlphaMeansMoreMassAtSource) {
   Ckg g = SimpleRandomCkg(3);
-  SparseMatrix m = g.AdjacencyMatrix().ColumnNormalized();
   const int64_t src = g.UserNode(0);
-  const auto r_low = PprPowerIteration(m, src, 0.1, 50);
-  const auto r_high = PprPowerIteration(m, src, 0.5, 50);
+  const auto r_low = testing::OraclePprDense(g, src, 0.1, 200).estimate;
+  const auto r_high = testing::OraclePprDense(g, src, 0.5, 200).estimate;
   EXPECT_GT(r_high[src], r_low[src]);
 }
 
 TEST(PprTest, ForwardPushApproximatesPowerIteration) {
   Ckg g = SimpleRandomCkg(4);
-  SparseMatrix m = g.AdjacencyMatrix().ColumnNormalized();
   const int64_t src = g.UserNode(2);
-  const auto exact = PprPowerIteration(m, src, 0.15, 200);
+  const auto exact = testing::OraclePprDense(g, src, 0.15, 200).estimate;
   const auto push = PprForwardPush(g, src, 0.15, 1e-9);
   for (int64_t v = 0; v < g.num_nodes(); ++v) {
     const auto it = push.find(v);
@@ -87,9 +87,8 @@ TEST(PprTest, ForwardPushApproximatesPowerIteration) {
 TEST(PprTest, PushUndershootBound) {
   // Push estimates never exceed the exact PPR (residuals are nonnegative).
   Ckg g = SimpleRandomCkg(5);
-  SparseMatrix m = g.AdjacencyMatrix().ColumnNormalized();
   const int64_t src = g.UserNode(0);
-  const auto exact = PprPowerIteration(m, src, 0.15, 300);
+  const auto exact = testing::OraclePprDense(g, src, 0.15, 300).estimate;
   const auto push = PprForwardPush(g, src, 0.15, 1e-4);
   for (const auto& [node, value] : push) {
     EXPECT_LE(value, exact[node] + 1e-9) << "node " << node;
@@ -114,13 +113,10 @@ TEST(PprTableTest, SerialMatchesParallel) {
   ThreadPool pool(4);
   PprTable parallel = PprTable::Compute(g, opts, &pool);
   ASSERT_EQ(serial.num_users(), parallel.num_users());
+  // Each user's push runs alone on one thread, so the pool changes nothing:
+  // the vectors are equal bit for bit.
   for (int64_t u = 0; u < serial.num_users(); ++u) {
-    const auto& a = serial.Vector(u);
-    const auto& b = parallel.Vector(u);
-    ASSERT_EQ(a.size(), b.size()) << "user " << u;
-    for (const auto& [node, value] : a) {
-      EXPECT_NEAR(value, b.at(node), 1e-12);
-    }
+    EXPECT_EQ(serial.Vector(u), parallel.Vector(u)) << "user " << u;
   }
   EXPECT_GE(serial.compute_seconds(), 0.0);
 }
