@@ -54,7 +54,7 @@ struct Scenario {
   /// Per-tenant quota (0 = unlimited); clients alternate tenants 0/1.
   int64_t tenant_quota = 0;
   /// Rolling-swap the fleet to `swap_checkpoint` at the halfway mark.
-  std::string swap_checkpoint;
+  std::string swap_checkpoint = {};
   /// Hard floor on the cached share of answers (the shard-kill scenario
   /// proves the warm cache is live, not decorative).
   bool require_cached_share = false;

@@ -33,7 +33,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -71,19 +70,15 @@ int64_t SkewedUser(Rng& rng, int64_t n) {
   return std::min(std::max<int64_t>(user, 0), n - 1);
 }
 
-/// Max |a - b| over the union of two sparse score maps.
-double MaxDelta(const std::unordered_map<int64_t, real_t>& a,
-                const std::unordered_map<int64_t, real_t>& b) {
+/// Max |a - b| over the union of two flat PPR vectors (a missing entry
+/// reads 0).
+double MaxDelta(const FlatPprVector& a, const FlatPprVector& b) {
   double max_delta = 0.0;
   for (const auto& [node, value] : a) {
-    const auto it = b.find(node);
-    const double other = it == b.end() ? 0.0 : it->second;
-    max_delta = std::max(max_delta, std::abs(value - other));
+    max_delta = std::max(max_delta, std::abs(value - FlatPprValue(b, node)));
   }
   for (const auto& [node, value] : b) {
-    if (a.find(node) == a.end()) {
-      max_delta = std::max(max_delta, std::abs(static_cast<double>(value)));
-    }
+    max_delta = std::max(max_delta, std::abs(value - FlatPprValue(a, node)));
   }
   return max_delta;
 }

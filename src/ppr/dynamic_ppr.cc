@@ -3,21 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
 namespace kucnet {
-
-namespace {
-
-real_t MapValue(const std::unordered_map<int64_t, real_t>& m, int64_t key) {
-  const auto it = m.find(key);
-  return it == m.end() ? 0.0 : it->second;
-}
-
-}  // namespace
 
 DynamicPprTable DynamicPprTable::Compute(const DynamicCkg& graph,
                                          PprTableOptions options,
@@ -29,9 +21,13 @@ DynamicPprTable DynamicPprTable::Compute(const DynamicCkg& graph,
   auto compute_one = [&](int64_t user) {
     UserState& state = table.users_[user];
     const int64_t source = graph.UserNode(user);
-    state.residual[source] = 1.0;
+    PushScratch& scratch = PushScratch::ForThisThread();
+    scratch.Begin(graph.num_nodes());
+    scratch.Load(&state.estimate, &state.residual);
+    scratch.Residual(source) = 1.0;
     PushToConvergence(graph, options.alpha, options.epsilon, {source},
-                      &state.estimate, &state.residual);
+                      &scratch);
+    scratch.Store();
   };
   if (pool != nullptr) {
     ParallelFor(*pool, graph.num_users(), compute_one);
@@ -47,20 +43,36 @@ bool DynamicPprTable::RepairUser(const DynamicCkg& graph,
                                  int64_t user, int64_t* corrections,
                                  int64_t* pushes) {
   UserState& state = users_[user];
-  bool touched = false;
+  // An edge moves mass only if some mass was pushed or absorbed at its
+  // source (p̂(u) != 0). When no edge does, the state stays as stored, and
+  // the stored arrays answer the touched test without loading the scratch:
+  // the update touches this user if it had any mass at either endpoint —
+  // the proxy for "the edge landed inside the user's PPR neighborhood".
+  bool moves_mass = false;
+  for (const Edge& e : inserted) {
+    if (FlatPprValue(state.estimate, e.src) != 0.0) {
+      moves_mass = true;
+      break;
+    }
+  }
+  if (!moves_mass) {
+    auto holds_mass = [&](int64_t v) {
+      return FlatPprValue(state.estimate, v) != 0.0 ||
+             FlatPprValue(state.residual, v) != 0.0;
+    };
+    for (const Edge& e : inserted) {
+      if (holds_mass(e.src) || holds_mass(e.dst)) return true;
+    }
+    return false;
+  }
+
+  PushScratch& scratch = PushScratch::ForThisThread();
+  scratch.Begin(graph.num_nodes());
+  scratch.Load(&state.estimate, &state.residual);
   std::vector<int64_t> dirty;
   for (size_t j = 0; j < inserted.size(); ++j) {
     const Edge& e = inserted[j];
-    // The update touches this user if it had any mass at either endpoint —
-    // the proxy for "the edge landed inside the user's PPR neighborhood".
-    if (!touched &&
-        (MapValue(state.estimate, e.src) != 0.0 ||
-         MapValue(state.residual, e.src) != 0.0 ||
-         MapValue(state.estimate, e.dst) != 0.0 ||
-         MapValue(state.residual, e.dst) != 0.0)) {
-      touched = true;
-    }
-    const real_t pu = MapValue(state.estimate, e.src);
+    const real_t pu = scratch.EstimateOrZero(e.src);
     if (pu == 0.0) {
       // No mass was ever pushed or absorbed at e.src for this source: the
       // degree change only raises push thresholds, which cannot un-converge
@@ -71,8 +83,8 @@ bool DynamicPprTable::RepairUser(const DynamicCkg& graph,
       // Previously-dangling node: degrees only grow, so e.src was always
       // dangling and all of p̂ is absorbed residual. Reverse the absorption;
       // the mass re-pushes below under the node's new degree.
-      state.residual[e.src] += pu;
-      state.estimate[e.src] = 0.0;
+      scratch.Residual(e.src) += pu;
+      scratch.Estimate(e.src) = 0.0;
       dirty.push_back(e.src);
       ++*corrections;
       continue;
@@ -88,23 +100,21 @@ bool DynamicPprTable::RepairUser(const DynamicCkg& graph,
     const real_t delta_old = out_mass * (1.0 / d_n - 1.0 / d_o);
     graph.ForEachOutNeighborPrefix(
         e.src, d_old[j], [&](int64_t /*rel*/, int64_t v) {
-          state.residual[v] += delta_old;
+          scratch.Residual(v) += delta_old;
           dirty.push_back(v);
           ++*corrections;
         });
-    state.residual[e.dst] += out_mass / d_n;
+    scratch.Residual(e.dst) += out_mass / d_n;
     dirty.push_back(e.dst);
     ++*corrections;
   }
-  if (dirty.empty()) return touched;
-  touched = true;
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   // Seed the local push with every node whose residual now violates the
   // convergence criterion (dangling nodes re-absorb any nonzero residual).
   std::vector<int64_t> seeds;
   for (const int64_t v : dirty) {
-    const real_t rv = MapValue(state.residual, v);
+    const real_t rv = scratch.ResidualOrZero(v);
     const int64_t deg = graph.OutDegree(v);
     if (deg == 0 ? rv != 0.0
                  : std::abs(rv) >= options_.epsilon * static_cast<real_t>(deg)) {
@@ -113,10 +123,11 @@ bool DynamicPprTable::RepairUser(const DynamicCkg& graph,
   }
   if (!seeds.empty()) {
     *pushes += PushToConvergence(graph, options_.alpha, options_.epsilon,
-                                 seeds, &state.estimate, &state.residual)
+                                 seeds, &scratch)
                    .pushes;
   }
-  return touched;
+  scratch.Store();
+  return true;  // the first edge that moves mass corrected some residual
 }
 
 std::vector<int64_t> DynamicPprTable::ApplyEdgeInsertions(
@@ -170,15 +181,13 @@ std::vector<int64_t> DynamicPprTable::ApplyEdgeInsertions(
   return touched_users;
 }
 
-const std::unordered_map<int64_t, real_t>& DynamicPprTable::Estimate(
-    int64_t user) const {
+const FlatPprVector& DynamicPprTable::Estimate(int64_t user) const {
   KUC_CHECK_GE(user, 0);
   KUC_CHECK_LT(user, num_users());
   return users_[user].estimate;
 }
 
-const std::unordered_map<int64_t, real_t>& DynamicPprTable::Residual(
-    int64_t user) const {
+const FlatPprVector& DynamicPprTable::Residual(int64_t user) const {
   KUC_CHECK_GE(user, 0);
   KUC_CHECK_LT(user, num_users());
   return users_[user].residual;
@@ -188,10 +197,6 @@ real_t DynamicPprTable::ResidualMass(int64_t user) const {
   real_t sum = 0.0;
   for (const auto& [node, r] : Residual(user)) sum += std::abs(r);
   return sum;
-}
-
-real_t DynamicPprTable::Score(int64_t user, int64_t node) const {
-  return MapValue(Estimate(user), node);
 }
 
 }  // namespace kucnet

@@ -2,7 +2,6 @@
 #define KUCNET_PPR_DYNAMIC_PPR_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/dynamic_ckg.h"
@@ -76,14 +75,16 @@ class DynamicPprTable {
                                            const std::vector<Edge>& inserted,
                                            ThreadPool* pool = nullptr);
 
-  const std::unordered_map<int64_t, real_t>& Estimate(int64_t user) const;
-  const std::unordered_map<int64_t, real_t>& Residual(int64_t user) const;
+  /// A user's estimate and residual entries, in ascending node order.
+  /// Estimate nodes are a subset of residual nodes, and entries holding 0.0
+  /// are kept where the push or repair created them.
+  const FlatPprVector& Estimate(int64_t user) const;
+  const FlatPprVector& Residual(int64_t user) const;
 
   /// Σ|r| of a user's residual — the user's contribution to the agreement
   /// bound vs a fresh recompute.
   real_t ResidualMass(int64_t user) const;
 
-  real_t Score(int64_t user, int64_t node) const;
   int64_t num_users() const { return static_cast<int64_t>(users_.size()); }
 
   const PprRepairStats& last_repair_stats() const { return repair_stats_; }
@@ -92,8 +93,8 @@ class DynamicPprTable {
 
  private:
   struct UserState {
-    std::unordered_map<int64_t, real_t> estimate;
-    std::unordered_map<int64_t, real_t> residual;
+    FlatPprVector estimate;
+    FlatPprVector residual;
   };
 
   /// Repairs one user for the inserted edges; d_old[j] is the source-node

@@ -1,7 +1,7 @@
 #include "ppr/ppr.h"
 
+#include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "graph/dynamic_ckg.h"
 #include "obs/metrics.h"
@@ -27,56 +27,175 @@ void ForEachOutNeighbor(const Graph& graph, int64_t v, Fn&& fn) {
 
 }  // namespace
 
+real_t FlatPprValue(const FlatPprVector& vec, int64_t node) {
+  const auto it = std::lower_bound(
+      vec.begin(), vec.end(), node,
+      [](const PprEntry& e, int64_t key) { return e.node < key; });
+  return it != vec.end() && it->node == node ? it->value : 0.0;
+}
+
+PushScratch& PushScratch::ForThisThread() {
+  static thread_local PushScratch scratch;
+  return scratch;
+}
+
+void PushScratch::Begin(int64_t num_nodes) {
+  KUC_CHECK(touched_.empty() && queue_.empty() && loaded_residual_ == nullptr)
+      << "PushScratch::Begin: the previous use did not end";
+  const auto n = static_cast<size_t>(num_nodes);
+  if (flags_.size() < n) {
+    estimate_.resize(n, 0.0);
+    residual_.resize(n, 0.0);
+    flags_.resize(n, 0);
+  }
+}
+
+void PushScratch::Load(FlatPprVector* estimate, FlatPprVector* residual) {
+  KUC_CHECK(touched_.empty()) << "PushScratch::Load after entries were made";
+  // One pass over the residual nodes; the estimate nodes, also ascending,
+  // are matched in step.
+  size_t j = 0;
+  for (const auto& [v, r] : *residual) {
+    residual_[v] = r;
+    uint8_t f = kHasResidual;
+    if (j < estimate->size() && (*estimate)[j].node == v) {
+      estimate_[v] = (*estimate)[j++].value;
+      f |= kHasEstimate;
+    }
+    flags_[v] = f;
+  }
+  KUC_CHECK_EQ(j, estimate->size()) << "PushScratch::Load: an estimate node "
+                                       "without a residual entry";
+  loaded_estimate_ = estimate;
+  loaded_residual_ = residual;
+  num_estimates_ = static_cast<int64_t>(estimate->size());
+  num_residuals_ = static_cast<int64_t>(residual->size());
+}
+
+void PushScratch::Enqueue(int64_t v) {
+  // Drop the popped prefix once it is most of the buffer, so the FIFO holds
+  // O(waiting nodes) however many pops a push makes.
+  if (head_ >= 4096 && 2 * head_ >= queue_.size()) {
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<int64_t>(head_));
+    head_ = 0;
+  }
+  flags_[v] |= kQueued;
+  queue_.push_back(v);
+}
+
+std::unordered_map<int64_t, real_t> PushScratch::TakeEstimates() {
+  KUC_CHECK(loaded_residual_ == nullptr)
+      << "PushScratch::TakeEstimates: a use with Load ends in Store";
+  std::unordered_map<int64_t, real_t> out;
+  out.reserve(static_cast<size_t>(num_estimates_));
+  for (const int64_t v : touched_) {
+    if (flags_[v] & kHasEstimate) out.emplace(v, estimate_[v]);
+    Clear(v);
+  }
+  EndUse();
+  return out;
+}
+
+void PushScratch::Store() {
+  KUC_CHECK(loaded_residual_ != nullptr) << "PushScratch: Store without Load";
+  FlatPprVector& estimate = *loaded_estimate_;
+  FlatPprVector& residual = *loaded_residual_;
+  if (touched_.empty() &&
+      num_estimates_ == static_cast<int64_t>(estimate.size())) {
+    // Same node sets as loaded (flags are only ever set during a use).
+    size_t j = 0;
+    for (PprEntry& e : residual) {
+      const int64_t v = e.node;
+      e.value = residual_[v];
+      if (j < estimate.size() && estimate[j].node == v) {
+        estimate[j++].value = estimate_[v];
+      }
+      Clear(v);
+    }
+  } else {
+    // Merge the new nodes (sorted) into the loaded residual nodes, which
+    // include every loaded estimate node.
+    std::sort(touched_.begin(), touched_.end());
+    FlatPprVector out_estimate, out_residual;
+    out_estimate.reserve(static_cast<size_t>(num_estimates_));
+    out_residual.reserve(static_cast<size_t>(num_residuals_));
+    auto emit = [&](int64_t v) {
+      if (flags_[v] & kHasEstimate) out_estimate.push_back({v, estimate_[v]});
+      if (flags_[v] & kHasResidual) out_residual.push_back({v, residual_[v]});
+      Clear(v);
+    };
+    size_t i = 0;
+    for (const int64_t v : touched_) {
+      while (i < residual.size() && residual[i].node < v) {
+        emit(residual[i++].node);
+      }
+      emit(v);
+    }
+    while (i < residual.size()) emit(residual[i++].node);
+    estimate.swap(out_estimate);
+    residual.swap(out_residual);
+  }
+  EndUse();
+}
+
+void PushScratch::CheckEstimatesFinite() const {
+  auto check = [&](int64_t v) {
+    if ((flags_[v] & kHasEstimate) == 0) return;
+    KUC_CHECK(std::isfinite(estimate_[v]))
+        << "ppr.estimate: non-finite value " << estimate_[v] << " at node "
+        << v;
+  };
+  if (loaded_residual_ != nullptr) {
+    for (const PprEntry& e : *loaded_residual_) check(e.node);
+  }
+  for (const int64_t v : touched_) check(v);
+}
+
+void PushScratch::EndUse() {
+  loaded_estimate_ = nullptr;
+  loaded_residual_ = nullptr;
+  touched_.clear();
+  num_estimates_ = 0;
+  num_residuals_ = 0;
+  queue_.clear();
+  head_ = 0;
+}
+
 template <typename Graph>
 PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
                              const std::vector<int64_t>& seeds,
-                             std::unordered_map<int64_t, real_t>* estimate,
-                             std::unordered_map<int64_t, real_t>* residual) {
-  std::deque<int64_t> queue;
-  std::unordered_map<int64_t, bool> queued;
-  for (const int64_t v : seeds) {
-    queue.push_back(v);
-    queued[v] = true;
-  }
+                             PushScratch* scratch) {
+  for (const int64_t v : seeds) scratch->Enqueue(v);
   PushCounts counts;
-  while (!queue.empty()) {
-    const int64_t v = queue.front();
-    queue.pop_front();
-    queued[v] = false;
+  int64_t v = 0;
+  while (scratch->Dequeue(&v)) {
     ++counts.pops;
     const int64_t deg = graph.OutDegree(v);
-    real_t& rv = (*residual)[v];
+    real_t& rv = scratch->Residual(v);
     if (deg == 0) {
       // Dangling node: all residual mass becomes estimate (self-restart).
-      (*estimate)[v] += rv;
+      scratch->Estimate(v) += rv;
       rv = 0.0;
       continue;
     }
     if (std::abs(rv) < epsilon * static_cast<real_t>(deg)) continue;
     const real_t mass = rv;
-    (*estimate)[v] += alpha * mass;
+    scratch->Estimate(v) += alpha * mass;
     rv = 0.0;
     ++counts.pushes;
     const real_t push = (1.0 - alpha) * mass / static_cast<real_t>(deg);
     ForEachOutNeighbor(graph, v, [&](int64_t w) {
-      real_t& rw = (*residual)[w];
+      real_t& rw = scratch->Residual(w);
       rw += push;
-      if (std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w)) &&
-          !queued[w]) {
-        queued[w] = true;
-        queue.push_back(w);
+      if (std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w))) {
+        scratch->EnqueueUnlessQueued(w);
       }
     });
   }
   // PPR boundary: estimates feed pruning and the serving heuristic tier; a
   // non-finite entry (degenerate alpha/epsilon, corrupt graph weights) must
   // fail here rather than skew rankings downstream.
-  if (FiniteChecksEnabled()) {
-    for (const auto& [node, value] : *estimate) {
-      KUC_CHECK(std::isfinite(value))
-          << "ppr.estimate: non-finite value " << value << " at node " << node;
-    }
-  }
+  if (FiniteChecksEnabled()) scratch->CheckEstimatesFinite();
   return counts;
 }
 
@@ -88,13 +207,13 @@ std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
   KUC_OBS_COUNT("ppr.push_calls", 1);
   KUC_CHECK_GE(source, 0);
   KUC_CHECK_LT(source, ckg.num_nodes());
-  std::unordered_map<int64_t, real_t> estimate;
-  std::unordered_map<int64_t, real_t> residual;
-  residual[source] = 1.0;
+  PushScratch& scratch = PushScratch::ForThisThread();
+  scratch.Begin(ckg.num_nodes());
+  scratch.Residual(source) = 1.0;
   const PushCounts counts =
-      PushToConvergence(ckg, alpha, epsilon, {source}, &estimate, &residual);
+      PushToConvergence(ckg, alpha, epsilon, {source}, &scratch);
   KUC_OBS_COUNT("ppr.push_pops", counts.pops);
-  return estimate;
+  return scratch.TakeEstimates();
 }
 
 template <typename Graph>
@@ -118,15 +237,17 @@ PprTable PprTable::Compute(const Graph& ckg, PprTableOptions options,
 }
 
 // The push is compiled here once per graph representation.
-template PushCounts PushToConvergence<Ckg>(
-    const Ckg&, real_t, real_t, const std::vector<int64_t>&,
-    std::unordered_map<int64_t, real_t>*, std::unordered_map<int64_t, real_t>*);
-template PushCounts PushToConvergence<CompactCkg>(
-    const CompactCkg&, real_t, real_t, const std::vector<int64_t>&,
-    std::unordered_map<int64_t, real_t>*, std::unordered_map<int64_t, real_t>*);
-template PushCounts PushToConvergence<DynamicCkg>(
-    const DynamicCkg&, real_t, real_t, const std::vector<int64_t>&,
-    std::unordered_map<int64_t, real_t>*, std::unordered_map<int64_t, real_t>*);
+template PushCounts PushToConvergence<Ckg>(const Ckg&, real_t, real_t,
+                                          const std::vector<int64_t>&,
+                                          PushScratch*);
+template PushCounts PushToConvergence<CompactCkg>(const CompactCkg&, real_t,
+                                                 real_t,
+                                                 const std::vector<int64_t>&,
+                                                 PushScratch*);
+template PushCounts PushToConvergence<DynamicCkg>(const DynamicCkg&, real_t,
+                                                 real_t,
+                                                 const std::vector<int64_t>&,
+                                                 PushScratch*);
 template std::unordered_map<int64_t, real_t> PprForwardPush<Ckg>(
     const Ckg&, int64_t, real_t, real_t);
 template std::unordered_map<int64_t, real_t> PprForwardPush<CompactCkg>(

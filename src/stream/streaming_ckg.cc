@@ -1,7 +1,6 @@
 #include "stream/streaming_ckg.h"
 
 #include <algorithm>
-#include <map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -137,10 +136,9 @@ uint64_t StreamingCkg::StateDigest() const {
   }
   // PPR state: estimates and residuals, sorted by node, raw double bits.
   for (int64_t u = 0; u < ppr_.num_users(); ++u) {
-    for (const auto* vec : {&ppr_.Estimate(u), &ppr_.Residual(u)}) {
-      std::map<int64_t, real_t> sorted(vec->begin(), vec->end());
-      w.I64(static_cast<int64_t>(sorted.size()));
-      for (const auto& [node, value] : sorted) {
+    for (const FlatPprVector* vec : {&ppr_.Estimate(u), &ppr_.Residual(u)}) {
+      w.I64(static_cast<int64_t>(vec->size()));
+      for (const auto& [node, value] : *vec) {
         w.I64(node);
         w.F64(value);
       }

@@ -1483,11 +1483,13 @@ Status ApplyStreamOp(StreamingCkg* stream, const StreamOp& op) {
                         : stream->AppendKgTriplet(op.a, op.b, op.c);
 }
 
-/// Same keys, and the same raw bits under every key.
-bool SameBits(const std::unordered_map<int64_t, real_t>& a,
+/// Same keys (`a` strictly ascending), and the same raw bits under every key.
+bool SameBits(const FlatPprVector& a,
               const std::unordered_map<int64_t, real_t>& b) {
   if (a.size() != b.size()) return false;
-  for (const auto& [node, value] : a) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    const auto& [node, value] = a[i];
+    if (i > 0 && a[i - 1].node >= node) return false;  // strictly ascending
     const auto it = b.find(node);
     if (it == b.end() ||
         std::bit_cast<uint64_t>(it->second) != std::bit_cast<uint64_t>(value)) {
@@ -1576,8 +1578,7 @@ void StreamCase(uint64_t case_seed, CaseResult& result) {
         clean->ppr().ResidualMass(u) + fresh_residual + 1e-12;
     const auto& inc = clean->ppr().Estimate(u);
     for (const auto& [node, fresh] : oracle.estimate) {
-      const auto it = inc.find(node);
-      const double got = it == inc.end() ? 0.0 : it->second;
+      const double got = FlatPprValue(inc, node);
       if (std::abs(got - fresh) > bound) {
         result.Fail() << "user " << u << " node " << node << ": inc=" << got
                       << " fresh=" << fresh << " bound=" << bound;

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +9,7 @@
 #include "ppr/ppr.h"
 #include "testing/fuzz.h"
 #include "testing/oracle.h"
+#include "util/finite.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -241,6 +244,73 @@ TEST(PprOracleTest, DanglingSourceAgainstDenseReference) {
   EXPECT_LE(undershoot, epsilon * degree_sum + 1e-8);
   // The fully dangling node is unreachable: no estimate at all.
   EXPECT_EQ(push.count(g.KgNode(2)), 0u);
+}
+
+// Estimates of a push that equal the oracle transcript's key for key and
+// raw bit for raw bit.
+void ExpectOracleBits(const std::unordered_map<int64_t, real_t>& got,
+                      const Ckg& g, int64_t source, real_t alpha,
+                      real_t epsilon) {
+  const testing::OraclePprResult oracle =
+      testing::OraclePprPush(g, source, alpha, epsilon);
+  ASSERT_EQ(got.size(), oracle.estimate.size()) << "source " << source;
+  for (const auto& [node, value] : oracle.estimate) {
+    const auto it = got.find(node);
+    ASSERT_NE(it, got.end()) << "source " << source << " node " << node;
+    EXPECT_EQ(testing::UlpDistance(it->second, value), 0u)
+        << "source " << source << " node " << node;
+  }
+}
+
+TEST(PprScratchTest, ReusedAcrossGraphSizesOnOneThread) {
+  // The push's dense scratch is per thread and outlives each push: after a
+  // larger graph it serves a smaller one, then the larger one again. Any
+  // value or flag a reset misses, or an array sized for the wrong graph,
+  // shows up as an estimate that differs from the oracle.
+  const Ckg large = SimpleRandomCkg(11, 9, 30, 14);
+  const Ckg small = SimpleRandomCkg(12, 2, 4, 2);
+  ASSERT_GT(large.num_nodes(), small.num_nodes());
+  for (const Ckg* g : {&large, &small, &large}) {
+    for (int64_t u = 0; u < g->num_users(); ++u) {
+      const int64_t source = g->UserNode(u);
+      ExpectOracleBits(PprForwardPush(*g, source, 0.15, 1e-7), *g, source,
+                       0.15, 1e-7);
+    }
+  }
+}
+
+TEST(PprScratchTest, PooledTableTwiceInARowMatchesOracle) {
+  const Ckg g = SimpleRandomCkg(13, 12, 20, 8);
+  PprTableOptions opts;
+  opts.epsilon = 1e-7;
+  ThreadPool pool(4);
+  for (int round = 0; round < 2; ++round) {
+    const PprTable table = PprTable::Compute(g, opts, &pool);
+    for (int64_t u = 0; u < g.num_users(); ++u) {
+      ExpectOracleBits(table.Vector(u), g, g.UserNode(u), opts.alpha,
+                       opts.epsilon);
+    }
+  }
+}
+
+TEST(PprDeathTest, NonFiniteEstimateAbortsUnderFiniteChecks) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ScopedFiniteChecks finite_checks;
+  const Ckg g = SimpleRandomCkg(14);
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  // A fresh push: the NaN reaches the source's estimate.
+  EXPECT_DEATH(PprForwardPush(g, g.UserNode(0), nan, 1e-6),
+               "ppr.estimate: non-finite value");
+  // A loaded state: loaded nodes are checked though the push never pops.
+  auto push_on_loaded_nan = [&] {
+    FlatPprVector estimate = {{g.UserNode(0), nan}};
+    FlatPprVector residual = {{g.UserNode(0), 0.0}};
+    PushScratch& scratch = PushScratch::ForThisThread();
+    scratch.Begin(g.num_nodes());
+    scratch.Load(&estimate, &residual);
+    PushToConvergence(g, 0.15, 1e-6, {}, &scratch);
+  };
+  EXPECT_DEATH(push_on_loaded_nan(), "ppr.estimate: non-finite value");
 }
 
 TEST(PprOracleTest, MassConservationUnderFuzz) {

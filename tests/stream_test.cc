@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -69,6 +71,25 @@ Status ApplyUpdate(StreamingCkg& ckg, const GraphUpdate& update) {
   return ckg.AppendKgTriplet(update.a, update.b, update.c);
 }
 
+bool HasEntry(const FlatPprVector& vec, int64_t node) {
+  return std::binary_search(
+      vec.begin(), vec.end(), PprEntry{node, 0.0},
+      [](const PprEntry& a, const PprEntry& b) { return a.node < b.node; });
+}
+
+// Same nodes and the same raw value bits, entry for entry.
+bool SameBytes(const FlatPprVector& a, const FlatPprVector& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].node != b[i].node ||
+        std::bit_cast<uint64_t>(a[i].value) !=
+            std::bit_cast<uint64_t>(b[i].value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Per-node agreement between the incremental estimate and the recompute
 // oracle, within the residual-mass bound, plus mass conservation of the
 // incremental state.
@@ -92,7 +113,7 @@ void ExpectMatchesRecomputeOracle(const StreamingCkg& ckg) {
           << "user " << u << " node " << node;
     }
     for (const auto& [node, reference] : fresh.estimate) {
-      if (incremental.count(node)) continue;  // compared above
+      if (HasEntry(incremental, node)) continue;  // compared above
       EXPECT_NEAR(0.0, reference, bound) << "user " << u << " node " << node;
     }
 
@@ -411,7 +432,94 @@ TEST(DynamicPprTest, ComputeMatchesStaticTableBitwise) {
   ASSERT_EQ(dynamic.num_users(), reference.num_users());
   for (int64_t u = 0; u < dynamic.num_users(); ++u) {
     // Same push discipline, same CSR iteration order: bitwise equality.
-    EXPECT_EQ(dynamic.Estimate(u), reference.Vector(u)) << "user " << u;
+    const FlatPprVector& flat = dynamic.Estimate(u);
+    const auto& map = reference.Vector(u);
+    ASSERT_EQ(flat.size(), map.size()) << "user " << u;
+    for (const auto& [node, value] : flat) {
+      const auto it = map.find(node);
+      ASSERT_NE(it, map.end()) << "user " << u << " node " << node;
+      EXPECT_EQ(std::bit_cast<uint64_t>(value),
+                std::bit_cast<uint64_t>(it->second))
+          << "user " << u << " node " << node;
+    }
+  }
+}
+
+TEST(DynamicPprTest, EntriesStayInStrictlyAscendingNodeOrder) {
+  InMemoryFileSystem fs;
+  std::unique_ptr<StreamingCkg> ckg;
+  ASSERT_TRUE(StreamingCkg::Open(TinyDataset(), &fs, "wal", SmallSegments(),
+                                 nullptr, &ckg)
+                  .ok());
+  for (const GraphUpdate& update : UpdateScript()) {
+    ASSERT_TRUE(ApplyUpdate(*ckg, update).ok());
+  }
+  const DynamicPprTable& ppr = ckg->ppr();
+  for (int64_t u = 0; u < ppr.num_users(); ++u) {
+    for (const FlatPprVector* vec : {&ppr.Estimate(u), &ppr.Residual(u)}) {
+      for (size_t i = 1; i < vec->size(); ++i) {
+        EXPECT_LT((*vec)[i - 1].node, (*vec)[i].node)
+            << "user " << u << " entry " << i;
+      }
+    }
+  }
+}
+
+// Only a popped node gains an estimate entry, and every popped node holds a
+// residual entry, so each estimate key is also a residual key.
+TEST(DynamicPprTest, EstimateKeysAreResidualKeys) {
+  InMemoryFileSystem fs;
+  std::unique_ptr<StreamingCkg> ckg;
+  ASSERT_TRUE(StreamingCkg::Open(TinyDataset(), &fs, "wal", SmallSegments(),
+                                 nullptr, &ckg)
+                  .ok());
+  for (const GraphUpdate& update : UpdateScript()) {
+    ASSERT_TRUE(ApplyUpdate(*ckg, update).ok());
+    const DynamicPprTable& ppr = ckg->ppr();
+    for (int64_t u = 0; u < ppr.num_users(); ++u) {
+      for (const auto& [node, value] : ppr.Estimate(u)) {
+        EXPECT_TRUE(HasEntry(ppr.Residual(u), node))
+            << "user " << u << " node " << node;
+      }
+    }
+  }
+}
+
+// Two components: an edge inserted in one moves no mass of the other's
+// users, so their repair answers from the stored arrays and leaves them
+// byte-identical, and the update does not touch them.
+TEST(DynamicPprTest, UsersOutsideTheUpdatedComponentAreSkipped) {
+  Dataset d;
+  d.name = "stream-two-components";
+  d.num_users = 4;
+  d.num_items = 4;
+  d.num_kg_nodes = 6;
+  d.num_kg_relations = 1;
+  d.train = {{0, 0}, {0, 1}, {1, 1}, {2, 2}, {2, 3}, {3, 3}};
+  d.kg = {{0, 0, 4}, {2, 0, 5}};
+  InMemoryFileSystem fs;
+  std::unique_ptr<StreamingCkg> ckg;
+  ASSERT_TRUE(
+      StreamingCkg::Open(d, &fs, "wal", SmallSegments(), nullptr, &ckg).ok());
+  const std::vector<int64_t> other = {2, 3};
+  std::vector<FlatPprVector> estimates, residuals;
+  for (const int64_t u : other) {
+    estimates.push_back(ckg->ppr().Estimate(u));
+    residuals.push_back(ckg->ppr().Residual(u));
+  }
+  std::vector<std::vector<int64_t>> invalidations;
+  ckg->set_invalidation_hook(
+      [&](const std::vector<int64_t>& users) { invalidations.push_back(users); });
+
+  ASSERT_TRUE(ckg->AppendInteraction(1, 0).ok());  // inside users 0-1's part
+  ASSERT_EQ(invalidations.size(), 1u);
+  EXPECT_EQ(invalidations[0], (std::vector<int64_t>{0, 1}));
+  EXPECT_GT(ckg->ppr().last_repair_stats().corrections, 0);
+  for (size_t k = 0; k < other.size(); ++k) {
+    EXPECT_TRUE(SameBytes(ckg->ppr().Estimate(other[k]), estimates[k]))
+        << "user " << other[k];
+    EXPECT_TRUE(SameBytes(ckg->ppr().Residual(other[k]), residuals[k]))
+        << "user " << other[k];
   }
 }
 
