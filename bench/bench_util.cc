@@ -1,13 +1,19 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
+#include "tensor/simd.h"
+#include "util/clock.h"
+#include "util/fs.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-#include "util/clock.h"
 
 namespace kucnet::bench {
 
@@ -244,23 +250,89 @@ const std::string& CpuModelName() {
   return name;
 }
 
-void WriteKernelBenchJson(const std::string& path,
-                          const std::vector<KernelBenchResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  KUC_CHECK(f != nullptr) << "cannot open " << path << " for writing";
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const KernelBenchResult& r = results[i];
-    std::fprintf(f,
-                 "  {\"kernel\": \"%s\", \"size\": \"%s\", \"threads\": %d, "
-                 "\"ns_per_op\": %.1f, \"speedup\": %.3f, \"gflops\": %.2f, "
-                 "\"bytes_per_s\": %.3e, \"simd\": \"%s\", \"cpu\": \"%s\"}%s\n",
-                 r.kernel.c_str(), r.size.c_str(), r.threads, r.ns_per_op,
-                 r.speedup, r.gflops, r.bytes_per_s, r.simd.c_str(),
-                 r.cpu.c_str(), i + 1 < results.size() ? "," : "");
+namespace {
+
+std::string Quoted(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
   }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
+  return out + "\"";
+}
+
+std::string GitSha() {
+  std::FILE* pipe =
+      popen("git -C '" KUCNET_BENCH_SOURCE_DIR "' rev-parse HEAD 2>/dev/null",
+            "r");
+  if (pipe == nullptr) return "none";
+  char line[128] = {};
+  const bool read = std::fgets(line, sizeof(line), pipe) != nullptr;
+  const int status = pclose(pipe);
+  std::string sha = read ? line : "";
+  while (!sha.empty() && std::isspace(static_cast<unsigned char>(sha.back()))) {
+    sha.pop_back();
+  }
+  return status == 0 && !sha.empty() ? sha : "none";
+}
+
+}  // namespace
+
+JsonObject& JsonObject::Raw(const std::string& key, const std::string& json) {
+  if (!members_.empty()) members_ += ", ";
+  members_ += Quoted(key) + ": " + json;
+  return *this;
+}
+
+JsonObject& JsonObject::Str(const std::string& key, const std::string& value) {
+  return Raw(key, Quoted(value));
+}
+
+JsonObject& JsonObject::Int(const std::string& key, int64_t value) {
+  return Raw(key, std::to_string(value));
+}
+
+JsonObject& JsonObject::Num(const std::string& key, double value) {
+  if (!std::isfinite(value)) return Raw(key, "null");
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.6g", value);
+  return Raw(key, text);
+}
+
+JsonObject& JsonObject::Bool(const std::string& key, bool value) {
+  return Raw(key, value ? "true" : "false");
+}
+
+JsonObject& JsonObject::Obj(const std::string& key, const JsonObject& value) {
+  return Raw(key, value.Text());
+}
+
+void WriteBenchJson(const std::string& path,
+                    const std::vector<JsonObject>& rows) {
+  JsonObject meta;
+  meta.Str("git_sha", GitSha())
+      .Str("build_type", KUCNET_BENCH_BUILD_TYPE)
+      .Str("compiler", KUCNET_BENCH_COMPILER)
+      .Int("nproc", std::thread::hardware_concurrency())
+      .Int("global_pool_threads", GlobalPool().num_threads())
+      .Str("simd", SimdLevelName(ActiveSimdLevel()))
+      .Str("cpu", CpuModelName());
+  std::string text = "{\n  \"meta\": " + meta.Text() + ",\n  \"rows\": [";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    text += (i == 0 ? "\n    " : ",\n    ") + rows[i].Text();
+  }
+  text += "\n  ]\n}\n";
+  const Status status = AtomicWriteFile(DefaultFileSystem(), path, text);
+  KUC_CHECK(status.ok()) << "cannot write " << path << ": "
+                         << status.message();
+}
+
+int64_t Percentile(std::vector<int64_t> samples, double q) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const auto idx =
+      static_cast<size_t>(q * static_cast<double>(samples.size() - 1) + 0.5);
+  return samples[std::min(idx, samples.size() - 1)];
 }
 
 }  // namespace kucnet::bench

@@ -92,29 +92,40 @@ std::string Fmt(double value, int precision = 4);
 /// re-running a single row of a table).
 bool ModelEnabled(const std::string& name);
 
-// ---- Kernel benchmark output -----------------------------------------------
+// ---- Machine-readable output (BENCH_*.json) ---------------------------------
 
-/// One measured configuration of one kernel (micro_kernels --threads_compare).
-struct KernelBenchResult {
-  std::string kernel;    ///< e.g. "matmul"
-  std::string size;      ///< human-readable problem size, e.g. "512x512x512"
-  int threads = 1;       ///< pool size the measurement ran under
-  double ns_per_op = 0;  ///< best-of-reps wall time per operation
-  double speedup = 1.0;  ///< serial ns_per_op / this ns_per_op
-  double gflops = 0;     ///< achieved arithmetic rate; 0 when not meaningful
-  double bytes_per_s = 0;  ///< achieved memory traffic rate; 0 when n/a
-  std::string simd;      ///< SIMD level the kernel dispatched to, e.g. "avx2"
-  std::string cpu;       ///< CPU model string the measurement ran on
+/// One JSON object under construction; members keep insertion order.
+class JsonObject {
+ public:
+  JsonObject& Str(const std::string& key, const std::string& value);
+  JsonObject& Int(const std::string& key, int64_t value);
+  /// Six significant digits; a non-finite value is written as null.
+  JsonObject& Num(const std::string& key, double value);
+  JsonObject& Bool(const std::string& key, bool value);
+  JsonObject& Obj(const std::string& key, const JsonObject& value);
+
+  /// The object as one line of JSON text.
+  std::string Text() const { return "{" + members_ + "}"; }
+
+ private:
+  JsonObject& Raw(const std::string& key, const std::string& json);
+  std::string members_;
 };
+
+/// Writes `{"meta": {...}, "rows": [...]}` to `path` through
+/// AtomicWriteFile, so a killed run leaves the previous file whole. The
+/// meta object records git_sha (`git rev-parse HEAD` in the source tree,
+/// read now; "none" outside a checkout), build_type, compiler, nproc,
+/// global_pool_threads, simd and cpu. Aborts when the write fails.
+void WriteBenchJson(const std::string& path,
+                    const std::vector<JsonObject>& rows);
+
+/// Quantile `q` in [0, 1] of raw samples: the sample at sorted index
+/// round(q * (n - 1)), so it is always a measured value (0 when empty).
+int64_t Percentile(std::vector<int64_t> samples, double q);
 
 /// The "model name" line of /proc/cpuinfo (or "unknown"), cached.
 const std::string& CpuModelName();
-
-/// Writes `results` to `path` as a machine-readable JSON array (one object
-/// per entry with keys kernel/size/threads/ns_per_op/speedup/gflops/
-/// bytes_per_s/simd/cpu).
-void WriteKernelBenchJson(const std::string& path,
-                          const std::vector<KernelBenchResult>& results);
 
 }  // namespace kucnet::bench
 

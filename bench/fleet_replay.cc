@@ -11,8 +11,8 @@
 //
 //   fleet_replay [OUTPUT.json] [REQUESTS_PER_SCENARIO]
 //
-// Writes a machine-readable JSON array (default BENCH_fleet.json), one
-// object per scenario.
+// Writes BENCH_fleet.json (or OUTPUT.json) through bench::WriteBenchJson:
+// one row per scenario, latency percentiles taken from raw samples.
 
 #include <algorithm>
 #include <atomic>
@@ -26,7 +26,6 @@
 
 #include "bench/bench_util.h"
 #include "core/kucnet.h"
-#include "obs/metrics.h"
 #include "serve/fleet/shard_fault.h"
 #include "serve/fleet/shard_router.h"
 #include "serve/rec_server.h"
@@ -85,13 +84,12 @@ int64_t MeasureServiceMicros(const Kucnet& model, const bench::Workload& w) {
   opts.num_workers = 0;
   opts.default_deadline_micros = 60'000'000;
   RecServer server(&model, &w.dataset, &w.ckg, &w.ppr, opts);
-  obs::Histogram& latency =
-      obs::DefaultRegistry().GetHistogram("bench.fleet.calibrate");
+  std::vector<int64_t> micros;
   for (int64_t user = 0; user < 12; ++user) {
     const RecResponse r = server.ServeSync({user % w.dataset.num_users});
-    if (user >= 2) latency.Record(r.total_micros);  // skip cold-start
+    if (user >= 2) micros.push_back(r.total_micros);  // skip cold-start
   }
-  return std::max<int64_t>(1, latency.Snapshot().PercentileUpperBound(0.5));
+  return std::max<int64_t>(1, bench::Percentile(micros, 0.5));
 }
 
 ScenarioResult RunScenario(const Scenario& scenario,
@@ -123,8 +121,8 @@ ScenarioResult RunScenario(const Scenario& scenario,
   options.server.cache.capacity = w.dataset.num_users;
   ShardRouter router(std::move(models), &w.dataset, &w.ckg, &w.ppr, options);
 
-  obs::Histogram& latency =
-      obs::DefaultRegistry().GetHistogram("bench.fleet." + scenario.name);
+  // One latency sample list per client, merged after the join.
+  std::vector<std::vector<int64_t>> micros(scenario.clients);
   std::atomic<int64_t> issued{0};
   std::atomic<int64_t> unanswered{0};
 
@@ -155,7 +153,7 @@ ScenarioResult RunScenario(const Scenario& scenario,
         unanswered.fetch_add(1);
         continue;
       }
-      latency.Record(r.total_micros);
+      micros[id].push_back(r.total_micros);
     }
   };
   std::vector<std::thread> clients;
@@ -178,9 +176,12 @@ ScenarioResult RunScenario(const Scenario& scenario,
   KUC_CHECK(result.stats.answered + result.stats.quota_shed ==
             result.stats.submitted)
       << scenario.name << ": answered + shed != submitted";
-  const obs::HistogramData snapshot = latency.Snapshot();
-  result.p50_us = snapshot.PercentileUpperBound(0.5);
-  result.p99_us = snapshot.PercentileUpperBound(0.99);
+  std::vector<int64_t> all;
+  for (const std::vector<int64_t>& client_micros : micros) {
+    all.insert(all.end(), client_micros.begin(), client_micros.end());
+  }
+  result.p50_us = bench::Percentile(all, 0.5);
+  result.p99_us = bench::Percentile(all, 0.99);
   const int64_t cached =
       result.stats.tier_count[static_cast<int>(ServeTier::kCached)];
   result.cached_share =
@@ -193,52 +194,35 @@ ScenarioResult RunScenario(const Scenario& scenario,
   return result;
 }
 
-void WriteJson(const std::string& path,
-               const std::vector<ScenarioResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  KUC_CHECK(f != nullptr) << "cannot open " << path;
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& r = results[i];
-    const FleetStats& s = r.stats;
-    std::fprintf(f,
-                 "  {\"scenario\": \"%s\", \"offered_load\": %.2f, "
-                 "\"requests\": %lld, \"answered\": %lld, "
-                 "\"p50_us\": %lld, \"p99_us\": %lld, \"tier_mix\": {",
-                 r.name.c_str(), r.offered_load,
-                 static_cast<long long>(r.requests),
-                 static_cast<long long>(s.answered),
-                 static_cast<long long>(r.p50_us),
-                 static_cast<long long>(r.p99_us));
-    for (int t = 0; t < kNumServeTiers; ++t) {
-      std::fprintf(f, "%s\"%s\": %lld", t == 0 ? "" : ", ",
-                   ServeTierName(static_cast<ServeTier>(t)),
-                   static_cast<long long>(s.tier_count[t]));
-    }
-    std::fprintf(f, "}, \"path_mix\": {");
-    for (int p = 0; p < kNumFleetPaths; ++p) {
-      std::fprintf(f, "%s\"%s\": %lld", p == 0 ? "" : ", ",
-                   FleetPathName(static_cast<FleetPath>(p)),
-                   static_cast<long long>(s.path_count[p]));
-    }
-    std::fprintf(f,
-                 "}, \"retries\": %lld, \"hedges\": %lld, "
-                 "\"hedges_won\": %lld, \"hedges_lost\": %lld, "
-                 "\"quota_shed\": %lld, \"fallback_answers\": %lld, "
-                 "\"cached_share\": %.4f, \"breaker_transitions\": %lld, "
-                 "\"swaps\": %lld}%s\n",
-                 static_cast<long long>(s.retries),
-                 static_cast<long long>(s.hedges),
-                 static_cast<long long>(s.hedges_won),
-                 static_cast<long long>(s.hedges_lost),
-                 static_cast<long long>(s.quota_shed),
-                 static_cast<long long>(s.fallback_answers),
-                 r.cached_share, static_cast<long long>(s.breaker_transitions),
-                 static_cast<long long>(s.swaps),
-                 i + 1 < results.size() ? "," : "");
+bench::JsonObject ScenarioRow(const ScenarioResult& r) {
+  const FleetStats& s = r.stats;
+  bench::JsonObject tiers;
+  for (int t = 0; t < kNumServeTiers; ++t) {
+    tiers.Int(ServeTierName(static_cast<ServeTier>(t)), s.tier_count[t]);
   }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
+  bench::JsonObject paths;
+  for (int p = 0; p < kNumFleetPaths; ++p) {
+    paths.Int(FleetPathName(static_cast<FleetPath>(p)), s.path_count[p]);
+  }
+  bench::JsonObject row;
+  row.Str("scenario", r.name)
+      .Num("offered_load", r.offered_load)
+      .Int("requests", r.requests)
+      .Int("answered", s.answered)
+      .Int("p50_us", r.p50_us)
+      .Int("p99_us", r.p99_us)
+      .Obj("tier_mix", tiers)
+      .Obj("path_mix", paths)
+      .Int("retries", s.retries)
+      .Int("hedges", s.hedges)
+      .Int("hedges_won", s.hedges_won)
+      .Int("hedges_lost", s.hedges_lost)
+      .Int("quota_shed", s.quota_shed)
+      .Int("fallback_answers", s.fallback_answers)
+      .Num("cached_share", r.cached_share)
+      .Int("breaker_transitions", s.breaker_transitions)
+      .Int("swaps", s.swaps);
+  return row;
 }
 
 int Main(int argc, char** argv) {
@@ -284,7 +268,7 @@ int Main(int argc, char** argv) {
   scenarios.push_back(
       {.name = "rolling_swap", .swap_checkpoint = swap_ckpt});
 
-  std::vector<ScenarioResult> results;
+  std::vector<bench::JsonObject> rows;
   for (const Scenario& scenario : scenarios) {
     std::vector<Kucnet*> models;
     for (auto& m : owned) models.push_back(m.get());
@@ -306,12 +290,11 @@ int Main(int argc, char** argv) {
         static_cast<long long>(s.fallback_answers), 100.0 * r.cached_share,
         static_cast<long long>(s.breaker_transitions),
         static_cast<long long>(s.swaps));
-    results.push_back(r);
+    rows.push_back(ScenarioRow(r));
   }
-  WriteJson(json_path, results);
+  bench::WriteBenchJson(json_path, rows);
   std::remove(swap_ckpt.c_str());
-  std::printf("wrote %zu scenarios to %s\n", results.size(),
-              json_path.c_str());
+  std::printf("wrote %zu scenarios to %s\n", rows.size(), json_path.c_str());
   return 0;
 }
 

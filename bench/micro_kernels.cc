@@ -1,14 +1,17 @@
 // google-benchmark microbenchmarks for the kernels everything else is built
-// on: dense matmul, the GNN gather/segment-sum pair, sparse-dense products,
-// PPR, BFS/subgraph extraction, and a full KUCNet forward pass.
+// on: dense matmul, the GNN gather/segment-sum pair, PPR, BFS/subgraph
+// extraction, and a full KUCNet forward pass; plus the cost of the
+// observability layer: a counter add and a span enter/exit per call, and a
+// full ServeSync, each with obs::SetEnabled off (/0) and on (/1).
 //
 // Invoked with --threads_compare [out.json [threads]], the binary instead
 // times each threaded kernel serially (1-worker pool) and with a multi-worker
-// pool, verifies the two produce bitwise-identical results, and writes a
-// machine-readable BENCH_kernels.json baseline (kernel, size, threads,
-// ns_per_op, speedup, gflops, bytes_per_s, simd, cpu). Matmul rows cover the
-// square acceptance shape, an odd non-tile-multiple shape, the forced-scalar
-// micro-kernel, and the re-associated fast mode.
+// pool, verifies the two produce bitwise-identical results, and writes
+// BENCH_kernels.json through bench::WriteBenchJson, one row per kernel and
+// pool size (kernel, size, threads, ns_per_op, speedup, gflops, bytes_per_s,
+// simd, cpu). Matmul rows cover the square acceptance shape, an odd
+// non-tile-multiple shape, the forced-scalar micro-kernel, and the
+// re-associated fast mode.
 
 #include <benchmark/benchmark.h>
 
@@ -22,14 +25,17 @@
 #include "data/synthetic.h"
 #include "graph/compgraph.h"
 #include "graph/subgraph.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "ppr/ppr.h"
+#include "serve/rec_server.h"
 #include "tensor/adam.h"
 #include "tensor/matrix.h"
 #include "tensor/simd.h"
 #include "tensor/tape.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/clock.h"
+#include "util/thread_pool.h"
 
 namespace kucnet {
 namespace {
@@ -74,9 +80,11 @@ struct GraphFixture {
           return TraditionalSplit(
               GenerateSynthetic(SynthLastFmConfig()).raw, 0.2, rng);
         }()),
-        ckg(dataset.BuildCkg()) {}
+        ckg(dataset.BuildCkg()),
+        ppr(PprTable::Compute(ckg)) {}
   Dataset dataset;
   Ckg ckg;
+  PprTable ppr;
 };
 
 GraphFixture& SharedGraph() {
@@ -108,7 +116,6 @@ BENCHMARK(BM_BfsDistances);
 
 void BM_BuildUserCompGraph(benchmark::State& state) {
   const GraphFixture& f = SharedGraph();
-  static PprTable* ppr = new PprTable(PprTable::Compute(f.ckg));
   CompGraphOptions opts;
   opts.depth = 3;
   opts.max_edges_per_node = state.range(0);
@@ -117,7 +124,7 @@ void BM_BuildUserCompGraph(benchmark::State& state) {
   int64_t user = 0;
   for (auto _ : state) {
     const int64_t u = user % f.ckg.num_users();
-    const NodeScoreFn score = ppr->ScoreFn(u);
+    const NodeScoreFn score = f.ppr.ScoreFn(u);
     benchmark::DoNotOptimize(
         builder.Build(f.ckg.UserNode(u),
                       opts.prune == PruneMode::kPpr ? &score : nullptr));
@@ -128,7 +135,6 @@ BENCHMARK(BM_BuildUserCompGraph)->Arg(0)->Arg(30);
 
 void BM_KucnetForward(benchmark::State& state) {
   const GraphFixture& f = SharedGraph();
-  static PprTable* ppr = new PprTable(PprTable::Compute(f.ckg));
   KucnetOptions opts;
   opts.sample_k = state.range(0);
   static Kucnet* model = nullptr;
@@ -136,7 +142,7 @@ void BM_KucnetForward(benchmark::State& state) {
   static int64_t current_k = -1;
   if (current_k != opts.sample_k) {
     delete model;
-    model = new Kucnet(&f.dataset, &f.ckg, ppr, opts);
+    model = new Kucnet(&f.dataset, &f.ckg, &f.ppr, opts);
     current_k = opts.sample_k;
   }
   int64_t user = 0;
@@ -146,6 +152,49 @@ void BM_KucnetForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KucnetForward)->Arg(10)->Arg(30);
+
+// ---- Observability cost: Arg(0) = obs off, Arg(1) = on ----------------------
+
+void BM_ObsCounterAdd(benchmark::State& state) {
+  obs::SetEnabled(state.range(0) != 0);
+  for (auto _ : state) {
+    KUC_OBS_COUNT("bench.obs.counter_probe", 1);
+  }
+  obs::SetEnabled(false);
+}
+BENCHMARK(BM_ObsCounterAdd)->Arg(0)->Arg(1);
+
+void BM_ObsSpan(benchmark::State& state) {
+  obs::SetEnabled(state.range(0) != 0);
+  for (auto _ : state) {
+    KUC_TRACE_SPAN("bench.obs.span_probe");
+  }
+  obs::SetEnabled(false);
+}
+BENCHMARK(BM_ObsSpan)->Arg(0)->Arg(1);
+
+/// End-to-end inline serving (the full tier chain, K=30, depth 3, untrained
+/// weights) over synth-lastfm users, so the obs-on row less the obs-off row
+/// is what the instrumentation costs a request.
+void BM_ServeSync(benchmark::State& state) {
+  const GraphFixture& f = SharedGraph();
+  KucnetOptions model_opts;
+  model_opts.sample_k = 30;
+  model_opts.depth = 3;
+  static Kucnet* model = new Kucnet(&f.dataset, &f.ckg, &f.ppr, model_opts);
+  RecServerOptions opts;
+  opts.num_workers = 0;
+  opts.default_deadline_micros = 60'000'000;
+  RecServer server(model, &f.dataset, &f.ckg, &f.ppr, opts);
+  obs::SetEnabled(state.range(0) != 0);
+  int64_t user = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(server.ServeSync({user % f.ckg.num_users()}));
+    user += 7;
+  }
+  obs::SetEnabled(false);
+}
+BENCHMARK(BM_ServeSync)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // ---- Serial-vs-threaded comparison mode (--threads_compare) -----------------
 
@@ -176,7 +225,7 @@ struct OpWork {
 template <typename Fn>
 void CompareKernel(const std::string& kernel, const std::string& size,
                    int threads, int reps, OpWork work, const Fn& fn,
-                   std::vector<bench::KernelBenchResult>* out) {
+                   std::vector<bench::JsonObject>* out) {
   SetGlobalPoolThreads(1);
   const Matrix serial_result = fn();
   const double serial_ns = BestNs(reps, fn);
@@ -188,9 +237,17 @@ void CompareKernel(const std::string& kernel, const std::string& size,
   const std::string simd = SimdLevelName(ActiveSimdLevel());
   const std::string& cpu = bench::CpuModelName();
   auto row = [&](int t, double ns, double speedup) {
-    out->push_back({kernel, size, t, ns, speedup,
-                    ns > 0 ? work.flops / ns : 0.0,
-                    ns > 0 ? work.bytes / (ns * 1e-9) : 0.0, simd, cpu});
+    bench::JsonObject r;
+    r.Str("kernel", kernel)
+        .Str("size", size)
+        .Int("threads", t)
+        .Num("ns_per_op", ns)
+        .Num("speedup", speedup)
+        .Num("gflops", ns > 0 ? work.flops / ns : 0.0)
+        .Num("bytes_per_s", ns > 0 ? work.bytes / (ns * 1e-9) : 0.0)
+        .Str("simd", simd)
+        .Str("cpu", cpu);
+    out->push_back(r);
   };
   row(1, serial_ns, 1.0);
   row(threads, threaded_ns, threaded_ns > 0 ? serial_ns / threaded_ns : 0.0);
@@ -209,7 +266,7 @@ int RunThreadsCompare(const std::string& json_path, int threads) {
   std::printf("kernel comparison: 1 vs %d pool workers "
               "(hardware_concurrency=%u)\n",
               threads, std::thread::hardware_concurrency());
-  std::vector<bench::KernelBenchResult> results;
+  std::vector<bench::JsonObject> results;
   Rng rng(7);
 
   {  // 512x512 dense matmul (acceptance kernel #1).
@@ -320,7 +377,7 @@ int RunThreadsCompare(const std::string& json_path, int threads) {
                   &results);
   }
 
-  bench::WriteKernelBenchJson(json_path, results);
+  bench::WriteBenchJson(json_path, results);
   std::printf("wrote %zu rows to %s\n", results.size(), json_path.c_str());
   return 0;
 }

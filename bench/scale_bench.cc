@@ -23,11 +23,16 @@
 //
 //   scale_bench [OUTPUT.json] [reduced]
 //
-// The optional `reduced` argument runs the 10^4-user CI configuration
-// instead (the `scale` ctest label uses the CLI smoke for that; this flag
-// exists for quick local iteration).
+// The optional `reduced` argument runs the 10^4-user configuration instead
+// (CI runs it on every change for the two hard checks). The container is
+// written next to the output, at OUTPUT.json.kucstor, and removed when the
+// run ends, on a failed check too. The output goes through
+// bench::WriteBenchJson: one row per phase.
+
+#include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -35,6 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "core/kucnet.h"
 #include "data/dataset.h"
 #include "ppr/ppr.h"
@@ -54,12 +60,15 @@ constexpr int64_t kServeRequests = 24;
 
 void CheckOk(const Status& st) { KUC_CHECK(st.ok()) << st.message(); }
 
-int64_t Percentile(std::vector<int64_t> values, double q) {
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  const auto idx =
-      static_cast<size_t>(q * static_cast<double>(values.size() - 1) + 0.5);
-  return values[std::min(idx, values.size() - 1)];
+/// The container's path, for RemoveContainerAndAbort.
+char g_container_path[4096];
+
+/// SIGABRT handler: a failed check aborts, and the container (234 MB at full
+/// scale) goes with the process rather than outliving it.
+void RemoveContainerAndAbort(int signal_number) {
+  unlink(g_container_path);
+  std::signal(signal_number, SIG_DFL);
+  std::raise(signal_number);
 }
 
 /// Peak resident set size in kilobytes, from /proc/self/status (0 when the
@@ -105,58 +114,54 @@ struct LatencyResult {
   int64_t extra = 0;  ///< ppr: mean entries; serve: full-tier responses
 };
 
-void WriteJson(const std::string& path, const WebScaleConfig& config,
-               const ContainerResult& container, const LatencyResult& ppr,
-               const LatencyResult& serve, int64_t peak_rss_kb) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  KUC_CHECK(f != nullptr) << "cannot open " << path;
-  std::fprintf(
-      f,
-      "[\n"
-      "  {\"phase\": \"container\", \"users\": %lld, \"items\": %lld, "
-      "\"entities\": %lld, \"kg_triplets\": %lld, \"nodes\": %lld, "
-      "\"edges\": %lld, \"generate_seconds\": %.2f, "
-      "\"container_bytes\": %lld, \"bytes_per_edge\": %.2f, "
-      "\"compact_bytes\": %lld, \"int64_baseline_bytes\": %lld, "
-      "\"pct_of_int64\": %.1f, \"load_mmap_ms\": %.2f, "
-      "\"load_full_ms\": %.2f, \"mmap_backed\": %s},\n",
-      static_cast<long long>(config.num_users),
-      static_cast<long long>(config.num_items),
-      static_cast<long long>(config.num_entities),
-      static_cast<long long>(config.num_kg_triplets),
-      static_cast<long long>(container.nodes),
-      static_cast<long long>(container.edges), container.generate_seconds,
-      static_cast<long long>(container.container_bytes),
-      container.bytes_per_edge, static_cast<long long>(container.compact_bytes),
-      static_cast<long long>(container.int64_bytes), container.pct_of_int64,
-      container.load_mmap_ms, container.load_full_ms,
-      container.mmap_backed ? "true" : "false");
-  std::fprintf(f,
-               "  {\"phase\": \"ppr\", \"users_sampled\": %lld, "
-               "\"push_p50_us\": %lld, \"push_p99_us\": %lld, "
-               "\"mean_entries\": %lld},\n",
-               static_cast<long long>(ppr.samples),
-               static_cast<long long>(ppr.p50_us),
-               static_cast<long long>(ppr.p99_us),
-               static_cast<long long>(ppr.extra));
-  std::fprintf(f,
-               "  {\"phase\": \"serve\", \"requests\": %lld, "
-               "\"serve_p50_us\": %lld, \"serve_p99_us\": %lld, "
-               "\"full_tier\": %lld},\n",
-               static_cast<long long>(serve.samples),
-               static_cast<long long>(serve.p50_us),
-               static_cast<long long>(serve.p99_us),
-               static_cast<long long>(serve.extra));
-  std::fprintf(f, "  {\"phase\": \"rss\", \"peak_rss_kb\": %lld}\n]\n",
-               static_cast<long long>(peak_rss_kb));
-  std::fclose(f);
+std::vector<bench::JsonObject> PhaseRows(const WebScaleConfig& config,
+                                         const ContainerResult& container,
+                                         const LatencyResult& ppr,
+                                         const LatencyResult& serve,
+                                         int64_t peak_rss_kb) {
+  std::vector<bench::JsonObject> rows(4);
+  rows[0]
+      .Str("phase", "container")
+      .Int("users", config.num_users)
+      .Int("items", config.num_items)
+      .Int("entities", config.num_entities)
+      .Int("kg_triplets", config.num_kg_triplets)
+      .Int("nodes", container.nodes)
+      .Int("edges", container.edges)
+      .Num("generate_seconds", container.generate_seconds)
+      .Int("container_bytes", container.container_bytes)
+      .Num("bytes_per_edge", container.bytes_per_edge)
+      .Int("compact_bytes", container.compact_bytes)
+      .Int("int64_baseline_bytes", container.int64_bytes)
+      .Num("pct_of_int64", container.pct_of_int64)
+      .Num("load_mmap_ms", container.load_mmap_ms)
+      .Num("load_full_ms", container.load_full_ms)
+      .Bool("mmap_backed", container.mmap_backed);
+  rows[1]
+      .Str("phase", "ppr")
+      .Int("users_sampled", ppr.samples)
+      .Int("push_p50_us", ppr.p50_us)
+      .Int("push_p99_us", ppr.p99_us)
+      .Int("mean_entries", ppr.extra);
+  rows[2]
+      .Str("phase", "serve")
+      .Int("requests", serve.samples)
+      .Int("serve_p50_us", serve.p50_us)
+      .Int("serve_p99_us", serve.p99_us)
+      .Int("full_tier", serve.extra);
+  rows[3].Str("phase", "rss").Int("peak_rss_kb", peak_rss_kb);
+  return rows;
 }
 
 int Run(const std::string& json_path, bool reduced) {
   const WebScaleConfig config =
       reduced ? WebScaleReducedConfig() : WebScaleFullConfig();
   FileSystem& fs = DefaultFileSystem();
-  const std::string container_path = "/tmp/kucnet_scale_bench.kucstor";
+  const std::string container_path = json_path + ".kucstor";
+  KUC_CHECK(container_path.size() < sizeof(g_container_path))
+      << "output path too long: " << json_path;
+  std::strcpy(g_container_path, container_path.c_str());
+  std::signal(SIGABRT, RemoveContainerAndAbort);
 
   std::printf("== web-scale data plane (%s: %lld users, %lld triplets) ==\n",
               config.name.c_str(), static_cast<long long>(config.num_users),
@@ -237,8 +242,8 @@ int Run(const std::string& json_path, bool reduced) {
       total_entries += static_cast<int64_t>(vectors[user].size());
     }
     ppr_lat.samples = ppr_users;
-    ppr_lat.p50_us = Percentile(micros, 0.5);
-    ppr_lat.p99_us = Percentile(micros, 0.99);
+    ppr_lat.p50_us = bench::Percentile(micros, 0.5);
+    ppr_lat.p99_us = bench::Percentile(micros, 0.99);
     ppr_lat.extra = total_entries / std::max<int64_t>(ppr_users, 1);
   }
   std::printf("ppr push: p50 %lldus p99 %lldus (%lld users, ~%lld entries)\n",
@@ -294,8 +299,8 @@ int Run(const std::string& json_path, bool reduced) {
       if (response.tier == ServeTier::kFull) ++full_tier;
     }
     serve_lat.samples = requests;
-    serve_lat.p50_us = Percentile(micros, 0.5);
-    serve_lat.p99_us = Percentile(micros, 0.99);
+    serve_lat.p50_us = bench::Percentile(micros, 0.5);
+    serve_lat.p99_us = bench::Percentile(micros, 0.99);
     serve_lat.extra = full_tier;
     // HARD CHECK: a million-user graph is no excuse for an empty response.
     KUC_CHECK_EQ(answered, requests)
@@ -312,9 +317,10 @@ int Run(const std::string& json_path, bool reduced) {
   std::printf("peak rss: %.1f MB\n",
               static_cast<double>(peak_rss_kb) / 1024.0);
 
-  WriteJson(json_path, config, container, ppr_lat, serve_lat, peak_rss_kb);
-  std::printf("wrote %s\n", json_path.c_str());
   (void)fs.Remove(container_path);
+  bench::WriteBenchJson(json_path, PhaseRows(config, container, ppr_lat,
+                                             serve_lat, peak_rss_kb));
+  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }
 

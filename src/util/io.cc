@@ -3,8 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "util/logging.h"
-
 namespace kucnet {
 
 Status TryReadIntTable(const std::string& path, int width,
@@ -43,14 +41,6 @@ Status TryReadIntTable(const std::string& path, int width,
   return Status::Ok();
 }
 
-std::vector<std::vector<int64_t>> ReadIntTable(const std::string& path,
-                                               int width) {
-  std::vector<std::vector<int64_t>> rows;
-  const Status st = TryReadIntTable(path, width, &rows);
-  KUC_CHECK(st.ok()) << st.message();
-  return rows;
-}
-
 Status TryWriteIntTable(const std::string& path,
                         const std::vector<std::vector<int64_t>>& rows,
                         FileSystem* fs) {
@@ -65,12 +55,6 @@ Status TryWriteIntTable(const std::string& path,
   return AtomicWriteFile(FsOrDefault(fs), path, out.str());
 }
 
-void WriteIntTable(const std::string& path,
-                   const std::vector<std::vector<int64_t>>& rows) {
-  const Status st = TryWriteIntTable(path, rows);
-  KUC_CHECK(st.ok()) << st.message();
-}
-
 Status TryReadPairs(const std::string& path,
                     std::vector<std::array<int64_t, 2>>* pairs,
                     std::vector<int64_t>* line_numbers, FileSystem* fs) {
@@ -80,13 +64,6 @@ Status TryReadPairs(const std::string& path,
   pairs->reserve(rows.size());
   for (const auto& row : rows) pairs->push_back({row[0], row[1]});
   return Status::Ok();
-}
-
-std::vector<std::array<int64_t, 2>> ReadPairs(const std::string& path) {
-  std::vector<std::array<int64_t, 2>> pairs;
-  const Status st = TryReadPairs(path, &pairs);
-  KUC_CHECK(st.ok()) << st.message();
-  return pairs;
 }
 
 Status TryReadTriplets(const std::string& path,
@@ -100,13 +77,6 @@ Status TryReadTriplets(const std::string& path,
   return Status::Ok();
 }
 
-std::vector<std::array<int64_t, 3>> ReadTriplets(const std::string& path) {
-  std::vector<std::array<int64_t, 3>> triplets;
-  const Status st = TryReadTriplets(path, &triplets);
-  KUC_CHECK(st.ok()) << st.message();
-  return triplets;
-}
-
 Status TryWritePairs(const std::string& path,
                      const std::vector<std::array<int64_t, 2>>& pairs,
                      FileSystem* fs) {
@@ -116,12 +86,6 @@ Status TryWritePairs(const std::string& path,
   return TryWriteIntTable(path, rows, fs);
 }
 
-void WritePairs(const std::string& path,
-                const std::vector<std::array<int64_t, 2>>& pairs) {
-  const Status st = TryWritePairs(path, pairs);
-  KUC_CHECK(st.ok()) << st.message();
-}
-
 Status TryWriteTriplets(const std::string& path,
                         const std::vector<std::array<int64_t, 3>>& triplets,
                         FileSystem* fs) {
@@ -129,12 +93,6 @@ Status TryWriteTriplets(const std::string& path,
   rows.reserve(triplets.size());
   for (const auto& t : triplets) rows.push_back({t[0], t[1], t[2]});
   return TryWriteIntTable(path, rows, fs);
-}
-
-void WriteTriplets(const std::string& path,
-                   const std::vector<std::array<int64_t, 3>>& triplets) {
-  const Status st = TryWriteTriplets(path, triplets);
-  KUC_CHECK(st.ok()) << st.message();
 }
 
 bool FileExists(const std::string& path) {

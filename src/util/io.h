@@ -14,12 +14,10 @@
 /// triplet files, matching the format used by the public KGAT/KGIN/KUCNet
 /// dataset releases: one `head relation tail` (or `user item`) row per line.
 ///
-/// Two API tiers: `Try*` functions return a `Status` whose message names the
-/// file, line number, and cause of the first malformed row — the tier the
-/// fault-tolerant loaders build on. The historical abort-on-error functions
-/// remain as wrappers for call sites that still treat their inputs as
-/// trusted. All writers go through `AtomicWriteFile`, so an interrupted save
-/// never destroys an existing file.
+/// Readers and writers return a `Status` whose message names the file, line
+/// number, and cause of the first malformed row — the tier the
+/// fault-tolerant loaders build on. All writers go through
+/// `AtomicWriteFile`, so an interrupted save never destroys an existing file.
 
 namespace kucnet {
 
@@ -33,47 +31,33 @@ Status TryReadIntTable(const std::string& path, int width,
                        std::vector<int64_t>* line_numbers = nullptr,
                        FileSystem* fs = nullptr);
 
-/// Aborting wrapper around TryReadIntTable.
-std::vector<std::vector<int64_t>> ReadIntTable(const std::string& path,
-                                               int width);
-
 /// Writes rows of integers, one line per row, space-separated. The write is
 /// atomic: on failure any existing file at `path` is left intact.
 Status TryWriteIntTable(const std::string& path,
                         const std::vector<std::vector<int64_t>>& rows,
                         FileSystem* fs = nullptr);
 
-/// Aborting wrapper around TryWriteIntTable.
-void WriteIntTable(const std::string& path,
-                   const std::vector<std::vector<int64_t>>& rows);
-
 /// Reads `user item` pairs.
 Status TryReadPairs(const std::string& path,
                     std::vector<std::array<int64_t, 2>>* pairs,
                     std::vector<int64_t>* line_numbers = nullptr,
                     FileSystem* fs = nullptr);
-std::vector<std::array<int64_t, 2>> ReadPairs(const std::string& path);
 
 /// Reads `head relation tail` triplets.
 Status TryReadTriplets(const std::string& path,
                        std::vector<std::array<int64_t, 3>>* triplets,
                        std::vector<int64_t>* line_numbers = nullptr,
                        FileSystem* fs = nullptr);
-std::vector<std::array<int64_t, 3>> ReadTriplets(const std::string& path);
 
 /// Writes `user item` pairs (atomically; see TryWriteIntTable).
 Status TryWritePairs(const std::string& path,
                      const std::vector<std::array<int64_t, 2>>& pairs,
                      FileSystem* fs = nullptr);
-void WritePairs(const std::string& path,
-                const std::vector<std::array<int64_t, 2>>& pairs);
 
 /// Writes `head relation tail` triplets (atomically).
 Status TryWriteTriplets(const std::string& path,
                         const std::vector<std::array<int64_t, 3>>& triplets,
                         FileSystem* fs = nullptr);
-void WriteTriplets(const std::string& path,
-                   const std::vector<std::array<int64_t, 3>>& triplets);
 
 /// True if the file exists and is readable.
 bool FileExists(const std::string& path);

@@ -697,14 +697,17 @@ TEST_F(ObsTest, ScoreCacheCountersReconcileWithMetrics) {
 
 TEST_F(ObsTest, ModelOutputsBitIdenticalWithObsOnAndOff) {
   ObsServeFixture f;
-  obs::SetEnabled(false);
-  const std::vector<double> off = f.model->Forward(0).item_scores;
-  obs::SetEnabled(true);
-  const std::vector<double> on = f.model->Forward(0).item_scores;
-  ASSERT_EQ(off.size(), on.size());
-  ASSERT_FALSE(off.empty());
-  EXPECT_EQ(std::memcmp(off.data(), on.data(), off.size() * sizeof(double)),
-            0);
+  for (int64_t user = 0; user < 4; ++user) {
+    SCOPED_TRACE("user " + std::to_string(user));
+    obs::SetEnabled(false);
+    const std::vector<double> off = f.model->Forward(user).item_scores;
+    obs::SetEnabled(true);
+    const std::vector<double> on = f.model->Forward(user).item_scores;
+    ASSERT_EQ(off.size(), on.size());
+    ASSERT_FALSE(off.empty());
+    EXPECT_EQ(std::memcmp(off.data(), on.data(), off.size() * sizeof(double)),
+              0);
+  }
 }
 
 }  // namespace

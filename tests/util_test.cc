@@ -182,11 +182,15 @@ TEST(IoTest, PairAndTripletRoundTrip) {
   const std::string trip_path = dir + "/triplets.txt";
   std::vector<std::array<int64_t, 2>> pairs = {{0, 5}, {1, 3}, {2, 2}};
   std::vector<std::array<int64_t, 3>> triplets = {{0, 1, 2}, {9, 8, 7}};
-  WritePairs(pair_path, pairs);
-  WriteTriplets(trip_path, triplets);
+  ASSERT_TRUE(TryWritePairs(pair_path, pairs).ok());
+  ASSERT_TRUE(TryWriteTriplets(trip_path, triplets).ok());
   EXPECT_TRUE(FileExists(pair_path));
-  EXPECT_EQ(ReadPairs(pair_path), pairs);
-  EXPECT_EQ(ReadTriplets(trip_path), triplets);
+  std::vector<std::array<int64_t, 2>> read_pairs;
+  std::vector<std::array<int64_t, 3>> read_triplets;
+  ASSERT_TRUE(TryReadPairs(pair_path, &read_pairs).ok());
+  ASSERT_TRUE(TryReadTriplets(trip_path, &read_triplets).ok());
+  EXPECT_EQ(read_pairs, pairs);
+  EXPECT_EQ(read_triplets, triplets);
 }
 
 TEST(IoTest, SkipsCommentsAndBlankLines) {
@@ -197,7 +201,8 @@ TEST(IoTest, SkipsCommentsAndBlankLines) {
     fputs("# header comment\n\n1 2\n\n# another\n3 4\n", f);
     fclose(f);
   }
-  auto pairs = ReadPairs(path);
+  std::vector<std::array<int64_t, 2>> pairs;
+  ASSERT_TRUE(TryReadPairs(path, &pairs).ok());
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_EQ(pairs[0][0], 1);
   EXPECT_EQ(pairs[1][1], 4);
