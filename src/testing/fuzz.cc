@@ -5,6 +5,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -510,9 +511,16 @@ struct KucnetFuzzContext {
     explicit Data(Dataset d)
         : dataset(std::move(d)),
           ckg(dataset.BuildCkg()),
-          ppr(PprTable::Compute(ckg)) {}
+          ppr(PprTable::Compute(ckg)) {
+      const Status built = CompactCkg::TryBuild(
+          dataset.num_users, dataset.num_items, dataset.num_kg_nodes,
+          dataset.num_kg_relations, dataset.train, dataset.kg,
+          dataset.user_kg, &compact);
+      KUC_CHECK(built.ok()) << built.message();
+    }
     Dataset dataset;
     Ckg ckg;
+    CompactCkg compact;  ///< the same graph in the u32/u16 layout
     PprTable ppr;
   };
 
@@ -588,10 +596,184 @@ std::string DescribeKucnetCase(int64_t which, const KucnetOptions& opts) {
   return config.str();
 }
 
+/// Empty when `got` equals `want` field for field (user node, every layer's
+/// src_index, rel, dst_index and nodes, and final_index); otherwise the
+/// first field that differs.
+std::string GraphDifference(const UserCompGraph& got,
+                            const UserCompGraph& want) {
+  std::ostringstream diff;
+  if (got.user_node != want.user_node) {
+    diff << "user_node " << got.user_node << " vs " << want.user_node;
+  } else if (got.layers.size() != want.layers.size()) {
+    diff << got.layers.size() << " layers vs " << want.layers.size();
+  } else {
+    for (size_t l = 0; l < got.layers.size() && diff.tellp() == 0; ++l) {
+      const CompLayer& g = got.layers[l];
+      const CompLayer& w = want.layers[l];
+      const char* field = g.src_index != w.src_index ? "src_index"
+                          : g.rel != w.rel           ? "rel"
+                          : g.dst_index != w.dst_index ? "dst_index"
+                          : g.nodes != w.nodes       ? "nodes"
+                                                     : nullptr;
+      if (field != nullptr) {
+        diff << "layer " << l << " " << field << " (" << g.num_edges()
+             << " edges/" << g.nodes.size() << " nodes vs " << w.num_edges()
+             << "/" << w.nodes.size() << ")";
+      }
+    }
+    if (diff.tellp() == 0 && got.final_index != want.final_index) {
+      diff << "final_index (" << got.final_index.size() << " entries vs "
+           << want.final_index.size() << ")";
+    }
+  }
+  return diff.str();
+}
+
+/// The builder options a Kucnet with `opts` builds its graphs under.
+CompGraphOptions BuilderOptionsOf(const KucnetOptions& opts) {
+  CompGraphOptions b;
+  b.depth = opts.depth;
+  b.max_edges_per_node = opts.sample_k;
+  b.prune = opts.prune;
+  b.self_loops = true;
+  return b;
+}
+
+/// The Rng seeds Kucnet::TryExtractGraph and Kucnet::LossGraph build user
+/// `user`'s graph with; kRandom pruning draws its edges from them.
+uint64_t ExtractSeed(const KucnetOptions& opts, int64_t user) {
+  return opts.seed ^ (0x9e37 + static_cast<uint64_t>(user));
+}
+uint64_t LossSeed(const KucnetOptions& opts, int64_t user) {
+  return opts.seed ^ (0x51ab + static_cast<uint64_t>(user));
+}
+
+/// OracleUserCompGraph of `user` under `options`, with the user's PPR scores
+/// when `options` prunes by PPR and a fresh Rng(`seed`).
+UserCompGraph OracleGraphOf(const KucnetFuzzContext::Data& data,
+                            const CompGraphOptions& options, int64_t user,
+                            uint64_t seed,
+                            const std::vector<ExcludedPair>& excluded = {}) {
+  Rng rng(seed);
+  const NodeScoreFn score = data.ppr.ScoreFn(user);
+  return OracleUserCompGraph(data.ckg, options, data.ckg.UserNode(user),
+                             options.prune == PruneMode::kPpr ? &score
+                                                              : nullptr,
+                             &rng, excluded);
+}
+
+/// The builder against OracleUserCompGraph on both layouts: every user's
+/// TryExtractGraph and LossGraph graph from a Kucnet over the Ckg and one
+/// over the CompactCkg, and a direct CompGraphBuilder::TryBuild (self-loops
+/// on or off) that hides random interact pairs, real and absent ones. In a
+/// quarter of the cases a build that a FaultInjector cancels at a random
+/// "subgraph" hit runs first on this thread: it must fail with an empty
+/// graph and leave nothing behind for the builds after it.
+void CheckGraphsAgainstOracle(const KucnetFuzzContext::Data& data,
+                              const KucnetOptions& opts, Rng& rng,
+                              const Kucnet& model,
+                              const std::function<std::ostream&()>& fail) {
+  const Kucnet compact_model(&data.dataset, &data.compact, &data.ppr, opts);
+  const std::array<const Kucnet*, 2> models = {&model, &compact_model};
+  const CompGraphOptions options = BuilderOptionsOf(opts);
+  const int64_t num_users = data.dataset.num_users;
+
+  if (rng.Bernoulli(0.25)) {
+    const int64_t user = rng.UniformInt(num_users);
+    const UserCompGraph full =
+        OracleGraphOf(data, options, user, ExtractSeed(opts, user));
+    // One "subgraph" checkpoint per expanded head node: the user, then the
+    // nodes of every layer but the last.
+    int64_t hits = 1;
+    for (size_t l = 0; l + 1 < full.layers.size(); ++l) {
+      hits += static_cast<int64_t>(full.layers[l].nodes.size());
+    }
+    FaultInjector injector;
+    injector.Arm("subgraph", 1 + rng.UniformInt(hits));
+    const Kucnet& target = *models[rng.UniformInt(2)];
+    KucnetForward cancelled;
+    const Status status = target.TryExtractGraph(
+        user, ExecContext(Deadline::Infinite(), &injector), &cancelled);
+    if (status.ok() || !cancelled.graph.layers.empty()) {
+      fail() << "cancelled TryExtractGraph user " << user
+             << (status.ok() ? " was not cancelled" : " kept its layers");
+      return;
+    }
+  }
+
+  for (size_t m = 0; m < models.size(); ++m) {
+    const char* layout = m == 0 ? "Ckg" : "CompactCkg";
+    for (int64_t user = 0; user < num_users; ++user) {
+      KucnetForward fwd;
+      const Status status =
+          models[m]->TryExtractGraph(user, ExecContext(), &fwd);
+      if (!status.ok()) {
+        fail() << layout << " TryExtractGraph user " << user << ": "
+               << status.message();
+        return;
+      }
+      std::string diff = GraphDifference(
+          fwd.graph, OracleGraphOf(data, options, user, ExtractSeed(opts, user)));
+      if (diff.empty()) {
+        diff = GraphDifference(
+            models[m]->LossGraph(user),
+            OracleGraphOf(data, options, user, LossSeed(opts, user)));
+        if (!diff.empty()) diff = "LossGraph: " + diff;
+      } else {
+        diff = "TryExtractGraph: " + diff;
+      }
+      if (!diff.empty()) {
+        fail() << layout << " user " << user << " " << diff;
+        return;
+      }
+    }
+  }
+
+  CompGraphOptions direct = options;
+  direct.self_loops = rng.Bernoulli(0.75);
+  const int64_t user = rng.UniformInt(num_users);
+  const std::vector<std::vector<int64_t>> items_of =
+      data.dataset.TrainItemsByUser();
+  std::vector<ExcludedPair> excluded;
+  for (int64_t k = rng.UniformInt(5); k > 0; --k) {
+    const bool real = !items_of[user].empty() && rng.Bernoulli(0.75);
+    const int64_t item =
+        real ? items_of[user][rng.UniformInt(
+                   static_cast<int64_t>(items_of[user].size()))]
+             : rng.UniformInt(data.dataset.num_items);
+    const int64_t owner = real || rng.Bernoulli(0.5)
+                              ? user
+                              : rng.UniformInt(num_users);
+    excluded.push_back({data.ckg.UserNode(owner), data.ckg.ItemNode(item)});
+  }
+  const uint64_t seed = rng.Next64();
+  const UserCompGraph want = OracleGraphOf(data, direct, user, seed, excluded);
+  const NodeScoreFn score = data.ppr.ScoreFn(user);
+  for (int m = 0; m < 2; ++m) {
+    const CompGraphBuilder builder =
+        m == 0 ? CompGraphBuilder(&data.ckg, direct)
+               : CompGraphBuilder(&data.compact, direct);
+    Rng build_rng(seed);
+    UserCompGraph got;
+    const Status status = builder.TryBuild(
+        data.ckg.UserNode(user),
+        direct.prune == PruneMode::kPpr ? &score : nullptr, &build_rng,
+        excluded, ExecContext(), &got);
+    const std::string diff =
+        status.ok() ? GraphDifference(got, want) : status.message();
+    if (!diff.empty()) {
+      fail() << (m == 0 ? "Ckg" : "CompactCkg") << " TryBuild user " << user
+             << " with " << excluded.size() << " excluded pairs: " << diff;
+      return;
+    }
+  }
+}
+
 /// Random model options and users against OracleKucnetScores: TryForward,
 /// TryForwardMany (random batch sizes, with and without pre-extracted
 /// graphs, some with their edges shuffled) and ScorePairOnUiGraph must equal
-/// the per-edge oracle bitwise. The oracle's bitwise contract needs
+/// the per-edge oracle bitwise; then every graph the model builds must equal
+/// OracleUserCompGraph (CheckGraphsAgainstOracle). The oracle's bitwise contract needs
 /// deterministic kernels, so the case forces that mode whatever
 /// KUCNET_FAST_KERNELS says.
 void KucnetCase(KucnetFuzzContext& ctx, uint64_t case_seed,
@@ -697,6 +879,11 @@ void KucnetCase(KucnetFuzzContext& ctx, uint64_t case_seed,
       return;
     }
   }
+
+  // (4) The graphs themselves, against the map-based expansion. Its own Rng
+  // leaves the draws of (1)-(3) as they were.
+  Rng graph_rng(~case_seed);
+  CheckGraphsAgainstOracle(data, opts, graph_rng, model, fail);
 }
 
 /// Every parameter's accumulated gradient, in Params() order, each then

@@ -6,7 +6,9 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "util/finite.h"
 #include "util/logging.h"
@@ -151,6 +153,88 @@ Matrix OracleSegmentSum(const Matrix& a, const std::vector<int64_t>& seg,
 }
 
 // ---- KUCNet ------------------------------------------------------------------
+
+UserCompGraph OracleUserCompGraph(const Ckg& ckg,
+                                  const CompGraphOptions& options,
+                                  int64_t user_node, const NodeScoreFn* score,
+                                  Rng* rng,
+                                  const std::vector<ExcludedPair>& excluded) {
+  KUC_CHECK_GE(user_node, 0);
+  KUC_CHECK_LT(user_node, ckg.num_nodes());
+  const bool prune =
+      options.max_edges_per_node > 0 && options.prune != PruneMode::kNone;
+  const bool by_ppr = prune && options.prune == PruneMode::kPpr;
+  KUC_CHECK(!by_ppr || score != nullptr);
+  KUC_CHECK(!prune || by_ppr || rng != nullptr);
+  std::set<std::pair<int64_t, int64_t>> hidden;
+  for (const ExcludedPair& pair : excluded) {
+    hidden.insert({pair.user_node, pair.item_node});
+    hidden.insert({pair.item_node, pair.user_node});
+  }
+  const int64_t interact = Ckg::kInteractRelation;
+  const int64_t interact_inv = ckg.InverseRelation(interact);
+
+  struct Candidate {
+    int64_t rel;
+    int64_t dst;
+    real_t score;
+  };
+  UserCompGraph graph;
+  graph.user_node = user_node;
+  graph.layers.resize(options.depth);
+  std::vector<int64_t> heads = {user_node};
+  std::unordered_map<int64_t, int64_t> index;
+  for (int32_t l = 0; l < options.depth; ++l) {
+    CompLayer& layer = graph.layers[l];
+    index.clear();
+    auto add_edge = [&](int64_t src_index, int64_t rel, int64_t dst) {
+      const auto [it, inserted] =
+          index.emplace(dst, static_cast<int64_t>(layer.nodes.size()));
+      if (inserted) layer.nodes.push_back(dst);
+      layer.src_index.push_back(src_index);
+      layer.rel.push_back(rel);
+      layer.dst_index.push_back(it->second);
+    };
+    for (size_t si = 0; si < heads.size(); ++si) {
+      const int64_t src = heads[si];
+      const int64_t s = static_cast<int64_t>(si);
+      if (options.self_loops) add_edge(s, ckg.self_loop_relation(), src);
+      std::vector<Candidate> candidates;
+      const auto rels = ckg.OutRelations(src);
+      const auto dsts = ckg.OutNeighbors(src);
+      for (size_t e = 0; e < dsts.size(); ++e) {
+        const bool interact_edge = rels[e] == interact || rels[e] == interact_inv;
+        if (interact_edge && hidden.count({src, dsts[e]}) > 0) continue;
+        candidates.push_back(
+            {rels[e], dsts[e], by_ppr ? (*score)(dsts[e]) : 0.0});
+      }
+      const int64_t k = options.max_edges_per_node;
+      if (prune && static_cast<int64_t>(candidates.size()) > k) {
+        if (by_ppr) {
+          std::nth_element(candidates.begin(), candidates.begin() + k,
+                           candidates.end(),
+                           [](const Candidate& a, const Candidate& b) {
+                             if (a.score != b.score) return a.score > b.score;
+                             if (a.dst != b.dst) return a.dst < b.dst;
+                             return a.rel < b.rel;
+                           });
+          candidates.resize(k);
+        } else {
+          std::vector<Candidate> kept;
+          for (const int64_t pick : rng->SampleWithoutReplacement(
+                   static_cast<int64_t>(candidates.size()), k)) {
+            kept.push_back(candidates[pick]);
+          }
+          candidates = std::move(kept);
+        }
+      }
+      for (const Candidate& c : candidates) add_edge(s, c.rel, c.dst);
+    }
+    heads = layer.nodes;
+  }
+  graph.final_index = std::move(index);
+  return graph;
+}
 
 std::vector<real_t> OracleKucnetScores(Kucnet& model,
                                        const UserCompGraph& graph) {

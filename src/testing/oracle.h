@@ -72,6 +72,22 @@ Matrix OracleSegmentSum(const Matrix& a, const std::vector<int64_t>& seg,
 
 // ---- KUCNet ------------------------------------------------------------------
 
+/// The pruned user-centric computation graph of `user_node` (Alg. 1 line 4),
+/// expanded with hash maps from node id to dense index, one map per layer:
+/// per head node a self-loop first (when `options.self_loops`), then its
+/// out-edges in CSR order minus the excluded interact edges (both
+/// directions), cut to the top K by tail score (descending, then dst, then
+/// rel, via std::nth_element) or to K random edges drawn with
+/// `rng->SampleWithoutReplacement`. `score` is required iff PPR pruning is
+/// on, `rng` iff random pruning is. CompGraphBuilder::TryBuild must equal
+/// this field for field on either graph layout; the CompactCkg built from
+/// the same inputs has the same adjacency, so this reads only `Ckg`.
+UserCompGraph OracleUserCompGraph(const Ckg& ckg,
+                                  const CompGraphOptions& options,
+                                  int64_t user_node, const NodeScoreFn* score,
+                                  Rng* rng,
+                                  const std::vector<ExcludedPair>& excluded);
+
 /// Eq. (5)-(7) on `graph` with `model`'s parameters and options, transcribed
 /// edge by edge from OracleGather, OracleMatMul and OracleSegmentSum: each
 /// layer gathers every edge's source row and relation embedding, computes
