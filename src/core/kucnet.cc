@@ -6,6 +6,7 @@
 
 #include "graph/subgraph.h"
 #include "obs/trace.h"
+#include "tensor/kernels.h"
 #include "tensor/serialize.h"
 #include "util/finite.h"
 #include "util/logging.h"
@@ -232,6 +233,7 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
                         Matrix* node_scores,
                         std::vector<std::vector<double>>* attention) const {
   const int64_t d = options_.hidden_dim;
+  const detail::KernelSet& kernels = detail::ActiveKernelSet();
   attention->assign(graph.layers.size(), {});
   // h^0: a single zero row for the user (Alg. 1 line 1).
   Matrix h(1, d);
@@ -276,16 +278,15 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
         } else {
           for (int64_t j = 0; j < da; ++j) out[j] = r[j] + bias[j];
         }
-        for (int64_t j = 0; j < da; ++j) out[j] = out[j] > 0.0 ? out[j] : 0.0;
       }
+      kernels.row_relu(pre.data(), pre.data(), pre.size());
       Matrix alpha = MatMul(pre, params.attn_v.value());
       for (int64_t k = 0; k < num_messages; ++k) {
         const real_t x = alpha.at(k, 0);
         const real_t a = x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
                                   : std::exp(x) / (1.0 + std::exp(x));
         alpha.at(k, 0) = a;
-        real_t* row = messages.row(k);
-        for (int64_t j = 0; j < d; ++j) row[j] *= a;
+        kernels.row_scale(messages.row(k), a, d);
       }
       layer_attention.resize(edges);
       for (int64_t e = 0; e < edges; ++e) {
@@ -299,9 +300,8 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
     // accumulation chain as a per-edge segment sum.
     Matrix aggregated(num_dst, d);
     for (int64_t e = 0; e < edges; ++e) {
-      const real_t* msg = messages.row(msgs.message_of[e]);
-      real_t* out = aggregated.row(layer.dst_index[e]);
-      for (int64_t j = 0; j < d; ++j) out[j] += msg[j];
+      kernels.row_add(aggregated.row(layer.dst_index[e]),
+                      messages.row(msgs.message_of[e]), d);
     }
     real_t* x = aggregated.data();
     switch (options_.activation) {
@@ -311,9 +311,7 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
         for (int64_t i = 0; i < aggregated.size(); ++i) x[i] = std::tanh(x[i]);
         break;
       case KucnetActivation::kRelu:
-        for (int64_t i = 0; i < aggregated.size(); ++i) {
-          x[i] = x[i] > 0.0 ? x[i] : 0.0;
-        }
+        kernels.row_relu(x, x, aggregated.size());
         break;
     }
     h = std::move(aggregated);
@@ -385,10 +383,18 @@ Status Kucnet::TryForwardOnGraph(const ExecContext& ctx,
     result = KucnetForward();
     return status;
   }
-  result.item_scores.assign(dataset_->num_items, 0.0);
-  for (int64_t item = 0; item < dataset_->num_items; ++item) {
-    const int64_t idx = result.graph.FinalIndexOf(ckg_.ItemNode(item));
-    if (idx >= 0) result.item_scores[item] = scores.at(idx, 0);
+  // Every final-layer node is distinct, so walking them sets each reached
+  // item's score once; the rest stay 0 (Alg. 1: h = 0).
+  const int64_t num_items = dataset_->num_items;
+  result.item_scores.assign(num_items, 0.0);
+  if (!result.graph.layers.empty()) {
+    const std::vector<int64_t>& final_nodes = result.graph.layers.back().nodes;
+    for (size_t idx = 0; idx < final_nodes.size(); ++idx) {
+      const int64_t item = ckg_.ItemOfNode(final_nodes[idx]);
+      if (ckg_.IsItem(final_nodes[idx]) && item < num_items) {
+        result.item_scores[item] = scores.at(static_cast<int64_t>(idx), 0);
+      }
+    }
   }
   return Status::Ok();
 }

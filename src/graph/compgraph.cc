@@ -80,9 +80,58 @@ UserCompGraph CompGraphBuilder::Build(
 
 namespace {
 
-// The expansion loop, compiled once per graph representation (the Ckg
-// instantiation is the pre-store code, bit for bit). Dispatched from
-// CompGraphBuilder::TryBuild via GraphRef::Visit.
+/// Per-thread expansion state, like the PPR push's PushScratch: `slot[v]`
+/// is node v's dense index in the layer being built, kNoSlot when v is not
+/// in it. Sized to the largest graph this thread has built on; every slot
+/// is kNoSlot between builds, because each layer resets the slots of its
+/// own node list when it ends, a cancelled layer included. The candidate
+/// buffers and the sorted exclusion keys are reused across builds.
+struct BuildScratch {
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  static BuildScratch& ForThisThread() {
+    static thread_local BuildScratch scratch;
+    return scratch;
+  }
+
+  void Begin(int64_t num_nodes) {
+    KUC_CHECK(!in_use) << "CompGraphBuilder: a build re-entered its thread's "
+                          "scratch (from a NodeScoreFn?)";
+    // Dense indices of one layer stay below its node count.
+    KUC_CHECK_LT(num_nodes, int64_t{kNoSlot});
+    if (slot.size() < static_cast<size_t>(num_nodes)) {
+      slot.resize(static_cast<size_t>(num_nodes), kNoSlot);
+    }
+    in_use = true;
+  }
+
+  /// Dense index of `node` in `layer`, appending it on first sight.
+  int64_t IndexOf(int64_t node, CompLayer* layer) {
+    uint32_t& s = slot[static_cast<size_t>(node)];
+    if (s == kNoSlot) {
+      s = static_cast<uint32_t>(layer->nodes.size());
+      layer->nodes.push_back(node);
+    }
+    return s;
+  }
+
+  void EndLayer(const CompLayer& layer) {
+    for (const int64_t node : layer.nodes) {
+      slot[static_cast<size_t>(node)] = kNoSlot;
+    }
+  }
+
+  std::vector<uint32_t> slot;
+  std::vector<Candidate> candidates;
+  std::vector<Candidate> kept;
+  std::vector<uint64_t> excluded;  ///< PackPair keys, both directions, sorted
+  bool in_use = false;
+};
+
+// The expansion loop, compiled once per graph representation. Dispatched
+// from CompGraphBuilder::TryBuild via GraphRef::Visit. Node indices go
+// through the thread's BuildScratch slots rather than a hash map, and
+// final_index is filled once from the last layer's node list.
 template <typename Graph>
 Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
                     int64_t user_node, const NodeScoreFn* score, Rng* rng,
@@ -93,25 +142,30 @@ Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
   KUC_CHECK_LT(user_node, ckg.num_nodes());
   const int64_t k_limit = options_.max_edges_per_node;
   const bool prune = k_limit > 0 && options_.prune != PruneMode::kNone;
-  if (prune && options_.prune == PruneMode::kPpr) {
+  const bool by_ppr = prune && options_.prune == PruneMode::kPpr;
+  if (by_ppr) {
     KUC_CHECK(score != nullptr) << "PPR pruning requires a score function";
   }
   if (prune && options_.prune == PruneMode::kRandom) {
     KUC_CHECK(rng != nullptr) << "random pruning requires an rng";
   }
 
-  std::unordered_set<uint64_t> excluded_set;
-  excluded_set.reserve(excluded.size() * 2);
+  BuildScratch& scratch = BuildScratch::ForThisThread();
+  scratch.Begin(ckg.num_nodes());
+  std::vector<uint64_t>& excluded_keys = scratch.excluded;
+  excluded_keys.clear();
   for (const auto& pair : excluded) {
-    excluded_set.insert(PackPair(pair.user_node, pair.item_node));
-    excluded_set.insert(PackPair(pair.item_node, pair.user_node));
+    excluded_keys.push_back(PackPair(pair.user_node, pair.item_node));
+    excluded_keys.push_back(PackPair(pair.item_node, pair.user_node));
   }
+  std::sort(excluded_keys.begin(), excluded_keys.end());
   const int64_t interact = Graph::kInteractRelation;
   const int64_t interact_inv = ckg.InverseRelation(interact);
   auto is_excluded = [&](int64_t src, int64_t rel, int64_t dst) {
-    if (excluded_set.empty()) return false;
+    if (excluded_keys.empty()) return false;
     if (rel != interact && rel != interact_inv) return false;
-    return excluded_set.count(PackPair(src, dst)) > 0;
+    return std::binary_search(excluded_keys.begin(), excluded_keys.end(),
+                              PackPair(src, dst));
   };
 
   UserCompGraph& graph = *out;
@@ -119,48 +173,43 @@ Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
   graph.user_node = user_node;
   graph.layers.resize(options_.depth);
 
-  std::vector<int64_t> prev_nodes = {user_node};
   const int64_t self_rel = ckg.self_loop_relation();
-  std::vector<Candidate> candidates;
-  std::unordered_map<int64_t, int64_t> dst_index;
+  std::vector<Candidate>& candidates = scratch.candidates;
+  const std::vector<int64_t> first_heads = {user_node};
 
   for (int32_t l = 0; l < options_.depth; ++l) {
     CompLayer& layer = graph.layers[l];
-    dst_index.clear();
-    auto index_of = [&](int64_t node) {
-      const auto [it, inserted] =
-          dst_index.emplace(node, static_cast<int64_t>(layer.nodes.size()));
-      if (inserted) layer.nodes.push_back(node);
-      return it->second;
-    };
+    const std::vector<int64_t>& heads =
+        l == 0 ? first_heads : graph.layers[l - 1].nodes;
 
-    for (size_t si = 0; si < prev_nodes.size(); ++si) {
+    for (size_t si = 0; si < heads.size(); ++si) {
       // One cancellation checkpoint per expanded head node: layers grow
       // multiplicatively, so this bounds the work wasted past a deadline to
       // a single node's out-edge scan.
       const Status status = ctx.Check("subgraph");
       if (!status.ok()) {
+        scratch.EndLayer(layer);
+        scratch.in_use = false;
         graph = UserCompGraph();
         return status;
       }
-      const int64_t src = prev_nodes[si];
+      const int64_t src = heads[si];
       if (options_.self_loops) {
         layer.src_index.push_back(static_cast<int64_t>(si));
         layer.rel.push_back(self_rel);
-        layer.dst_index.push_back(index_of(src));
+        layer.dst_index.push_back(scratch.IndexOf(src, &layer));
       }
       const auto rels = ckg.OutRelations(src);
       const auto dsts = ckg.OutNeighbors(src);
       candidates.clear();
       for (size_t e = 0; e < dsts.size(); ++e) {
         if (is_excluded(src, rels[e], dsts[e])) continue;
-        const real_t s =
-            (prune && options_.prune == PruneMode::kPpr) ? (*score)(dsts[e])
-                                                         : 0.0;
+        const real_t s = by_ppr ? (*score)(dsts[e]) : 0.0;
         candidates.push_back({rels[e], dsts[e], s});
       }
+      const std::vector<Candidate>* keep = &candidates;
       if (prune && static_cast<int64_t>(candidates.size()) > k_limit) {
-        if (options_.prune == PruneMode::kPpr) {
+        if (by_ppr) {
           // Top-K by tail score; deterministic tie-break on (dst, rel).
           std::nth_element(candidates.begin(), candidates.begin() + k_limit,
                            candidates.end(),
@@ -171,25 +220,29 @@ Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
                            });
           candidates.resize(k_limit);
         } else {  // kRandom
-          const auto keep = rng->SampleWithoutReplacement(
-              static_cast<int64_t>(candidates.size()), k_limit);
-          std::vector<Candidate> kept;
-          kept.reserve(k_limit);
-          for (const int64_t idx : keep) kept.push_back(candidates[idx]);
-          candidates = std::move(kept);
+          scratch.kept.clear();
+          for (const int64_t idx : rng->SampleWithoutReplacement(
+                   static_cast<int64_t>(candidates.size()), k_limit)) {
+            scratch.kept.push_back(candidates[idx]);
+          }
+          keep = &scratch.kept;
         }
       }
-      for (const Candidate& c : candidates) {
+      for (const Candidate& c : *keep) {
         layer.src_index.push_back(static_cast<int64_t>(si));
         layer.rel.push_back(c.rel);
-        layer.dst_index.push_back(index_of(c.dst));
+        layer.dst_index.push_back(scratch.IndexOf(c.dst, &layer));
       }
     }
-    prev_nodes = layer.nodes;
+    scratch.EndLayer(layer);
   }
+  scratch.in_use = false;
 
-  // The last layer's node -> dense index map is exactly final_index.
-  graph.final_index = std::move(dst_index);
+  const std::vector<int64_t>& final_nodes = graph.layers.back().nodes;
+  graph.final_index.reserve(final_nodes.size());
+  for (size_t i = 0; i < final_nodes.size(); ++i) {
+    graph.final_index.emplace(final_nodes[i], static_cast<int64_t>(i));
+  }
   return Status::Ok();
 }
 

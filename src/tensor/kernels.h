@@ -33,6 +33,7 @@ using RowBinaryFn = void (*)(real_t* dst, const real_t* src, int64_t n);
 using RowAxpyFn = void (*)(real_t* dst, real_t alpha, const real_t* src,
                            int64_t n);
 using RowScaleFn = void (*)(real_t* dst, real_t alpha, int64_t n);
+using RowUnaryFn = void (*)(real_t* dst, const real_t* src, int64_t n);
 
 /// Everything one SIMD level knows how to do. mr/nr are the register tile
 /// dimensions the micro-kernels are built for (and the sliver heights the
@@ -47,6 +48,9 @@ struct KernelSet {
   RowBinaryFn row_copy = nullptr;        ///< dst[i] = src[i]
   RowAxpyFn row_axpy = nullptr;          ///< dst[i] += alpha * src[i]
   RowScaleFn row_scale = nullptr;        ///< dst[i] *= alpha
+  /// dst[i] = max(src[i], +0) with maxpd semantics, which are bitwise
+  /// `src[i] > 0 ? src[i] : +0` (NaN and both zeros give +0); dst may be src.
+  RowUnaryFn row_relu = nullptr;
 };
 
 /// Kernel set for `level`, falling back to the best compiled-and-supported

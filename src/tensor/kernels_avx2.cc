@@ -26,6 +26,7 @@ struct LaneAvx2 {
   static V Add(V a, V b) { return _mm256_add_pd(a, b); }
   static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
   static V Fma(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+  static V Max(V a, V b) { return _mm256_max_pd(a, b); }  // a > b ? a : b
 };
 
 using Bundle = KernelBundle<LaneAvx2, 6, 2>;

@@ -112,6 +112,17 @@ struct KernelBundle {
     for (; i < n; ++i) dst[i] *= alpha;
   }
 
+  /// Lane::Max(x, +0) returns +0 unless x > 0, the one IEEE comparison the
+  /// scalar `x > 0 ? x : 0` makes, so NaN and -0 map to +0 at every level.
+  static void RowRelu(real_t* dst, const real_t* src, int64_t n) {
+    const V zero = Lane::Broadcast(0.0);
+    int64_t i = 0;
+    for (; i + Lane::kWidth <= n; i += Lane::kWidth) {
+      Lane::Store(dst + i, Lane::Max(Lane::Load(src + i), zero));
+    }
+    for (; i < n; ++i) dst[i] = src[i] > 0.0 ? src[i] : 0.0;
+  }
+
   /// Assembles the KernelSet for this instantiation. `fast_micro` lets a
   /// level without a fused op alias fast to the deterministic kernel.
   static KernelSet MakeSet(SimdLevel level, MicroKernelFn fast_micro) {
@@ -125,6 +136,7 @@ struct KernelBundle {
     set.row_copy = &RowCopy;
     set.row_axpy = &RowAxpy;
     set.row_scale = &RowScale;
+    set.row_relu = &RowRelu;
     return set;
   }
 };

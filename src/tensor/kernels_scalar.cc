@@ -21,6 +21,7 @@ struct LaneScalar {
   // No fused op at the baseline ISA: "fast" intentionally aliases the
   // deterministic rounding (see MakeSet call below).
   static V Fma(V a, V b, V c) { return a * b + c; }
+  static V Max(V a, V b) { return a > b ? a : b; }
 };
 
 using Bundle = KernelBundle<LaneScalar, 4, 4>;

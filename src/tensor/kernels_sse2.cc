@@ -24,6 +24,7 @@ struct LaneSse2 {
   static V Add(V a, V b) { return _mm_add_pd(a, b); }
   static V Mul(V a, V b) { return _mm_mul_pd(a, b); }
   static V Fma(V a, V b, V c) { return _mm_add_pd(_mm_mul_pd(a, b), c); }
+  static V Max(V a, V b) { return _mm_max_pd(a, b); }  // a > b ? a : b
 };
 
 using Bundle = KernelBundle<LaneSse2, 6, 2>;

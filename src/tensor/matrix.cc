@@ -14,8 +14,13 @@ namespace kucnet {
 
 namespace {
 
-/// Minimum flop count (n*k*m) before a matmul is worth farming out.
-constexpr int64_t kMatMulParallelFlops = int64_t{1} << 17;
+/// Minimum multiply-add count (n*k*m) before a matmul is worth farming out:
+/// the measured serial-vs-threaded crossover on a 4-worker pool whose
+/// workers sleep between calls, as they do between a forward's layers.
+/// Below it, waking the pool costs more than splitting saves (350x32x32,
+/// one forward layer, ran 0.82x threaded; 4096x32x32 broke even; 8192x32x32
+/// won 1.23x), so a single user's forward never forks.
+constexpr int64_t kMatMulParallelFlops = int64_t{1} << 22;
 
 /// Minimum element count before element-wise kernels go parallel.
 constexpr int64_t kElemParallelThreshold = int64_t{1} << 15;
@@ -27,6 +32,9 @@ constexpr int64_t kElemGrain = int64_t{1} << 13;
 /// many elements and merged in ascending chunk order, so the floating-point
 /// association depends only on the problem size, never on the thread count.
 constexpr int64_t kReduceChunk = int64_t{1} << 12;
+
+/// Output rows per task of a threaded one-column product.
+constexpr int64_t kColumnGrain = 1024;
 
 /// Below this flop count the packed/tiled path's setup overhead loses to the
 /// plain loops, which share its accumulation order exactly.
@@ -256,11 +264,67 @@ void MatMulTiled(const Matrix& a, const Matrix& b, Matrix* c, MatMulVariant v) {
   }
 }
 
+/// One-column product (n == 1: the readout, the attention logit, and the
+/// gradient of either's weight column). Packing would pad each B sliver to
+/// NR columns and run every tile through the edge-tile scratch; here each
+/// output keeps its own ascending-k chain of separate mul+add roundings,
+/// the deterministic micro-kernel's chain, in every kernel mode.
+void MatMulColumn(const Matrix& a, const Matrix& b, Matrix* c,
+                  MatMulVariant v) {
+  const OpDims d = DimsFor(v, a, b);
+  real_t* out = c->data();
+  const real_t* col = b.data();  // k x 1, or 1 x k under kTransB
+  const detail::RowAxpyFn axpy = detail::ActiveKernelSet().row_axpy;
+  auto body = [&](int64_t lo, int64_t hi) {
+    if (v == MatMulVariant::kTransA) {
+      // opA(i, p) = a(p, i): row p of `a` holds term p of every output, so
+      // one axpy per p extends all their chains at once.
+      for (int64_t p = 0; p < d.k; ++p) {
+        axpy(out + lo, col[p], a.row(p) + lo, hi - lo);
+      }
+      return;
+    }
+    // Four independent register chains hide the add latency.
+    int64_t i = lo;
+    for (; i + 4 <= hi; i += 4) {
+      const real_t* a0 = a.row(i);
+      const real_t* a1 = a.row(i + 1);
+      const real_t* a2 = a.row(i + 2);
+      const real_t* a3 = a.row(i + 3);
+      real_t s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (int64_t p = 0; p < d.k; ++p) {
+        const real_t x = col[p];
+        s0 += a0[p] * x;
+        s1 += a1[p] * x;
+        s2 += a2[p] * x;
+        s3 += a3[p] * x;
+      }
+      out[i] = s0;
+      out[i + 1] = s1;
+      out[i + 2] = s2;
+      out[i + 3] = s3;
+    }
+    for (; i < hi; ++i) {
+      const real_t* ai = a.row(i);
+      real_t s = 0.0;
+      for (int64_t p = 0; p < d.k; ++p) s += ai[p] * col[p];
+      out[i] = s;
+    }
+  };
+  if (WantParallel(d.m * d.k, kMatMulParallelFlops) && d.m > kColumnGrain) {
+    ParallelForRanges(d.m, kColumnGrain, body);
+  } else {
+    body(0, d.m);
+  }
+}
+
 void MatMulDispatch(const Matrix& a, const Matrix& b, Matrix* c,
                     MatMulVariant v) {
   const OpDims d = DimsFor(v, a, b);
   if (d.m == 0 || d.n == 0 || d.k == 0) return;  // C stays all-zero
-  if (d.m * d.n * d.k < kTiledMinFlops) {
+  if (d.n == 1) {
+    MatMulColumn(a, b, c, v);
+  } else if (d.m * d.n * d.k < kTiledMinFlops) {
     MatMulSmall(a, b, c, v);
   } else {
     MatMulTiled(a, b, c, v);

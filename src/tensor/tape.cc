@@ -141,6 +141,14 @@ void ScatterAddRows(const std::vector<int64_t>& rows, const Matrix& src,
       });
 }
 
+/// The range form Tape::UnaryElementwise takes, of a per-element function.
+template <typename F>
+auto EachElement(F f) {
+  return [f](real_t* dst, const real_t* src, int64_t n) {
+    for (int64_t i = 0; i < n; ++i) dst[i] = f(src[i]);
+  };
+}
+
 }  // namespace
 
 Var Tape::NewNode(Matrix value, bool needs_grad,
@@ -398,8 +406,8 @@ Var Tape::AddRowBroadcast(Var a, Var row) {
 
 // ---- Elementwise nonlinearities ---------------------------------------------
 
-Var Tape::UnaryElementwise(Var a, const std::function<real_t(real_t)>& f,
-                           const std::function<real_t(real_t, real_t)>& df) {
+template <typename Forward, typename Derivative>
+Var Tape::UnaryElementwise(Var a, Forward forward, Derivative df) {
   const Matrix& av = value(a);
   Matrix y(av.rows(), av.cols());
   {
@@ -408,11 +416,11 @@ Var Tape::UnaryElementwise(Var a, const std::function<real_t(real_t)>& f,
     const real_t* src = av.data();
     if (WantParallel(n)) {
       ParallelForRanges(n, kParallelWorkThreshold,
-                        [dst, src, &f](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) dst[i] = f(src[i]);
+                        [dst, src, &forward](int64_t lo, int64_t hi) {
+                          forward(dst + lo, src + lo, hi - lo);
                         });
     } else {
-      for (int64_t i = 0; i < n; ++i) dst[i] = f(src[i]);
+      forward(dst, src, n);
     }
   }
   const bool ng = NeedsGrad(a);
@@ -443,44 +451,45 @@ Var Tape::UnaryElementwise(Var a, const std::function<real_t(real_t)>& f,
 }
 
 Var Tape::Relu(Var a) {
-  return UnaryElementwise(
-      a, [](real_t x) { return x > 0.0 ? x : 0.0; },
-      [](real_t x, real_t) { return x > 0.0 ? 1.0 : 0.0; });
+  // The kernel's max(x, +0) is bitwise x > 0 ? x : 0; the derivative is the
+  // comparison itself as 1.0 or 0.0, so neither pass branches on the data.
+  return UnaryElementwise(a, detail::ActiveKernelSet().row_relu,
+                          [](real_t x, real_t) {
+                            return static_cast<real_t>(x > 0.0);
+                          });
 }
 
 Var Tape::LeakyRelu(Var a, real_t slope) {
   return UnaryElementwise(
-      a, [slope](real_t x) { return x > 0.0 ? x : slope * x; },
+      a, EachElement([slope](real_t x) { return x > 0.0 ? x : slope * x; }),
       [slope](real_t x, real_t) { return x > 0.0 ? 1.0 : slope; });
 }
 
 Var Tape::Tanh(Var a) {
-  return UnaryElementwise(a, [](real_t x) { return std::tanh(x); },
+  return UnaryElementwise(a, EachElement([](real_t x) { return std::tanh(x); }),
                           [](real_t, real_t y) { return 1.0 - y * y; });
 }
 
 Var Tape::Sigmoid(Var a) {
   return UnaryElementwise(
-      a,
-      [](real_t x) {
+      a, EachElement([](real_t x) {
         return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
                         : std::exp(x) / (1.0 + std::exp(x));
-      },
+      }),
       [](real_t, real_t y) { return y * (1.0 - y); });
 }
 
 Var Tape::Exp(Var a) {
-  return UnaryElementwise(a, [](real_t x) { return std::exp(x); },
+  return UnaryElementwise(a, EachElement([](real_t x) { return std::exp(x); }),
                           [](real_t, real_t y) { return y; });
 }
 
 Var Tape::Softplus(Var a) {
   return UnaryElementwise(
-      a,
-      [](real_t x) {
+      a, EachElement([](real_t x) {
         // Stable: max(x, 0) + log1p(exp(-|x|)).
         return (x > 0.0 ? x : 0.0) + std::log1p(std::exp(-std::abs(x)));
-      },
+      }),
       [](real_t x, real_t) {
         return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
                         : std::exp(x) / (1.0 + std::exp(x));
@@ -488,12 +497,12 @@ Var Tape::Softplus(Var a) {
 }
 
 Var Tape::Reciprocal(Var a) {
-  return UnaryElementwise(a, [](real_t x) { return 1.0 / x; },
+  return UnaryElementwise(a, EachElement([](real_t x) { return 1.0 / x; }),
                           [](real_t, real_t y) { return -y * y; });
 }
 
 Var Tape::Square(Var a) {
-  return UnaryElementwise(a, [](real_t x) { return x * x; },
+  return UnaryElementwise(a, EachElement([](real_t x) { return x * x; }),
                           [](real_t x, real_t) { return 2.0 * x; });
 }
 

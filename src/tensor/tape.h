@@ -170,9 +170,11 @@ class Tape {
   void AccumulateParamRows(Parameter* p, const std::vector<int64_t>& rows,
                            const Matrix& g);
 
-  /// Elementwise unary op with derivative expressed in terms of (x, y).
-  Var UnaryElementwise(Var a, const std::function<real_t(real_t)>& f,
-                       const std::function<real_t(real_t, real_t)>& df);
+  /// Elementwise unary op: `forward(dst, src, n)` writes y = f(x) over a
+  /// range and `df(x, y)` is the derivative. Both are template parameters
+  /// (defined in tape.cc, the only caller), so the loops inline them.
+  template <typename Forward, typename Derivative>
+  Var UnaryElementwise(Var a, Forward forward, Derivative df);
 
   std::vector<Node> nodes_;
   std::vector<DeferredGrad> deferred_grads_;

@@ -7,14 +7,20 @@
 //  - deterministic mode is bitwise-unchanged from the pre-SIMD kernels this
 //    PR replaced (embedded below as references), at 1/2/8 threads,
 //  - fast mode stays within a mass-scaled error bound of the oracle,
+//  - one-column products equal the oracle bitwise in both kernel modes,
+//  - the ReLU kernel is `x > 0 ? x : 0` bit for bit at every level,
 //  - KUCNET_SIMD parsing.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/kernels.h"
 #include "tensor/matrix.h"
 #include "tensor/simd.h"
 #include "testing/oracle.h"
@@ -228,6 +234,95 @@ TEST(SimdKernelTest, FastModeStaysMassBounded) {
         const double bound = 1e-12 * mass.at(i, j) + 1e-300;
         ASSERT_LE(std::abs(got.at(i, j) - want.at(i, j)), bound)
             << "(" << i << "," << j << ") at " << SimdLevelName(level);
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, OneColumnProductsMatchOracleExactly) {
+  // m x k x 1 (the readout, the attention logit) in all three layouts, with
+  // m*k on both sides of the tiled path's 2^12 threshold and k across the
+  // 256-deep panel: each output keeps the oracle's ascending-k chain at
+  // every level, in fast mode too (one-column products never take the FMA
+  // micro-kernel). The last shape is big enough to run threaded.
+  constexpr int64_t kTiledMinFlops = int64_t{1} << 12;
+  std::vector<std::pair<int64_t, int64_t>> shapes;  // (m, k)
+  for (const int64_t k : {1, 5, 32, 257}) {
+    for (const int64_t m : {int64_t{1}, int64_t{6}, (kTiledMinFlops - 1) / k,
+                            kTiledMinFlops / k + 1}) {
+      shapes.push_back({m, k});
+    }
+  }
+  shapes.push_back({(int64_t{1} << 17) + 3, 32});
+  Rng rng(131);
+  SetOversubscribeForTest(true);
+  SetGlobalPoolThreads(4);
+  for (const auto& [m, k] : shapes) {
+    const Matrix a = Matrix::RandomNormal(m, k, 1.0, rng);
+    const Matrix b = Matrix::RandomNormal(k, 1, 1.0, rng);
+    const Matrix at = Transpose(a);
+    const Matrix bt = Transpose(b);
+    const Matrix want = OracleMatMul(a, b);
+    for (const KernelMode mode : {KernelMode::kDeterministic, KernelMode::kFast}) {
+      ScopedKernelMode forced_mode(mode);
+      for (const SimdLevel level : AvailableLevels()) {
+        ScopedSimdLevel forced(level);
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x1 " +
+                     KernelModeName(mode) + " " + SimdLevelName(level));
+        ExpectBitwise(MatMul(a, b), want, "MatMul");
+        ExpectBitwise(MatMulTransposedA(at, b), want, "MatMulTransposedA");
+        ExpectBitwise(MatMulTransposedB(a, bt), want, "MatMulTransposedB");
+      }
+    }
+  }
+  SetGlobalPoolThreads(1);
+  ClearOversubscribeForTest();
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+TEST(SimdKernelTest, ReluKernelIsTheScalarComparisonBitForBit) {
+  // maxpd(x, +0) against `x > 0.0 ? x : 0.0` on every input class (both
+  // zeros, denormals, infinities, NaNs of either sign, normals), out of
+  // place and in place, at every length 0-17 so each level's vector body
+  // and scalar tail both run. Nothing past n may be written.
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> specials = {
+      0.0,  -0.0, Limits::denorm_min(), -Limits::denorm_min(),
+      Limits::min() / 4, -Limits::min() / 4, Limits::infinity(),
+      -Limits::infinity(), Limits::quiet_NaN(), -Limits::quiet_NaN(),
+      Limits::min(), -Limits::min(), Limits::max(), -Limits::max()};
+  Rng rng(137);
+  for (const SimdLevel level : AvailableLevels()) {
+    const detail::KernelSet& kernels = detail::GetKernelSet(level);
+    for (int64_t n = 0; n <= 17; ++n) {
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<double> src(n + 1);
+        for (double& x : src) {
+          x = rng.Bernoulli(0.5)
+                  ? specials[rng.UniformInt(
+                        static_cast<int64_t>(specials.size()))]
+                  : rng.Normal(0.0, 1.0);
+        }
+        constexpr double kSentinel = 7.0;
+        std::vector<double> dst(n + 1, kSentinel);
+        kernels.row_relu(dst.data(), src.data(), n);
+        std::vector<double> in_place = src;
+        kernels.row_relu(in_place.data(), in_place.data(), n);
+        for (int64_t i = 0; i < n; ++i) {
+          const double want = src[i] > 0.0 ? src[i] : 0.0;
+          ASSERT_EQ(Bits(dst[i]), Bits(want))
+              << SimdLevelName(level) << " n=" << n << " x=" << src[i];
+          ASSERT_EQ(Bits(in_place[i]), Bits(want))
+              << SimdLevelName(level) << " in place, n=" << n
+              << " x=" << src[i];
+        }
+        ASSERT_EQ(Bits(dst[n]), Bits(kSentinel)) << SimdLevelName(level);
+        ASSERT_EQ(Bits(in_place[n]), Bits(src[n])) << SimdLevelName(level);
       }
     }
   }

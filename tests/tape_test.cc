@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +66,41 @@ TEST(TapeForwardTest, Activations) {
   const Matrix& sp2 = tape2.value(tape2.Softplus(tape2.Constant(big)));
   EXPECT_NEAR(sp2.at(0, 0), 800.0, 1e-9);
   EXPECT_NEAR(sp2.at(0, 1), 0.0, 1e-9);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+TEST(TapeForwardTest, ReluPinsSignedZerosAndNaN) {
+  // Forward: -0, +0 and NaN of either sign all give +0, as x > 0 ? x : 0
+  // does. Backward: the gradient times (x > 0) as 1.0 or 0.0, so neither a
+  // zero nor a NaN input lets gradient through, whatever its sign.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> xs = {-0.0, 0.0, nan, -nan, 2.5, -1.5};
+  const std::vector<double> ws = {3.0, -3.0, 5.0, -5.0, -7.0, 11.0};
+  Matrix x(1, static_cast<int64_t>(xs.size()));
+  Matrix w(1, x.cols());
+  for (int64_t i = 0; i < x.cols(); ++i) {
+    x.at(0, i) = xs[i];
+    w.at(0, i) = ws[i];
+  }
+  Parameter p("x", x);
+  Tape tape;
+  const Var v = tape.Param(&p);
+  const Var y = tape.Relu(v);
+  const std::vector<double> want_y = {0.0, 0.0, 0.0, 0.0, 2.5, 0.0};
+  for (int64_t i = 0; i < x.cols(); ++i) {
+    EXPECT_EQ(Bits(tape.value(y).at(0, i)), Bits(want_y[i])) << "x=" << xs[i];
+  }
+  tape.Backward(tape.Sum(tape.Hadamard(y, tape.Constant(w))));
+  const std::vector<double> want_grad = {0.0, 0.0, 0.0, 0.0, -7.0, 0.0};
+  for (int64_t i = 0; i < x.cols(); ++i) {
+    EXPECT_EQ(Bits(tape.grad(v).at(0, i)), Bits(want_grad[i]))
+        << "x=" << xs[i] << " grad=" << tape.grad(v).at(0, i);
+  }
 }
 
 TEST(TapeForwardTest, GatherAndSegmentSum) {
