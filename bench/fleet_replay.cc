@@ -78,17 +78,23 @@ int64_t SkewedUser(Rng& rng, int64_t n) {
   return std::min(std::max<int64_t>(user, 0), n - 1);
 }
 
-/// Median full-tier ServeSync latency, to calibrate deadlines and stalls.
+/// Median full-tier ServeSync latency, to calibrate deadlines and stalls:
+/// an untimed pass over every user warms the allocator, caches and pool,
+/// then the median is taken over a second pass over every user, so it does
+/// not hang on which few users come first.
 int64_t MeasureServiceMicros(const Kucnet& model, const bench::Workload& w) {
   RecServerOptions opts;
   opts.num_workers = 0;
   opts.default_deadline_micros = 60'000'000;
   RecServer server(&model, &w.dataset, &w.ckg, &w.ppr, opts);
+  const int64_t users = w.dataset.num_users;
+  for (int64_t user = 0; user < users; ++user) server.ServeSync({user});
   std::vector<int64_t> micros;
-  for (int64_t user = 0; user < 12; ++user) {
-    const RecResponse r = server.ServeSync({user % w.dataset.num_users});
-    if (user >= 2) micros.push_back(r.total_micros);  // skip cold-start
+  for (int64_t user = 0; user < users; ++user) {
+    const RecResponse r = server.ServeSync({user});
+    if (r.tier == ServeTier::kFull) micros.push_back(r.total_micros);
   }
+  KUC_CHECK(!micros.empty()) << "no full-tier answer to calibrate from";
   return std::max<int64_t>(1, bench::Percentile(micros, 0.5));
 }
 

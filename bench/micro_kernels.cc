@@ -10,14 +10,17 @@
 // BENCH_kernels.json through bench::WriteBenchJson, one row per kernel and
 // pool size (kernel, size, threads, ns_per_op, speedup, gflops, bytes_per_s,
 // simd, cpu). Matmul rows cover the square acceptance shape, an odd
-// non-tile-multiple shape, the forced-scalar micro-kernel, and the
-// re-associated fast mode.
+// non-tile-multiple shape, the forced-scalar micro-kernel, the
+// re-associated fast mode, and one user's forward shapes (a message layer
+// and the one-column readout). Inputs are built outside the timed call.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -34,7 +37,6 @@
 #include "tensor/simd.h"
 #include "tensor/tape.h"
 #include "util/logging.h"
-#include "util/clock.h"
 #include "util/thread_pool.h"
 
 namespace kucnet {
@@ -198,16 +200,23 @@ BENCHMARK(BM_ServeSync)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // ---- Serial-vs-threaded comparison mode (--threads_compare) -----------------
 
-/// Best-of-`reps` wall time of `fn`, in nanoseconds (one warmup run first).
-template <typename Fn>
-double BestNs(int reps, const Fn& fn) {
-  fn();  // warmup
+/// Best-of-`reps` wall time of `fn(input)` in nanoseconds (steady_clock,
+/// so the few-microsecond forward-shape rows resolve), after one warmup
+/// run. Every run gets a fresh `input = setup()` built before the timer
+/// starts, and whatever `fn` returns is destroyed after it stops, so only
+/// the kernel call is timed.
+template <typename Setup, typename Fn>
+double BestNs(int reps, const Setup& setup, const Fn& fn) {
   double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch timer;
-    fn();
-    const double ns = timer.Seconds() * 1e9;
-    if (r == 0 || ns < best) best = ns;
+  for (int r = -1; r < reps; ++r) {  // r == -1 warms up
+    auto input = setup();
+    const auto start = std::chrono::steady_clock::now();
+    const auto& result = fn(input);
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    benchmark::DoNotOptimize(result);
+    if (r == 0 || (r > 0 && ns < best)) best = ns;
   }
   return best;
 }
@@ -219,19 +228,24 @@ struct OpWork {
   double bytes = 0;  ///< minimum memory traffic per op
 };
 
-/// Times `fn` under a 1-worker pool and a `threads`-worker pool, checks the
-/// returned matrices are bitwise identical, and appends both rows with
-/// achieved GFLOP/s and bytes/s plus the dispatched SIMD level and CPU model.
-template <typename Fn>
+/// Times `fn(setup())` under a 1-worker pool and a `threads`-worker pool
+/// (BestNs: the setup is untimed), checks the returned matrices are bitwise
+/// identical, and appends both rows with achieved GFLOP/s and bytes/s plus
+/// the dispatched SIMD level and CPU model.
+template <typename Setup, typename Fn>
 void CompareKernel(const std::string& kernel, const std::string& size,
-                   int threads, int reps, OpWork work, const Fn& fn,
-                   std::vector<bench::JsonObject>* out) {
+                   int threads, int reps, OpWork work, const Setup& setup,
+                   const Fn& fn, std::vector<bench::JsonObject>* out) {
+  auto result_of = [&] {
+    auto input = setup();
+    return Matrix(fn(input));
+  };
   SetGlobalPoolThreads(1);
-  const Matrix serial_result = fn();
-  const double serial_ns = BestNs(reps, fn);
+  const Matrix serial_result = result_of();
+  const double serial_ns = BestNs(reps, setup, fn);
   SetGlobalPoolThreads(threads);
-  const Matrix threaded_result = fn();
-  const double threaded_ns = BestNs(reps, fn);
+  const Matrix threaded_result = result_of();
+  const double threaded_ns = BestNs(reps, setup, fn);
   KUC_CHECK(serial_result.Equals(threaded_result))
       << kernel << " result differs between 1 and " << threads << " threads";
   const std::string simd = SimdLevelName(ActiveSimdLevel());
@@ -260,6 +274,33 @@ void CompareKernel(const std::string& kernel, const std::string& size,
               kernel.c_str(), size.c_str(), serial_ns, threads, threaded_ns,
               threaded_ns > 0 ? serial_ns / threaded_ns : 0.0, simd.c_str(),
               rate.c_str());
+}
+
+/// CompareKernel for a kernel without per-run input: `fn()` is timed.
+template <typename Fn>
+void CompareKernel(const std::string& kernel, const std::string& size,
+                   int threads, int reps, OpWork work, const Fn& fn,
+                   std::vector<bench::JsonObject>* out) {
+  CompareKernel(
+      kernel, size, threads, reps, work, [] { return 0; },
+      [&fn](int) { return fn(); }, out);
+}
+
+/// A tape holding one constant input and an index vector to move into the
+/// op under test: the per-run input of the gather and segment-sum rows.
+struct TapeInput {
+  std::unique_ptr<Tape> tape;
+  Var x;
+  std::vector<int64_t> index;
+};
+
+TapeInput MakeTapeInput(const Matrix& value,
+                        const std::vector<int64_t>& index) {
+  TapeInput in;
+  in.tape = std::make_unique<Tape>();
+  in.x = in.tape->Constant(value);
+  in.index = index;
+  return in;
 }
 
 int RunThreadsCompare(const std::string& json_path, int threads) {
@@ -300,14 +341,35 @@ int RunThreadsCompare(const std::string& json_path, int threads) {
     const OpWork w{2.0 * m * n * k,
                    static_cast<double>(m * k + k * n + 2 * m * n) *
                        sizeof(real_t)};
-    CompareKernel("matmul", "129x67x255", threads, 5, w,
+    CompareKernel("matmul", "129x67x255", threads, 50, w,
                   [&] { return MatMul(a, b); }, &results);
     Matrix at = Transpose(a);
-    CompareKernel("matmul_tA", "129x67x255", threads, 5, w,
+    CompareKernel("matmul_tA", "129x67x255", threads, 50, w,
                   [&] { return MatMulTransposedA(at, b); }, &results);
     Matrix bt = Transpose(b);
-    CompareKernel("matmul_tB", "129x67x255", threads, 5, w,
+    CompareKernel("matmul_tB", "129x67x255", threads, 50, w,
                   [&] { return MatMulTransposedB(a, bt); }, &results);
+  }
+
+  {  // One user's forward products on synth-lastfm (depth 3, K = 30): the
+     // median layer's message matmul and the readout. Both sit below
+     // kMatMulParallelFlops, so the multi-worker row runs serially too.
+    const int64_t m = 350, k = 32, n = 32;
+    Matrix a = Matrix::RandomNormal(m, k, 1.0, rng);
+    Matrix b = Matrix::RandomNormal(k, n, 1.0, rng);
+    CompareKernel("matmul", "350x32x32", threads, 200,
+                  OpWork{2.0 * m * n * k,
+                         static_cast<double>(m * k + k * n + m * n) *
+                             sizeof(real_t)},
+                  [&] { return MatMul(a, b); }, &results);
+    const int64_t rows = 460;
+    Matrix h = Matrix::RandomNormal(rows, k, 1.0, rng);
+    Matrix readout = Matrix::RandomNormal(k, 1, 1.0, rng);
+    CompareKernel("matmul", "460x32x1", threads, 200,
+                  OpWork{2.0 * rows * k,
+                         static_cast<double>(rows * k + k + rows) *
+                             sizeof(real_t)},
+                  [&] { return MatMul(h, readout); }, &results);
   }
 
   {  // 10^6-edge segment-sum, dim 32 (acceptance kernel #2).
@@ -321,25 +383,26 @@ int RunThreadsCompare(const std::string& json_path, int threads) {
                           static_cast<double>((2 * edges + nodes) * dim *
                                                   sizeof(real_t) +
                                               edges * sizeof(int64_t))};
-    CompareKernel("segment_sum", "1Mx32", threads, 5, seg_work,
-                  [&] {
-                    Tape tape;
-                    Var x = tape.Constant(h);
-                    return tape.value(tape.SegmentSum(x, seg, nodes));
-                  },
-                  &results);
+    CompareKernel(
+        "segment_sum", "1Mx32", threads, 5, seg_work,
+        [&] { return MakeTapeInput(h, seg); },
+        [&](TapeInput& in) -> const Matrix& {
+          return in.tape->value(
+              in.tape->SegmentSum(in.x, std::move(in.index), nodes));
+        },
+        &results);
     std::vector<int64_t> idx(edges);
     for (int64_t e = 0; e < edges; ++e) idx[e] = rng.UniformInt(edges);
     const OpWork gather_work{
         0, static_cast<double>(2 * edges * dim * sizeof(real_t) +
                                edges * sizeof(int64_t))};
-    CompareKernel("gather", "1Mx32", threads, 5, gather_work,
-                  [&] {
-                    Tape tape;
-                    Var x = tape.Constant(h);
-                    return tape.value(tape.Gather(x, idx));
-                  },
-                  &results);
+    CompareKernel(
+        "gather", "1Mx32", threads, 5, gather_work,
+        [&] { return MakeTapeInput(h, idx); },
+        [&](TapeInput& in) -> const Matrix& {
+          return in.tape->value(in.tape->Gather(in.x, std::move(in.index)));
+        },
+        &results);
   }
 
   {  // Dense Adam step over a 100k x 32 table.
