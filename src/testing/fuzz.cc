@@ -596,39 +596,6 @@ std::string DescribeKucnetCase(int64_t which, const KucnetOptions& opts) {
   return config.str();
 }
 
-/// Empty when `got` equals `want` field for field (user node, every layer's
-/// src_index, rel, dst_index and nodes, and final_index); otherwise the
-/// first field that differs.
-std::string GraphDifference(const UserCompGraph& got,
-                            const UserCompGraph& want) {
-  std::ostringstream diff;
-  if (got.user_node != want.user_node) {
-    diff << "user_node " << got.user_node << " vs " << want.user_node;
-  } else if (got.layers.size() != want.layers.size()) {
-    diff << got.layers.size() << " layers vs " << want.layers.size();
-  } else {
-    for (size_t l = 0; l < got.layers.size() && diff.tellp() == 0; ++l) {
-      const CompLayer& g = got.layers[l];
-      const CompLayer& w = want.layers[l];
-      const char* field = g.src_index != w.src_index ? "src_index"
-                          : g.rel != w.rel           ? "rel"
-                          : g.dst_index != w.dst_index ? "dst_index"
-                          : g.nodes != w.nodes       ? "nodes"
-                                                     : nullptr;
-      if (field != nullptr) {
-        diff << "layer " << l << " " << field << " (" << g.num_edges()
-             << " edges/" << g.nodes.size() << " nodes vs " << w.num_edges()
-             << "/" << w.nodes.size() << ")";
-      }
-    }
-    if (diff.tellp() == 0 && got.final_index != want.final_index) {
-      diff << "final_index (" << got.final_index.size() << " entries vs "
-           << want.final_index.size() << ")";
-    }
-  }
-  return diff.str();
-}
-
 /// The builder options a Kucnet with `opts` builds its graphs under.
 CompGraphOptions BuilderOptionsOf(const KucnetOptions& opts) {
   CompGraphOptions b;
@@ -712,10 +679,11 @@ void CheckGraphsAgainstOracle(const KucnetFuzzContext::Data& data,
                << status.message();
         return;
       }
-      std::string diff = GraphDifference(
-          fwd.graph, OracleGraphOf(data, options, user, ExtractSeed(opts, user)));
+      std::string diff = UserCompGraphDifference(
+          fwd.graph,
+          OracleGraphOf(data, options, user, ExtractSeed(opts, user)));
       if (diff.empty()) {
-        diff = GraphDifference(
+        diff = UserCompGraphDifference(
             models[m]->LossGraph(user),
             OracleGraphOf(data, options, user, LossSeed(opts, user)));
         if (!diff.empty()) diff = "LossGraph: " + diff;
@@ -760,7 +728,7 @@ void CheckGraphsAgainstOracle(const KucnetFuzzContext::Data& data,
         direct.prune == PruneMode::kPpr ? &score : nullptr, &build_rng,
         excluded, ExecContext(), &got);
     const std::string diff =
-        status.ok() ? GraphDifference(got, want) : status.message();
+        status.ok() ? UserCompGraphDifference(got, want) : status.message();
     if (!diff.empty()) {
       fail() << (m == 0 ? "Ckg" : "CompactCkg") << " TryBuild user " << user
              << " with " << excluded.size() << " excluded pairs: " << diff;
@@ -773,9 +741,9 @@ void CheckGraphsAgainstOracle(const KucnetFuzzContext::Data& data,
 /// TryForwardMany (random batch sizes, with and without pre-extracted
 /// graphs, some with their edges shuffled) and ScorePairOnUiGraph must equal
 /// the per-edge oracle bitwise; then every graph the model builds must equal
-/// OracleUserCompGraph (CheckGraphsAgainstOracle). The oracle's bitwise contract needs
-/// deterministic kernels, so the case forces that mode whatever
-/// KUCNET_FAST_KERNELS says.
+/// OracleUserCompGraph (CheckGraphsAgainstOracle). The scores oracle's
+/// bitwise contract needs deterministic kernels, so the case forces that
+/// mode whatever KUCNET_FAST_KERNELS says.
 void KucnetCase(KucnetFuzzContext& ctx, uint64_t case_seed,
                 CaseResult& result) {
   Rng rng(case_seed);

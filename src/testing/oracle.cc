@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -203,7 +204,8 @@ UserCompGraph OracleUserCompGraph(const Ckg& ckg,
       const auto rels = ckg.OutRelations(src);
       const auto dsts = ckg.OutNeighbors(src);
       for (size_t e = 0; e < dsts.size(); ++e) {
-        const bool interact_edge = rels[e] == interact || rels[e] == interact_inv;
+        const bool interact_edge =
+            rels[e] == interact || rels[e] == interact_inv;
         if (interact_edge && hidden.count({src, dsts[e]}) > 0) continue;
         candidates.push_back(
             {rels[e], dsts[e], by_ppr ? (*score)(dsts[e]) : 0.0});
@@ -234,6 +236,36 @@ UserCompGraph OracleUserCompGraph(const Ckg& ckg,
   }
   graph.final_index = std::move(index);
   return graph;
+}
+
+std::string UserCompGraphDifference(const UserCompGraph& got,
+                                    const UserCompGraph& want) {
+  std::ostringstream diff;
+  if (got.user_node != want.user_node) {
+    diff << "user_node " << got.user_node << " vs " << want.user_node;
+  } else if (got.layers.size() != want.layers.size()) {
+    diff << got.layers.size() << " layers vs " << want.layers.size();
+  } else {
+    for (size_t l = 0; l < got.layers.size() && diff.tellp() == 0; ++l) {
+      const CompLayer& g = got.layers[l];
+      const CompLayer& w = want.layers[l];
+      const char* field = g.src_index != w.src_index ? "src_index"
+                          : g.rel != w.rel           ? "rel"
+                          : g.dst_index != w.dst_index ? "dst_index"
+                          : g.nodes != w.nodes       ? "nodes"
+                                                     : nullptr;
+      if (field != nullptr) {
+        diff << "layer " << l << " " << field << " (" << g.num_edges()
+             << " edges/" << g.nodes.size() << " nodes vs " << w.num_edges()
+             << "/" << w.nodes.size() << ")";
+      }
+    }
+    if (diff.tellp() == 0 && got.final_index != want.final_index) {
+      diff << "final_index (" << got.final_index.size() << " entries vs "
+           << want.final_index.size() << ")";
+    }
+  }
+  return diff.str();
 }
 
 std::vector<real_t> OracleKucnetScores(Kucnet& model,

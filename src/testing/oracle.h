@@ -2,6 +2,7 @@
 #define KUCNET_TESTING_ORACLE_H_
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -87,6 +88,12 @@ UserCompGraph OracleUserCompGraph(const Ckg& ckg,
                                   int64_t user_node, const NodeScoreFn* score,
                                   Rng* rng,
                                   const std::vector<ExcludedPair>& excluded);
+
+/// Empty when `got` equals `want` field for field (user node, every layer's
+/// src_index, rel, dst_index and nodes, and final_index); otherwise names
+/// the first field that differs, with both sides' sizes.
+std::string UserCompGraphDifference(const UserCompGraph& got,
+                                    const UserCompGraph& want);
 
 /// Eq. (5)-(7) on `graph` with `model`'s parameters and options, transcribed
 /// edge by edge from OracleGather, OracleMatMul and OracleSegmentSum: each

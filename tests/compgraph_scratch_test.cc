@@ -47,17 +47,26 @@ struct Fixture {
     return opts;
   }
 
-  /// TryBuild of `user` on the calling thread, with Rng(seed) under kRandom.
-  UserCompGraph Build(int64_t user, PruneMode prune, uint64_t seed,
-                      const ExecContext& ctx = ExecContext()) const {
+  /// TryBuild of `user` into `*out` on the calling thread, with Rng(seed)
+  /// under kRandom.
+  Status Build(int64_t user, PruneMode prune, uint64_t seed,
+               UserCompGraph* out,
+               const ExecContext& ctx = ExecContext()) const {
     const CompGraphBuilder builder(ckg.get(), Options(prune));
     const NodeScoreFn score = ppr->ScoreFn(user);
     Rng rng(seed);
-    UserCompGraph graph;
-    status = builder.TryBuild(ckg->UserNode(user),
-                              prune == PruneMode::kPpr ? &score : nullptr,
-                              &rng, {}, ctx, &graph);
-    return graph;
+    return builder.TryBuild(ckg->UserNode(user),
+                            prune == PruneMode::kPpr ? &score : nullptr, &rng,
+                            {}, ctx, out);
+  }
+
+  /// The difference between Build and the oracle for `user`; empty if none.
+  std::string DifferenceFromOracle(int64_t user, PruneMode prune,
+                                   uint64_t seed) const {
+    UserCompGraph got;
+    const Status status = Build(user, prune, seed, &got);
+    if (!status.ok()) return status.message();
+    return testing::UserCompGraphDifference(got, Oracle(user, prune, seed));
   }
 
   UserCompGraph Oracle(int64_t user, PruneMode prune, uint64_t seed) const {
@@ -71,24 +80,7 @@ struct Fixture {
   Dataset dataset;
   std::unique_ptr<Ckg> ckg;
   std::unique_ptr<PprTable> ppr;
-  mutable Status status;  ///< of the last Build
 };
-
-void ExpectSameGraph(const UserCompGraph& got, const UserCompGraph& want,
-                     const std::string& what) {
-  ASSERT_EQ(got.user_node, want.user_node) << what;
-  ASSERT_EQ(got.layers.size(), want.layers.size()) << what;
-  for (size_t l = 0; l < got.layers.size(); ++l) {
-    EXPECT_EQ(got.layers[l].src_index, want.layers[l].src_index)
-        << what << " layer " << l;
-    EXPECT_EQ(got.layers[l].rel, want.layers[l].rel) << what << " layer " << l;
-    EXPECT_EQ(got.layers[l].dst_index, want.layers[l].dst_index)
-        << what << " layer " << l;
-    EXPECT_EQ(got.layers[l].nodes, want.layers[l].nodes)
-        << what << " layer " << l;
-  }
-  EXPECT_EQ(got.final_index, want.final_index) << what;
-}
 
 TEST(CompGraphScratchTest, LargerSmallerLargerOnOneThread) {
   const Fixture large(120, 200, 41);
@@ -99,12 +91,8 @@ TEST(CompGraphScratchTest, LargerSmallerLargerOnOneThread) {
     for (const PruneMode prune : {PruneMode::kPpr, PruneMode::kNone}) {
       for (const Fixture* f : {&large, &small, &large}) {
         for (int64_t user = 0; user < f->dataset.num_users; user += 7) {
-          const std::string what = "nodes=" +
-                                   std::to_string(f->ckg->num_nodes()) +
-                                   " user=" + std::to_string(user);
-          ExpectSameGraph(f->Build(user, prune, 0), f->Oracle(user, prune, 0),
-                          what);
-          EXPECT_TRUE(f->status.ok()) << what;
+          EXPECT_EQ(f->DifferenceFromOracle(user, prune, 0), "")
+              << "nodes=" << f->ckg->num_nodes() << " user=" << user;
         }
       }
     }
@@ -125,16 +113,16 @@ TEST(CompGraphScratchTest, BuildAfterCancelledBuild) {
       for (int64_t fire_at = 1; fire_at <= hits; fire_at += 2) {
         FaultInjector injector;
         injector.Arm("subgraph", fire_at);
-        const UserCompGraph cancelled =
-            f.Build(user, PruneMode::kPpr, 0,
-                    ExecContext(Deadline::Infinite(), &injector));
-        ASSERT_FALSE(f.status.ok()) << "user " << user << " hit " << fire_at;
+        UserCompGraph cancelled;
+        ASSERT_FALSE(f.Build(user, PruneMode::kPpr, 0, &cancelled,
+                             ExecContext(Deadline::Infinite(), &injector))
+                         .ok())
+            << "user " << user << " hit " << fire_at;
         EXPECT_TRUE(cancelled.layers.empty());
         for (const int64_t next : {user, (user + 1) % 60}) {
-          ExpectSameGraph(f.Build(next, PruneMode::kPpr, 0),
-                          f.Oracle(next, PruneMode::kPpr, 0),
-                          "after cancel at hit " + std::to_string(fire_at) +
-                              " of user " + std::to_string(user));
+          EXPECT_EQ(f.DifferenceFromOracle(next, PruneMode::kPpr, 0), "")
+              << "user " << next << " after a cancel at hit " << fire_at
+              << " of user " << user;
         }
       }
     }
@@ -148,28 +136,26 @@ TEST(CompGraphScratchTest, ConcurrentExtractionEqualsSerial) {
        {PruneMode::kPpr, PruneMode::kRandom, PruneMode::kNone}) {
     std::vector<UserCompGraph> serial(users);
     for (int64_t u = 0; u < users; ++u) {
-      serial[u] = f.Build(u, prune, 1000 + u);
+      ASSERT_TRUE(f.Build(u, prune, 1000 + u, &serial[u]).ok());
     }
     SetOversubscribeForTest(true);
     SetGlobalPoolThreads(4);
     std::vector<UserCompGraph> pooled(users);
     std::vector<Status> statuses(users);
     ParallelFor(users, [&](int64_t u) {
-      const CompGraphBuilder builder(f.ckg.get(), f.Options(prune));
-      const NodeScoreFn score = f.ppr->ScoreFn(u);
-      Rng rng(1000 + u);
-      statuses[u] = builder.TryBuild(
-          f.ckg->UserNode(u), prune == PruneMode::kPpr ? &score : nullptr,
-          &rng, {}, ExecContext(), &pooled[u]);
+      statuses[u] = f.Build(u, prune, 1000 + u, &pooled[u]);
     });
     SetGlobalPoolThreads(1);
     ClearOversubscribeForTest();
     for (int64_t u = 0; u < users; ++u) {
       ASSERT_TRUE(statuses[u].ok()) << statuses[u].message();
-      ExpectSameGraph(pooled[u], serial[u], "user " + std::to_string(u));
+      EXPECT_EQ(testing::UserCompGraphDifference(pooled[u], serial[u]), "")
+          << "user " << u;
     }
-    ExpectSameGraph(serial[users - 1], f.Oracle(users - 1, prune, 1000 + users - 1),
-                    "serial vs oracle");
+    const int64_t last = users - 1;
+    EXPECT_EQ(testing::UserCompGraphDifference(
+                  serial[last], f.Oracle(last, prune, 1000 + last)),
+              "");
   }
 }
 

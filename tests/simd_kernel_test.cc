@@ -263,7 +263,8 @@ TEST(SimdKernelTest, OneColumnProductsMatchOracleExactly) {
     const Matrix at = Transpose(a);
     const Matrix bt = Transpose(b);
     const Matrix want = OracleMatMul(a, b);
-    for (const KernelMode mode : {KernelMode::kDeterministic, KernelMode::kFast}) {
+    for (const KernelMode mode :
+         {KernelMode::kDeterministic, KernelMode::kFast}) {
       ScopedKernelMode forced_mode(mode);
       for (const SimdLevel level : AvailableLevels()) {
         ScopedSimdLevel forced(level);
