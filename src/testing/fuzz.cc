@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "util/fs.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace kucnet {
 namespace testing {
@@ -1664,38 +1666,69 @@ void StreamCase(uint64_t case_seed, CaseResult& result) {
   const std::vector<StreamOp> script = RandomStreamScript(rng, data);
 
   // Clean run: stream the whole script, remembering the state digest after
-  // every acked update (digests[k] = state after k acks).
+  // every acked update (digests[k] = state after k acks). Odd cases open the
+  // table on a pool, so the repair runs its users on several workers; the
+  // serial reopen below must still reach the same digest.
+  std::unique_ptr<ThreadPool> pool;
+  if (case_seed % 2 == 1) pool = std::make_unique<ThreadPool>(3);
   InMemoryFileSystem clean_fs;
   std::unique_ptr<StreamingCkg> clean;
-  Status st = StreamingCkg::Open(data, &clean_fs, "wal", opts, nullptr, &clean);
+  Status st =
+      StreamingCkg::Open(data, &clean_fs, "wal", opts, pool.get(), &clean);
   if (!st.ok()) {
     result.Fail() << "clean open: " << st.message();
     return;
   }
-  // A freshly opened table is a plain push per user on the base graph:
-  // estimate and residual must equal the naive push transcript entry for
-  // entry, bit for bit.
-  const Ckg& base = clean->graph().base();
-  for (int64_t u = 0; u < data.num_users; ++u) {
-    const OraclePprResult oracle = OraclePprPush(
-        base, base.UserNode(u), opts.ppr.alpha, opts.ppr.epsilon);
-    if (!SameBits(clean->ppr().Estimate(u), oracle.estimate) ||
-        !SameBits(clean->ppr().Residual(u), oracle.residual)) {
-      result.Fail() << "fresh PPR state of user " << u
-                    << " differs from the oracle push (alpha="
-                    << opts.ppr.alpha << " eps=" << opts.ppr.epsilon << ")";
-      return;
+  // Each user's state must equal the oracles' key for key and bit for bit:
+  // a freshly opened table is a plain push per user on the base graph, and
+  // every acked update repairs it as OraclePprRepair does on a shadow graph
+  // that takes the same updates.
+  auto same_as_oracle = [&](const std::vector<OraclePprResult>& oracle,
+                            const char* when) {
+    for (int64_t u = 0; u < data.num_users; ++u) {
+      if (!SameBits(clean->ppr().Estimate(u), oracle[u].estimate) ||
+          !SameBits(clean->ppr().Residual(u), oracle[u].residual)) {
+        result.Fail() << "PPR state of user " << u << " " << when
+                      << " differs from the oracle (alpha=" << opts.ppr.alpha
+                      << " eps=" << opts.ppr.epsilon << ")";
+        return false;
+      }
     }
+    return true;
+  };
+  const Ckg& base = clean->graph().base();
+  std::vector<OraclePprResult> oracle(data.num_users);
+  for (int64_t u = 0; u < data.num_users; ++u) {
+    oracle[u] = OraclePprPush(base, base.UserNode(u), opts.ppr.alpha,
+                              opts.ppr.epsilon);
   }
+  if (!same_as_oracle(oracle, "after open")) return;
 
+  DynamicCkg shadow(data.num_users, data.num_items, data.num_kg_nodes,
+                    data.num_kg_relations, data.train, data.kg, data.user_kg);
   std::vector<uint64_t> digests{clean->StateDigest()};
-  for (const StreamOp& op : script) {
+  for (size_t k = 0; k < script.size(); ++k) {
+    const StreamOp& op = script[k];
     st = ApplyStreamOp(clean.get(), op);
     if (!st.ok()) {
       result.Fail() << "clean append: " << st.message();
       return;
     }
     digests.push_back(clean->StateDigest());
+    std::vector<Edge> inserted;
+    if (op.interaction) {
+      shadow.AddInteraction(op.a, op.b, &inserted);
+    } else {
+      shadow.AddKgTriplet(op.a, op.b, op.c, &inserted);
+    }
+    if (!inserted.empty()) {  // a duplicate changes nothing
+      for (OraclePprResult& state : oracle) {
+        OraclePprRepair(shadow, inserted, opts.ppr.alpha, opts.ppr.epsilon,
+                        &state.estimate, &state.residual);
+      }
+    }
+    const std::string when = "after update " + std::to_string(k);
+    if (!same_as_oracle(oracle, when.c_str())) return;
   }
 
   // Out-of-range updates must be rejected without touching state or WAL.

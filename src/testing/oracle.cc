@@ -485,6 +485,92 @@ OraclePprResult OracleStreamRecompute(const DynamicCkg& graph, int64_t user,
   return OraclePprPush(rebuilt, rebuilt.UserNode(user), alpha, epsilon);
 }
 
+void OraclePprRepair(const DynamicCkg& graph, const std::vector<Edge>& inserted,
+                     real_t alpha, real_t epsilon,
+                     std::unordered_map<int64_t, real_t>* estimate,
+                     std::unordered_map<int64_t, real_t>* residual) {
+  auto& est = *estimate;
+  auto& res = *residual;
+  // A read that creates no entry.
+  auto value_or_zero = [](const std::unordered_map<int64_t, real_t>& map,
+                          int64_t v) {
+    const auto it = map.find(v);
+    return it == map.end() ? 0.0 : it->second;
+  };
+  bool moves_mass = false;
+  for (const Edge& e : inserted) {
+    if (value_or_zero(est, e.src) != 0.0) moves_mass = true;
+  }
+  if (!moves_mass) return;
+
+  std::set<int64_t> dirty;
+  for (size_t j = 0; j < inserted.size(); ++j) {
+    const Edge& e = inserted[j];
+    int64_t d_old = graph.OutDegree(e.src);
+    for (size_t k = j; k < inserted.size(); ++k) {
+      if (inserted[k].src == e.src) --d_old;
+    }
+    KUC_CHECK_GE(d_old, 0);
+    const real_t pu = value_or_zero(est, e.src);
+    if (pu == 0.0) continue;
+    if (d_old == 0) {
+      // Always dangling until now: all of the estimate is absorbed mass.
+      res[e.src] += pu;
+      est[e.src] = 0.0;
+      dirty.insert(e.src);
+      continue;
+    }
+    const real_t out_mass = (1.0 - alpha) * pu / alpha;
+    const real_t d_o = static_cast<real_t>(d_old);
+    const real_t d_n = static_cast<real_t>(d_old + 1);
+    const real_t delta_old = out_mass * (1.0 / d_n - 1.0 / d_o);
+    graph.ForEachOutNeighborPrefix(e.src, d_old,
+                                   [&](int64_t /*rel*/, int64_t v) {
+                                     res[v] += delta_old;
+                                     dirty.insert(v);
+                                   });
+    res[e.dst] += out_mass / d_n;
+    dirty.insert(e.dst);
+  }
+
+  std::deque<int64_t> queue;
+  std::set<int64_t> queued;
+  for (const int64_t v : dirty) {
+    const real_t rv = value_or_zero(res, v);
+    const int64_t deg = graph.OutDegree(v);
+    if (deg == 0 ? rv != 0.0
+                 : std::abs(rv) >= epsilon * static_cast<real_t>(deg)) {
+      queue.push_back(v);
+      queued.insert(v);
+    }
+  }
+  while (!queue.empty()) {
+    const int64_t v = queue.front();
+    queue.pop_front();
+    queued.erase(v);
+    const int64_t deg = graph.OutDegree(v);
+    real_t& rv = res[v];
+    if (deg == 0) {
+      est[v] += rv;
+      rv = 0.0;
+      continue;
+    }
+    if (std::abs(rv) < epsilon * static_cast<real_t>(deg)) continue;
+    const real_t mass = rv;
+    est[v] += alpha * mass;
+    rv = 0.0;
+    const real_t push = (1.0 - alpha) * mass / static_cast<real_t>(deg);
+    graph.ForEachOutNeighbor(v, [&](int64_t /*rel*/, int64_t w) {
+      real_t& rw = res[w];
+      rw += push;
+      if (std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w)) &&
+          queued.insert(w).second) {
+        queue.push_back(w);
+      }
+    });
+  }
+}
+
 // ---- Ranking / metrics -------------------------------------------------------
 
 std::vector<int64_t> OracleTopN(const std::vector<double>& scores, int64_t n,

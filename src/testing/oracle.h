@@ -171,6 +171,30 @@ OracleDensePpr OraclePprDense(const Ckg& ckg, int64_t source, real_t alpha,
 OraclePprResult OracleStreamRecompute(const DynamicCkg& graph, int64_t user,
                                       real_t alpha, real_t epsilon);
 
+/// Map-and-deque replica of the streaming repair of one user's PPR state
+/// (DynamicPprTable::ApplyEdgeInsertions) for the directed edges `inserted`,
+/// the list DynamicCkg::Add* reported for the update just applied to
+/// `graph`. `estimate` and `residual` hold the state before the update and
+/// are repaired in place:
+///  - each edge's old source degree is counted from the batch: the source's
+///    degree now minus the batch edges from it at this position or later;
+///  - when no edge's source holds a nonzero estimate, nothing changes;
+///  - otherwise, edge by edge in batch order, a source that was dangling
+///    gives its estimate back to its residual, and any other source with a
+///    nonzero estimate re-normalises its pushed mass from its old
+///    out-edges (ForEachOutNeighborPrefix) to them plus the new one;
+///  - the corrected nodes, in ascending order, whose |residual| reaches
+///    epsilon * degree (any nonzero residual at a dangling node) seed a
+///    signed FIFO push, |r| >= epsilon * degree, over `graph`'s canonical
+///    neighbor order.
+/// Entries are created with operator[] exactly where the optimized repair
+/// creates them, so the optimized table must equal this key for key and
+/// bit for bit.
+void OraclePprRepair(const DynamicCkg& graph, const std::vector<Edge>& inserted,
+                     real_t alpha, real_t epsilon,
+                     std::unordered_map<int64_t, real_t>* estimate,
+                     std::unordered_map<int64_t, real_t>* residual);
+
 // ---- Ranking / metrics -------------------------------------------------------
 
 /// Brute-force top-N: full stable sort of all unmasked indices under the
