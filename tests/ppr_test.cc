@@ -1,12 +1,17 @@
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
 
+#include "data/synthetic.h"
 #include "graph/ckg.h"
+#include "graph/dynamic_ckg.h"
 #include "ppr/ppr.h"
+#include "store/compact_ckg.h"
 #include "testing/fuzz.h"
 #include "testing/oracle.h"
 #include "util/finite.h"
@@ -290,6 +295,78 @@ TEST(PprScratchTest, PooledTableTwiceInARowMatchesOracle) {
       ExpectOracleBits(table.Vector(u), g, g.UserNode(u), opts.alpha,
                        opts.epsilon);
     }
+  }
+}
+
+// Loads an empty state into the scratch, pushes from `source` to
+// convergence and stores the result; returns the push's counts.
+template <typename Graph>
+PushCounts PushFromSource(const Graph& g, int64_t source, real_t alpha,
+                          real_t epsilon, FlatPprVector* estimate,
+                          FlatPprVector* residual) {
+  PushScratch& scratch = PushScratch::ForThisThread();
+  scratch.Begin(g.num_nodes());
+  scratch.Load(estimate, residual);
+  scratch.Residual(source) = 1.0;
+  const PushCounts counts =
+      PushToConvergence(g, alpha, epsilon, {source}, &scratch);
+  scratch.Store();
+  return counts;
+}
+
+// Flat entries equal to the oracle map's, key for key and raw bit for raw
+// bit.
+void ExpectSameBits(const FlatPprVector& got,
+                    const std::unordered_map<int64_t, real_t>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (const auto& [node, value] : got) {
+    const auto it = want.find(node);
+    ASSERT_NE(it, want.end()) << what << " node " << node;
+    EXPECT_EQ(std::bit_cast<uint64_t>(value),
+              std::bit_cast<uint64_t>(it->second))
+        << what << " node " << node;
+  }
+}
+
+TEST(PprScratchTest, LongPushCompactsTheFifoAndMatchesOracle) {
+  // A full push from a synth-lastfm user pops ~13,500 times, so the FIFO
+  // drops its popped prefix mid-push (every graph in the tests above is far
+  // too small to reach that). The three graph layouts hold the same
+  // adjacency in the same order, so each must reproduce the oracle
+  // transcript, estimates and residuals, bit for bit.
+  Rng split_rng(1);
+  const Dataset data = TraditionalSplit(
+      GenerateSynthetic(SynthLastFmConfig()).raw, 0.2, split_rng);
+  const Ckg ckg = data.BuildCkg();
+  CompactCkg compact;
+  ASSERT_TRUE(CompactCkg::TryBuild(data.num_users, data.num_items,
+                                   data.num_kg_nodes, data.num_kg_relations,
+                                   data.train, data.kg, data.user_kg,
+                                   &compact)
+                  .ok());
+  const DynamicCkg dynamic(data.num_users, data.num_items, data.num_kg_nodes,
+                           data.num_kg_relations, data.train, data.kg,
+                           data.user_kg);
+  const real_t alpha = 0.15, epsilon = 1e-6;
+  for (const int64_t user : {0, 7, 151}) {
+    const int64_t source = ckg.UserNode(user);
+    const testing::OraclePprResult oracle =
+        testing::OraclePprPush(ckg, source, alpha, epsilon);
+    auto check = [&](const auto& g, const char* layout) {
+      FlatPprVector estimate, residual;
+      const PushCounts counts =
+          PushFromSource(g, source, alpha, epsilon, &estimate, &residual);
+      const std::string what =
+          std::string(layout) + " user " + std::to_string(user);
+      // Compaction needs 4096 pops, and at least half the buffer popped.
+      EXPECT_GE(counts.pops, 8192) << what;
+      ExpectSameBits(estimate, oracle.estimate, what + " estimate");
+      ExpectSameBits(residual, oracle.residual, what + " residual");
+    };
+    check(ckg, "Ckg");
+    check(compact, "CompactCkg");
+    check(dynamic, "DynamicCkg");
   }
 }
 
