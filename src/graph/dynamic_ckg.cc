@@ -17,6 +17,10 @@ DynamicCkg::DynamicCkg(int64_t num_users, int64_t num_items,
       kg_triplets_(std::move(kg_triplets)),
       user_triplets_(std::move(user_triplets)) {
   overflow_.resize(base_.num_nodes());
+  degree_.resize(base_.num_nodes());
+  for (int64_t v = 0; v < base_.num_nodes(); ++v) {
+    degree_[v] = base_.OutDegree(v);
+  }
 }
 
 bool DynamicCkg::HasEdge(int64_t src, int64_t rel, int64_t dst) const {
@@ -46,6 +50,7 @@ bool DynamicCkg::HasEdge(int64_t src, int64_t rel, int64_t dst) const {
 void DynamicCkg::InsertDirected(int64_t src, int64_t rel, int64_t dst,
                                 std::vector<Edge>* inserted) {
   overflow_[src].emplace_back(rel, dst);
+  ++degree_[src];
   ++overflow_edges_;
   if (inserted != nullptr) inserted->push_back({src, rel, dst});
 }

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -75,9 +76,15 @@ class DynamicCkg {
 
   // ---- Topology (base + overflow) -------------------------------------------
 
-  int64_t OutDegree(int64_t node) const {
-    return base_.OutDegree(node) +
-           static_cast<int64_t>(overflow_[node].size());
+  int64_t OutDegree(int64_t node) const { return degree_[node]; }
+
+  /// One inserted directed edge, (rel, dst).
+  using OverflowEdge = std::pair<int64_t, int64_t>;
+
+  /// The edges inserted out of `node`, in insertion order: the canonical
+  /// order's tail, after the base CSR row `base().OutNeighbors(node)`.
+  std::span<const OverflowEdge> OverflowEdges(int64_t node) const {
+    return overflow_[node];
   }
 
   /// Visits out-edges of `node` as fn(rel, dst): base CSR entries in CSR
@@ -117,14 +124,13 @@ class DynamicCkg {
   Ckg Rebuild() const;
 
  private:
-  // One directed labeled edge in a node's overflow list.
-  using OverflowEdge = std::pair<int64_t, int64_t>;  // (rel, dst)
-
   void InsertDirected(int64_t src, int64_t rel, int64_t dst,
                       std::vector<Edge>* inserted);
 
   Ckg base_;
   std::vector<std::vector<OverflowEdge>> overflow_;  // indexed by node
+  /// Out-degree per node, base row plus overflow edges.
+  std::vector<int64_t> degree_;
   int64_t overflow_edges_ = 0;
   // Inputs accumulated for Rebuild().
   std::vector<std::array<int64_t, 2>> interactions_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "graph/dynamic_ckg.h"
 #include "obs/metrics.h"
@@ -12,20 +13,6 @@
 #include "util/logging.h"
 
 namespace kucnet {
-
-namespace {
-
-/// Calls fn(w) for each out-neighbor w of v, in the graph's own order.
-template <typename Graph, typename Fn>
-void ForEachOutNeighbor(const Graph& graph, int64_t v, Fn&& fn) {
-  if constexpr (requires { graph.OutNeighbors(v); }) {
-    for (const int64_t w : graph.OutNeighbors(v)) fn(w);
-  } else {
-    graph.ForEachOutNeighbor(v, [&](int64_t /*rel*/, int64_t w) { fn(w); });
-  }
-}
-
-}  // namespace
 
 real_t FlatPprValue(const FlatPprVector& vec, int64_t node) {
   const auto it = std::lower_bound(
@@ -70,17 +57,6 @@ void PushScratch::Load(FlatPprVector* estimate, FlatPprVector* residual) {
   loaded_residual_ = residual;
   num_estimates_ = static_cast<int64_t>(estimate->size());
   num_residuals_ = static_cast<int64_t>(residual->size());
-}
-
-void PushScratch::Enqueue(int64_t v) {
-  // Drop the popped prefix once it is most of the buffer, so the FIFO holds
-  // O(waiting nodes) however many pops a push makes.
-  if (head_ >= 4096 && 2 * head_ >= queue_.size()) {
-    queue_.erase(queue_.begin(), queue_.begin() + static_cast<int64_t>(head_));
-    head_ = 0;
-  }
-  flags_[v] |= kQueued;
-  queue_.push_back(v);
 }
 
 std::unordered_map<int64_t, real_t> PushScratch::TakeEstimates() {
@@ -165,33 +141,79 @@ template <typename Graph>
 PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
                              const std::vector<int64_t>& seeds,
                              PushScratch* scratch) {
-  for (const int64_t v : seeds) scratch->Enqueue(v);
+  using Scratch = PushScratch;
+  // Begin sized the arrays for this graph, so their buffers stay put for
+  // the whole push; only the FIFO and the touched list grow.
+  real_t* const estimate = scratch->estimate_.data();
+  real_t* const residual = scratch->residual_.data();
+  uint8_t* const flags = scratch->flags_.data();
+  std::vector<int64_t>& queue = scratch->queue_;
+  std::vector<int64_t>& touched = scratch->touched_;
+  int64_t new_estimates = 0;
+  int64_t new_residuals = 0;
+  for (const int64_t v : seeds) {
+    flags[v] |= Scratch::kQueued;
+    queue.push_back(v);
+  }
   PushCounts counts;
   int64_t v = 0;
   while (scratch->Dequeue(&v)) {
     ++counts.pops;
     const int64_t deg = graph.OutDegree(v);
-    real_t& rv = scratch->Residual(v);
+    const real_t rv = residual[v];
+    // Mass moves at a dangling node (degree 0, which absorbs its whole
+    // residual) and at a node not below its threshold.
+    const bool moves =
+        deg == 0 || !(std::abs(rv) < epsilon * static_cast<real_t>(deg));
+    // One flag update: clear queued, create the residual entry, and the
+    // estimate entry if mass moves into it. A node enters the touched list
+    // when its first entry is made, as in Mark.
+    uint8_t f = flags[v] & static_cast<uint8_t>(~Scratch::kQueued);
+    if (f == 0) touched.push_back(v);
+    if ((f & Scratch::kHasResidual) == 0) ++new_residuals;
+    f |= Scratch::kHasResidual;
+    if (moves) {
+      if ((f & Scratch::kHasEstimate) == 0) ++new_estimates;
+      f |= Scratch::kHasEstimate;
+    }
+    flags[v] = f;
+    if (!moves) continue;
     if (deg == 0) {
       // Dangling node: all residual mass becomes estimate (self-restart).
-      scratch->Estimate(v) += rv;
-      rv = 0.0;
+      estimate[v] += rv;
+      residual[v] = 0.0;
       continue;
     }
-    if (std::abs(rv) < epsilon * static_cast<real_t>(deg)) continue;
-    const real_t mass = rv;
-    scratch->Estimate(v) += alpha * mass;
-    rv = 0.0;
+    estimate[v] += alpha * rv;
+    residual[v] = 0.0;
     ++counts.pushes;
-    const real_t push = (1.0 - alpha) * mass / static_cast<real_t>(deg);
-    ForEachOutNeighbor(graph, v, [&](int64_t w) {
-      real_t& rw = scratch->Residual(w);
-      rw += push;
-      if (std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w))) {
-        scratch->EnqueueUnlessQueued(w);
+    const real_t push = (1.0 - alpha) * rv / static_cast<real_t>(deg);
+    // A row may list w more than once (parallel edges, a self-loop), so
+    // every visit reads and writes w's flag and residual afresh.
+    auto visit = [&](int64_t w) {
+      uint8_t fw = flags[w];
+      if ((fw & Scratch::kHasResidual) == 0) {
+        if (fw == 0) touched.push_back(w);
+        ++new_residuals;
+        fw |= Scratch::kHasResidual;
       }
-    });
+      const real_t rw = residual[w] += push;
+      if ((fw & Scratch::kQueued) == 0 &&
+          std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w))) {
+        fw |= Scratch::kQueued;
+        queue.push_back(w);
+      }
+      flags[w] = fw;
+    };
+    if constexpr (std::is_same_v<Graph, DynamicCkg>) {
+      for (const int64_t w : graph.base().OutNeighbors(v)) visit(w);
+      for (const auto& edge : graph.OverflowEdges(v)) visit(edge.second);
+    } else {
+      for (const int64_t w : graph.OutNeighbors(v)) visit(w);
+    }
   }
+  scratch->num_estimates_ += new_estimates;
+  scratch->num_residuals_ += new_residuals;
   // PPR boundary: estimates feed pruning and the serving heuristic tier; a
   // non-finite entry (degenerate alpha/epsilon, corrupt graph weights) must
   // fail here rather than skew rankings downstream.

@@ -44,6 +44,27 @@ using FlatPprVector = std::vector<PprEntry>;
 /// search).
 real_t FlatPprValue(const FlatPprVector& vec, int64_t node);
 
+class PushScratch;
+
+/// Forward push from `seeds`, the nodes whose residual the caller set
+/// (sorted and deduplicated, for determinism), until |r(v)| < epsilon *
+/// deg(v) at every node the push reached. Reads and updates the estimate
+/// and residual entries in `scratch`, which must be in a use (see
+/// PushScratch). The queue is FIFO. A popped node at or above its threshold
+/// moves alpha of its residual into its estimate and spreads the rest evenly
+/// over its out-edges, enqueueing each neighbor that crosses its own
+/// threshold; a dangling node (degree 0) absorbs its whole residual instead.
+/// Residuals may be negative: the streaming repair seeds signed corrections,
+/// and negative mass pushes like positive. A push from a fresh source
+/// (residual 1 at the source, nothing else) only ever holds non-negative
+/// residuals. Instantiated in ppr.cc for `Ckg`, `CompactCkg` and
+/// `DynamicCkg`; neighbors are visited in each graph's own order (for
+/// `DynamicCkg`, the base CSR row, then the overflow edges).
+template <typename Graph>
+PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
+                             const std::vector<int64_t>& seeds,
+                             PushScratch* scratch);
+
 /// Dense working state of the forward push, one per thread (`ForThisThread`).
 /// Estimate and residual values and one flag byte per node (has-estimate,
 /// has-residual, queued) are indexed by node id and sized to the largest
@@ -55,7 +76,9 @@ real_t FlatPprValue(const FlatPprVector& vec, int64_t node);
 /// An entry exists where a hash-map push would have created one with
 /// `operator[]`: `Estimate(v)`/`Residual(v)` create it (value 0 if new),
 /// `EstimateOrZero`/`ResidualOrZero` only read. Entries holding 0.0 are
-/// kept, so the gathered entry sets match the map code's exactly.
+/// kept, so the gathered entry sets match the map code's exactly. The push
+/// loop (PushToConvergence) reads and writes the arrays and the FIFO
+/// directly and keeps the same invariants.
 class PushScratch {
  public:
   /// The calling thread's scratch.
@@ -81,23 +104,6 @@ class PushScratch {
   real_t EstimateOrZero(int64_t v) const { return estimate_[v]; }
   real_t ResidualOrZero(int64_t v) const { return residual_[v]; }
 
-  /// FIFO of nodes to pop. Enqueue appends unconditionally;
-  /// EnqueueUnlessQueued skips a node that is already waiting. Dequeue
-  /// clears the popped node's queued flag.
-  void Enqueue(int64_t v);
-  void EnqueueUnlessQueued(int64_t v) {
-    if ((flags_[v] & kQueued) == 0) Enqueue(v);
-  }
-  bool Dequeue(int64_t* v) {
-    if (head_ == queue_.size()) return false;
-    *v = queue_[head_++];
-    flags_[*v] &= static_cast<uint8_t>(~kQueued);
-    return true;
-  }
-
-  /// Aborts with the node and value if an estimate entry is not finite.
-  void CheckEstimatesFinite() const;
-
   /// Ends a use without Load: returns the estimate entries as a hash map.
   std::unordered_map<int64_t, real_t> TakeEstimates();
 
@@ -107,6 +113,12 @@ class PushScratch {
   void Store();
 
  private:
+  template <typename Graph>
+  friend PushCounts PushToConvergence(const Graph& graph, real_t alpha,
+                                      real_t epsilon,
+                                      const std::vector<int64_t>& seeds,
+                                      PushScratch* scratch);
+
   static constexpr uint8_t kHasEstimate = 1;
   static constexpr uint8_t kHasResidual = 2;
   static constexpr uint8_t kQueued = 4;
@@ -124,6 +136,22 @@ class PushScratch {
     residual_[v] = 0.0;
     flags_[v] = 0;
   }
+  /// Pops the FIFO's next node into *v, or returns false when it is
+  /// empty; the caller clears the node's queued flag. Drops the popped
+  /// prefix first once it is most of the buffer, so the FIFO holds
+  /// O(waiting nodes) however many pops a push makes.
+  bool Dequeue(int64_t* v) {
+    if (head_ == queue_.size()) return false;
+    if (head_ >= 4096 && 2 * head_ >= queue_.size()) {
+      queue_.erase(queue_.begin(),
+                   queue_.begin() + static_cast<int64_t>(head_));
+      head_ = 0;
+    }
+    *v = queue_[head_++];
+    return true;
+  }
+  /// Aborts with the node and value if an estimate entry is not finite.
+  void CheckEstimatesFinite() const;
   void EndUse();
 
   std::vector<real_t> estimate_;
@@ -140,25 +168,6 @@ class PushScratch {
   std::vector<int64_t> queue_;
   size_t head_ = 0;
 };
-
-/// Forward push from `seeds`, the nodes whose residual the caller set
-/// (sorted and deduplicated, for determinism), until |r(v)| < epsilon *
-/// deg(v) at every node the push reached. Reads and updates the estimate
-/// and residual entries in `scratch`, which must be in a use (see
-/// PushScratch). The queue is FIFO. A popped node at or above its threshold
-/// moves alpha of its residual into its estimate and spreads the rest evenly
-/// over its out-edges, enqueueing each neighbor that crosses its own
-/// threshold; a dangling node (degree 0) absorbs its whole residual instead.
-/// Residuals may be negative: the streaming repair seeds signed corrections,
-/// and negative mass pushes like positive. A push from a fresh source
-/// (residual 1 at the source, nothing else) only ever holds non-negative
-/// residuals. Instantiated in ppr.cc for `Ckg`, `CompactCkg` and
-/// `DynamicCkg`; neighbors are visited in each graph's own order (for
-/// `DynamicCkg`, base CSR then overflow).
-template <typename Graph>
-PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
-                             const std::vector<int64_t>& seeds,
-                             PushScratch* scratch);
 
 /// Sparse PPR of `source` by forward push with per-node residual threshold
 /// `epsilon * degree(v)`. Returns only the estimates, which undershoot the
