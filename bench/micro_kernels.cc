@@ -12,7 +12,9 @@
 // simd, cpu). Matmul rows cover the square acceptance shape, an odd
 // non-tile-multiple shape, the forced-scalar micro-kernel, the
 // re-associated fast mode, and one user's forward shapes (a message layer
-// and the one-column readout). Inputs are built outside the timed call.
+// and the one-column readout); a shape below kMatMulParallelFlops runs
+// serially on any pool, so it gets its 1-worker row only. Inputs are built
+// outside the timed call.
 
 #include <benchmark/benchmark.h>
 
@@ -231,7 +233,8 @@ struct OpWork {
 /// Times `fn(setup())` under a 1-worker pool and a `threads`-worker pool
 /// (BestNs: the setup is untimed), checks the returned matrices are bitwise
 /// identical, and appends both rows with achieved GFLOP/s and bytes/s plus
-/// the dispatched SIMD level and CPU model.
+/// the dispatched SIMD level and CPU model. With `threads` 1 it times and
+/// appends the serial row only.
 template <typename Setup, typename Fn>
 void CompareKernel(const std::string& kernel, const std::string& size,
                    int threads, int reps, OpWork work, const Setup& setup,
@@ -243,11 +246,6 @@ void CompareKernel(const std::string& kernel, const std::string& size,
   SetGlobalPoolThreads(1);
   const Matrix serial_result = result_of();
   const double serial_ns = BestNs(reps, setup, fn);
-  SetGlobalPoolThreads(threads);
-  const Matrix threaded_result = result_of();
-  const double threaded_ns = BestNs(reps, setup, fn);
-  KUC_CHECK(serial_result.Equals(threaded_result))
-      << kernel << " result differs between 1 and " << threads << " threads";
   const std::string simd = SimdLevelName(ActiveSimdLevel());
   const std::string& cpu = bench::CpuModelName();
   auto row = [&](int t, double ns, double speedup) {
@@ -264,11 +262,23 @@ void CompareKernel(const std::string& kernel, const std::string& size,
     out->push_back(r);
   };
   row(1, serial_ns, 1.0);
-  row(threads, threaded_ns, threaded_ns > 0 ? serial_ns / threaded_ns : 0.0);
   const std::string rate =
       work.flops > 0
           ? " @ " + bench::Fmt(work.flops / serial_ns, 1) + " GFLOP/s"
           : "";
+  if (threads == 1) {
+    std::printf("%-16s %-14s 1 thread: %10.0f ns   (serial on any pool)   "
+                "%s%s\n",
+                kernel.c_str(), size.c_str(), serial_ns, simd.c_str(),
+                rate.c_str());
+    return;
+  }
+  SetGlobalPoolThreads(threads);
+  const Matrix threaded_result = result_of();
+  const double threaded_ns = BestNs(reps, setup, fn);
+  KUC_CHECK(serial_result.Equals(threaded_result))
+      << kernel << " result differs between 1 and " << threads << " threads";
+  row(threads, threaded_ns, threaded_ns > 0 ? serial_ns / threaded_ns : 0.0);
   std::printf("%-16s %-14s 1 thread: %10.0f ns   %d threads: %10.0f ns   "
               "speedup %.2fx   %s%s\n",
               kernel.c_str(), size.c_str(), serial_ns, threads, threaded_ns,
@@ -284,6 +294,12 @@ void CompareKernel(const std::string& kernel, const std::string& size,
   CompareKernel(
       kernel, size, threads, reps, work, [] { return 0; },
       [&fn](int) { return fn(); }, out);
+}
+
+/// The pool size a matmul row compares: `threads`, or 1 for a product
+/// below kMatMulParallelFlops, which runs the same serial code on any pool.
+int MatMulThreads(int64_t multiply_adds, int threads) {
+  return multiply_adds >= kMatMulParallelFlops ? threads : 1;
 }
 
 /// A tape holding one constant input and an index vector to move into the
@@ -341,23 +357,24 @@ int RunThreadsCompare(const std::string& json_path, int threads) {
     const OpWork w{2.0 * m * n * k,
                    static_cast<double>(m * k + k * n + 2 * m * n) *
                        sizeof(real_t)};
-    CompareKernel("matmul", "129x67x255", threads, 50, w,
+    const int t = MatMulThreads(m * n * k, threads);
+    CompareKernel("matmul", "129x67x255", t, 50, w,
                   [&] { return MatMul(a, b); }, &results);
     Matrix at = Transpose(a);
-    CompareKernel("matmul_tA", "129x67x255", threads, 50, w,
+    CompareKernel("matmul_tA", "129x67x255", t, 50, w,
                   [&] { return MatMulTransposedA(at, b); }, &results);
     Matrix bt = Transpose(b);
-    CompareKernel("matmul_tB", "129x67x255", threads, 50, w,
+    CompareKernel("matmul_tB", "129x67x255", t, 50, w,
                   [&] { return MatMulTransposedB(a, bt); }, &results);
   }
 
   {  // One user's forward products on synth-lastfm (depth 3, K = 30): the
-     // median layer's message matmul and the readout. Both sit below
-     // kMatMulParallelFlops, so the multi-worker row runs serially too.
+     // median layer's message matmul and the readout.
     const int64_t m = 350, k = 32, n = 32;
     Matrix a = Matrix::RandomNormal(m, k, 1.0, rng);
     Matrix b = Matrix::RandomNormal(k, n, 1.0, rng);
-    CompareKernel("matmul", "350x32x32", threads, 200,
+    CompareKernel("matmul", "350x32x32", MatMulThreads(m * n * k, threads),
+                  200,
                   OpWork{2.0 * m * n * k,
                          static_cast<double>(m * k + k * n + m * n) *
                              sizeof(real_t)},
@@ -365,7 +382,7 @@ int RunThreadsCompare(const std::string& json_path, int threads) {
     const int64_t rows = 460;
     Matrix h = Matrix::RandomNormal(rows, k, 1.0, rng);
     Matrix readout = Matrix::RandomNormal(k, 1, 1.0, rng);
-    CompareKernel("matmul", "460x32x1", threads, 200,
+    CompareKernel("matmul", "460x32x1", MatMulThreads(rows * k, threads), 200,
                   OpWork{2.0 * rows * k,
                          static_cast<double>(rows * k + k + rows) *
                              sizeof(real_t)},

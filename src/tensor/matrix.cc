@@ -14,14 +14,6 @@ namespace kucnet {
 
 namespace {
 
-/// Minimum multiply-add count (n*k*m) before a matmul is worth farming out:
-/// the measured serial-vs-threaded crossover on a 4-worker pool whose
-/// workers sleep between calls, as they do between a forward's layers.
-/// Below it, waking the pool costs more than splitting saves (350x32x32,
-/// one forward layer, ran 0.82x threaded; 4096x32x32 broke even; 8192x32x32
-/// won 1.23x), so a single user's forward never forks.
-constexpr int64_t kMatMulParallelFlops = int64_t{1} << 22;
-
 /// Minimum element count before element-wise kernels go parallel.
 constexpr int64_t kElemParallelThreshold = int64_t{1} << 15;
 

@@ -27,6 +27,15 @@ namespace kucnet {
 /// Scalar type used throughout the tensor stack.
 using real_t = double;
 
+/// Minimum multiply-add count (m*n*k; m*k for a one-column product) before
+/// a matmul is worth farming out to the pool: the measured serial-vs-
+/// threaded crossover on a 4-worker pool whose workers sleep between calls,
+/// as they do between a forward's layers. Below it, waking the pool costs
+/// more than splitting saves (350x32x32, one forward layer, ran 0.82x
+/// threaded; 4096x32x32 broke even; 8192x32x32 won 1.23x), so a single
+/// user's forward never forks and smaller products always run serially.
+inline constexpr int64_t kMatMulParallelFlops = int64_t{1} << 22;
+
 /// Dense row-major matrix. Copyable and movable; copies are deep.
 class Matrix {
  public:
