@@ -141,7 +141,6 @@ template <typename Graph>
 PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
                              const std::vector<int64_t>& seeds,
                              PushScratch* scratch) {
-  using Scratch = PushScratch;
   // Begin sized the arrays for this graph, so their buffers stay put for
   // the whole push; only the FIFO and the touched list grow.
   real_t* const estimate = scratch->estimate_.data();
@@ -152,7 +151,7 @@ PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
   int64_t new_estimates = 0;
   int64_t new_residuals = 0;
   for (const int64_t v : seeds) {
-    flags[v] |= Scratch::kQueued;
+    flags[v] |= PushScratch::kQueued;
     queue.push_back(v);
   }
   PushCounts counts;
@@ -168,13 +167,13 @@ PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
     // One flag update: clear queued, create the residual entry, and the
     // estimate entry if mass moves into it. A node enters the touched list
     // when its first entry is made, as in Mark.
-    uint8_t f = flags[v] & static_cast<uint8_t>(~Scratch::kQueued);
+    uint8_t f = flags[v] & static_cast<uint8_t>(~PushScratch::kQueued);
     if (f == 0) touched.push_back(v);
-    if ((f & Scratch::kHasResidual) == 0) ++new_residuals;
-    f |= Scratch::kHasResidual;
+    if ((f & PushScratch::kHasResidual) == 0) ++new_residuals;
+    f |= PushScratch::kHasResidual;
     if (moves) {
-      if ((f & Scratch::kHasEstimate) == 0) ++new_estimates;
-      f |= Scratch::kHasEstimate;
+      if ((f & PushScratch::kHasEstimate) == 0) ++new_estimates;
+      f |= PushScratch::kHasEstimate;
     }
     flags[v] = f;
     if (!moves) continue;
@@ -192,15 +191,15 @@ PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
     // every visit reads and writes w's flag and residual afresh.
     auto visit = [&](int64_t w) {
       uint8_t fw = flags[w];
-      if ((fw & Scratch::kHasResidual) == 0) {
+      if ((fw & PushScratch::kHasResidual) == 0) {
         if (fw == 0) touched.push_back(w);
         ++new_residuals;
-        fw |= Scratch::kHasResidual;
+        fw |= PushScratch::kHasResidual;
       }
       const real_t rw = residual[w] += push;
-      if ((fw & Scratch::kQueued) == 0 &&
+      if ((fw & PushScratch::kQueued) == 0 &&
           std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w))) {
-        fw |= Scratch::kQueued;
+        fw |= PushScratch::kQueued;
         queue.push_back(w);
       }
       flags[w] = fw;

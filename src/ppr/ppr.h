@@ -44,27 +44,6 @@ using FlatPprVector = std::vector<PprEntry>;
 /// search).
 real_t FlatPprValue(const FlatPprVector& vec, int64_t node);
 
-class PushScratch;
-
-/// Forward push from `seeds`, the nodes whose residual the caller set
-/// (sorted and deduplicated, for determinism), until |r(v)| < epsilon *
-/// deg(v) at every node the push reached. Reads and updates the estimate
-/// and residual entries in `scratch`, which must be in a use (see
-/// PushScratch). The queue is FIFO. A popped node at or above its threshold
-/// moves alpha of its residual into its estimate and spreads the rest evenly
-/// over its out-edges, enqueueing each neighbor that crosses its own
-/// threshold; a dangling node (degree 0) absorbs its whole residual instead.
-/// Residuals may be negative: the streaming repair seeds signed corrections,
-/// and negative mass pushes like positive. A push from a fresh source
-/// (residual 1 at the source, nothing else) only ever holds non-negative
-/// residuals. Instantiated in ppr.cc for `Ckg`, `CompactCkg` and
-/// `DynamicCkg`; neighbors are visited in each graph's own order (for
-/// `DynamicCkg`, the base CSR row, then the overflow edges).
-template <typename Graph>
-PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
-                             const std::vector<int64_t>& seeds,
-                             PushScratch* scratch);
-
 /// Dense working state of the forward push, one per thread (`ForThisThread`).
 /// Estimate and residual values and one flag byte per node (has-estimate,
 /// has-residual, queued) are indexed by node id and sized to the largest
@@ -168,6 +147,25 @@ class PushScratch {
   std::vector<int64_t> queue_;
   size_t head_ = 0;
 };
+
+/// Forward push from `seeds`, the nodes whose residual the caller set
+/// (sorted and deduplicated, for determinism), until |r(v)| < epsilon *
+/// deg(v) at every node the push reached. Reads and updates the estimate
+/// and residual entries in `scratch`, which must be in a use (see
+/// PushScratch). The queue is FIFO. A popped node at or above its threshold
+/// moves alpha of its residual into its estimate and spreads the rest evenly
+/// over its out-edges, enqueueing each neighbor that crosses its own
+/// threshold; a dangling node (degree 0) absorbs its whole residual instead.
+/// Residuals may be negative: the streaming repair seeds signed corrections,
+/// and negative mass pushes like positive. A push from a fresh source
+/// (residual 1 at the source, nothing else) only ever holds non-negative
+/// residuals. Instantiated in ppr.cc for `Ckg`, `CompactCkg` and
+/// `DynamicCkg`; neighbors are visited in each graph's own order (for
+/// `DynamicCkg`, base CSR then overflow).
+template <typename Graph>
+PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
+                             const std::vector<int64_t>& seeds,
+                             PushScratch* scratch);
 
 /// Sparse PPR of `source` by forward push with per-node residual threshold
 /// `epsilon * degree(v)`. Returns only the estimates, which undershoot the

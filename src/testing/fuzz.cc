@@ -1684,7 +1684,7 @@ void StreamCase(uint64_t case_seed, CaseResult& result) {
   // every acked update repairs it as OraclePprRepair does on a shadow graph
   // that takes the same updates.
   auto same_as_oracle = [&](const std::vector<OraclePprResult>& oracle,
-                            const char* when) {
+                            const std::string& when) {
     for (int64_t u = 0; u < data.num_users; ++u) {
       if (!SameBits(clean->ppr().Estimate(u), oracle[u].estimate) ||
           !SameBits(clean->ppr().Residual(u), oracle[u].residual)) {
@@ -1727,8 +1727,7 @@ void StreamCase(uint64_t case_seed, CaseResult& result) {
                         &state.estimate, &state.residual);
       }
     }
-    const std::string when = "after update " + std::to_string(k);
-    if (!same_as_oracle(oracle, when.c_str())) return;
+    if (!same_as_oracle(oracle, "after update " + std::to_string(k))) return;
   }
 
   // Out-of-range updates must be rejected without touching state or WAL.
