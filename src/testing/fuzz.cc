@@ -1849,8 +1849,8 @@ void StreamCase(uint64_t case_seed, CaseResult& result) {
 // ---- Store -------------------------------------------------------------------
 
 /// Random tiny web-scale configuration: the same deterministic input stream
-/// (ForEachWebScaleInput) feeds the streamed CompactCkg and the materialized
-/// int64 Ckg oracle.
+/// (ForEachWebScaleInput) feeds the streamed generator, the materialized
+/// inputs of TryBuild and the set-based OracleAdjacency.
 WebScaleConfig RandomStoreConfig(Rng& rng) {
   WebScaleConfig config;
   config.name = "fuzz-store";
@@ -1871,17 +1871,17 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   ScopedFiniteChecks finite_checks;
   const WebScaleConfig config = RandomStoreConfig(rng);
 
-  // Oracle: materialize the generator's exact logical inputs and run the
-  // pre-store int64 build.
+  // Oracle: the generator's exact logical inputs, laid out through a set.
   std::vector<std::array<int64_t, 2>> interactions;
   std::vector<std::array<int64_t, 3>> kg_triplets;
   MaterializeWebScaleInputs(config, &interactions, &kg_triplets);
-  const Ckg oracle =
-      Ckg::Build(config.num_users, config.num_items, config.num_kg_nodes(),
-                 config.num_kg_relations, interactions, kg_triplets);
+  const OracleAdjacency oracle(config.num_users, config.num_items,
+                               config.num_kg_nodes(), config.num_kg_relations,
+                               interactions, kg_triplets);
 
-  // Subject: streamed two-pass assembly, then a KUCSTOR1 roundtrip through
-  // the in-memory filesystem on a randomly chosen load path.
+  // Subjects: the streamed two-pass assembly after a KUCSTOR1 roundtrip
+  // through the in-memory filesystem on a randomly chosen load path, and
+  // the in-memory TryBuild of the materialized inputs.
   InMemoryFileSystem fs;
   const std::string path = "/fuzz/store.kucstor";
   CompactCkg generated;
@@ -1905,73 +1905,59 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
     result.Fail() << "topology: " << topology.message();
     return;
   }
+  CompactCkg built;
+  const Status build = CompactCkg::TryBuild(
+      config.num_users, config.num_items, config.num_kg_nodes(),
+      config.num_kg_relations, interactions, kg_triplets, {}, &built);
+  if (!build.ok()) {
+    result.Fail() << "TryBuild: " << build.message();
+    return;
+  }
+  const Ckg in_memory =
+      Ckg::Build(config.num_users, config.num_items, config.num_kg_nodes(),
+                 config.num_kg_relations, interactions, kg_triplets);
 
   // Full structural equality against the oracle: every scalar, every
   // adjacency row (relation and destination, in order).
-  if (compact.num_users() != oracle.num_users() ||
-      compact.num_items() != oracle.num_items() ||
-      compact.num_kg_nodes() != oracle.num_kg_nodes() ||
-      compact.num_nodes() != oracle.num_nodes() ||
-      compact.num_base_relations() != oracle.num_base_relations() ||
-      compact.num_relations() != oracle.num_relations() ||
-      compact.self_loop_relation() != oracle.self_loop_relation() ||
-      compact.num_edges() != oracle.num_edges()) {
-    result.Fail() << "scalar mismatch: compact " << compact.num_nodes()
-                  << " nodes/" << compact.num_edges() << " edges/"
-                  << compact.num_relations() << " rels vs oracle "
-                  << oracle.num_nodes() << "/" << oracle.num_edges() << "/"
-                  << oracle.num_relations();
-    return;
-  }
-  for (int64_t node = 0; node < oracle.num_nodes(); ++node) {
-    if (compact.OutDegree(node) != oracle.OutDegree(node)) {
-      result.Fail() << "degree mismatch at node " << node << ": compact="
-                    << compact.OutDegree(node)
-                    << " oracle=" << oracle.OutDegree(node);
+  for (const auto& [name, diff] :
+       {std::pair<const char*, std::string>{
+            "container", AdjacencyDifference(compact, oracle)},
+        {"TryBuild", AdjacencyDifference(built, oracle)},
+        {"Build", AdjacencyDifference(in_memory, oracle)}}) {
+    if (!diff.empty()) {
+      result.Fail() << name << " graph vs OracleAdjacency: " << diff;
       return;
-    }
-    const auto c_rels = compact.OutRelations(node);
-    const auto c_dsts = compact.OutNeighbors(node);
-    const auto o_rels = oracle.OutRelations(node);
-    const auto o_dsts = oracle.OutNeighbors(node);
-    for (size_t k = 0; k < o_rels.size(); ++k) {
-      if (static_cast<int64_t>(c_rels[k]) != o_rels[k] ||
-          static_cast<int64_t>(c_dsts[k]) != o_dsts[k]) {
-        result.Fail() << "row mismatch at node " << node << " slot " << k
-                      << ": compact=(" << c_rels[k] << "," << c_dsts[k]
-                      << ") oracle=(" << o_rels[k] << "," << o_dsts[k] << ")";
-        return;
-      }
     }
   }
 
-  // Bitwise PPR agreement: the typed-id instantiation must replay the exact
-  // push transcript of the int64 one.
-  const int64_t source = rng.UniformInt(oracle.num_nodes());
+  // Bitwise PPR agreement between the container-backed graph and the
+  // in-memory one.
+  const int64_t source = rng.UniformInt(in_memory.num_nodes());
   const real_t alpha = rng.Uniform(0.05, 0.95);
   const real_t epsilon = std::pow(10.0, -(3.0 + rng.Uniform() * 4.0));
   const auto push_compact = PprForwardPush(compact, source, alpha, epsilon);
-  const auto push_oracle = PprForwardPush(oracle, source, alpha, epsilon);
-  if (push_compact.size() != push_oracle.size()) {
-    result.Fail() << "ppr support: compact=" << push_compact.size()
-                  << " oracle=" << push_oracle.size() << " (source=" << source
-                  << " alpha=" << alpha << " eps=" << epsilon << ")";
+  const auto push_memory = PprForwardPush(in_memory, source, alpha, epsilon);
+  if (push_compact.size() != push_memory.size()) {
+    result.Fail() << "ppr support: container=" << push_compact.size()
+                  << " in-memory=" << push_memory.size() << " (source="
+                  << source << " alpha=" << alpha << " eps=" << epsilon << ")";
     return;
   }
-  for (const auto& [node, value] : push_oracle) {
+  for (const auto& [node, value] : push_memory) {
     const auto it = push_compact.find(node);
     if (it == push_compact.end() || UlpDistance(it->second, value) != 0) {
-      result.Fail() << "ppr estimate at node " << node << ": compact="
+      result.Fail() << "ppr estimate at node " << node << ": container="
                     << (it == push_compact.end() ? 0.0 : it->second)
-                    << " oracle=" << value << " (source=" << source
+                    << " in-memory=" << value << " (source=" << source
                     << " alpha=" << alpha << " eps=" << epsilon << ")";
       return;
     }
   }
 
   // End-to-end serve equality on a subset of cases (full model stacks are
-  // the expensive part): identically-seeded Kucnet + RecServer over each
-  // graph representation must produce identical responses.
+  // the expensive part): identically-seeded Kucnet + RecServer over the
+  // container-backed and the in-memory graph must produce identical
+  // responses.
   if (case_seed % 4 != 0) return;
   Dataset dataset;
   dataset.name = config.name;
@@ -1982,7 +1968,7 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   dataset.train = interactions;
   dataset.kg = kg_triplets;
 
-  const PprTable ppr_oracle = PprTable::Compute(oracle);
+  const PprTable ppr_memory = PprTable::Compute(in_memory);
   const PprTable ppr_compact = PprTable::Compute(compact);
 
   KucnetOptions model_opts;
@@ -1990,25 +1976,25 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   model_opts.attention_dim = 3;
   model_opts.depth = 2;
   model_opts.sample_k = 8;
-  Kucnet model_oracle(&dataset, &oracle, &ppr_oracle, model_opts);
+  Kucnet model_memory(&dataset, &in_memory, &ppr_memory, model_opts);
   Kucnet model_compact(&dataset, &compact, &ppr_compact, model_opts);
 
   RecServerOptions server_opts;
   server_opts.num_workers = 0;  // ServeSync only: strictly sequential
-  RecServer server_oracle(&model_oracle, &dataset, &oracle, &ppr_oracle,
+  RecServer server_memory(&model_memory, &dataset, &in_memory, &ppr_memory,
                           server_opts);
   RecServer server_compact(&model_compact, &dataset, &compact, &ppr_compact,
                            server_opts);
 
   const int64_t top_n = 1 + rng.UniformInt(10);
   for (int64_t user = 0; user < config.num_users; ++user) {
-    const RecResponse a = server_oracle.ServeSync({user, top_n, 0});
+    const RecResponse a = server_memory.ServeSync({user, top_n, 0});
     const RecResponse b = server_compact.ServeSync({user, top_n, 0});
     if (a.status != b.status || a.tier != b.tier ||
         a.degraded != b.degraded || a.items.size() != b.items.size()) {
       result.Fail() << "serve response shape for user " << user
-                    << ": oracle(status=" << static_cast<int>(a.status)
-                    << " items=" << a.items.size() << ") compact(status="
+                    << ": in-memory(status=" << static_cast<int>(a.status)
+                    << " items=" << a.items.size() << ") container(status="
                     << static_cast<int>(b.status) << " items="
                     << b.items.size() << ")";
       return;
@@ -2017,8 +2003,8 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
       if (a.items[k].item != b.items[k].item ||
           UlpDistance(a.items[k].score, b.items[k].score) != 0) {
         result.Fail() << "serve item " << k << " for user " << user
-                      << ": oracle=(" << a.items[k].item << ","
-                      << a.items[k].score << ") compact=(" << b.items[k].item
+                      << ": in-memory=(" << a.items[k].item << ","
+                      << a.items[k].score << ") container=(" << b.items[k].item
                       << "," << b.items[k].score << ")";
         return;
       }

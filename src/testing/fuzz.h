@@ -72,11 +72,12 @@ FuzzReport FuzzFleet(const FuzzOptions& options);
 /// conservation, and byte-identical WAL recovery digests.
 FuzzReport FuzzStream(const FuzzOptions& options);
 
-/// Web-scale store: a streamed CompactCkg roundtripped through the KUCSTOR1
-/// container (randomized mmap / checksum load paths) against the int64 Ckg
-/// oracle built from the identical materialized inputs — full topology
-/// equality, bitwise PPR agreement, and identical end-to-end serve responses
-/// from identically-seeded model stacks over each representation.
+/// Web-scale store: a streamed graph roundtripped through the KUCSTOR1
+/// container (randomized mmap / checksum load paths) and the in-memory
+/// TryBuild of the identical materialized inputs, each held to the set-based
+/// OracleAdjacency scalar for scalar and row for row; then bitwise PPR
+/// agreement and identical end-to-end serve responses from identically-seeded
+/// model stacks over the container-backed and the in-memory graph.
 FuzzReport FuzzStore(const FuzzOptions& options);
 
 /// KUCNet inference: random model options (pruning mode, K including 0,

@@ -153,6 +153,44 @@ Matrix OracleSegmentSum(const Matrix& a, const std::vector<int64_t>& seg,
   return out;
 }
 
+// ---- Graph layout ------------------------------------------------------------
+
+OracleAdjacency::OracleAdjacency(
+    int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
+    int64_t num_kg_relations,
+    const std::vector<std::array<int64_t, 2>>& interactions,
+    const std::vector<std::array<int64_t, 3>>& kg_triplets,
+    const std::vector<std::array<int64_t, 3>>& user_triplets)
+    : num_users(num_users),
+      num_items(num_items),
+      num_kg_nodes(num_kg_nodes),
+      num_kg_relations(num_kg_relations) {
+  const int64_t base = 1 + num_kg_relations;
+  std::set<std::array<int64_t, 3>> edges;
+  for (const auto& [user, item] : interactions) {
+    KUC_CHECK(user >= 0 && user < num_users && item >= 0 && item < num_items);
+    edges.insert({user, 0, num_users + item});
+    edges.insert({num_users + item, base, user});
+  }
+  for (const auto& [head, rel, tail] : kg_triplets) {
+    KUC_CHECK(head >= 0 && head < num_kg_nodes && tail >= 0 &&
+              tail < num_kg_nodes && rel >= 0 && rel < num_kg_relations);
+    edges.insert({num_users + head, rel + 1, num_users + tail});
+    edges.insert({num_users + tail, rel + 1 + base, num_users + head});
+  }
+  for (const auto& [head, rel, tail] : user_triplets) {
+    KUC_CHECK(head >= 0 && head < num_users && tail >= 0 && tail < num_users &&
+              rel >= 0 && rel < num_kg_relations);
+    edges.insert({head, rel + 1, tail});
+    edges.insert({tail, rel + 1 + base, head});
+  }
+  rows.resize(static_cast<size_t>(num_users + num_kg_nodes));
+  for (const auto& [src, rel, dst] : edges) {
+    rows[static_cast<size_t>(src)].emplace_back(rel, dst);
+  }
+  num_edges = static_cast<int64_t>(edges.size());
+}
+
 // ---- KUCNet ------------------------------------------------------------------
 
 UserCompGraph OracleUserCompGraph(const Ckg& ckg,

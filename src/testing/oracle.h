@@ -1,10 +1,13 @@
 #ifndef KUCNET_TESTING_ORACLE_H_
 #define KUCNET_TESTING_ORACLE_H_
 
+#include <array>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/kucnet.h"
@@ -70,6 +73,102 @@ Matrix OracleGather(const Matrix& a, const std::vector<int64_t>& idx);
 /// out.row(seg[k]) += a.row(k), k ascending; `num_segments` output rows.
 Matrix OracleSegmentSum(const Matrix& a, const std::vector<int64_t>& seg,
                         int64_t num_segments);
+
+// ---- Graph layout ------------------------------------------------------------
+
+/// The CKG of Sec. III as plain per-node lists, built without any of the
+/// CSR builders' code: every input edge and its inverse go into one
+/// std::set of global (src, rel, dst) triples, which sorts and
+/// deduplicates them, and each node's row is read off the set in order.
+/// An interaction (u, i) gives (u, 0, i) and (i, B, u), where B = 1 +
+/// num_kg_relations; a KG triplet (h, r, t) gives (h, r + 1, t) and
+/// (t, r + 1 + B, h), with KG ids offset by num_users; a user triplet the
+/// same between user nodes. Inputs must be in range.
+struct OracleAdjacency {
+  OracleAdjacency(int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
+                  int64_t num_kg_relations,
+                  const std::vector<std::array<int64_t, 2>>& interactions,
+                  const std::vector<std::array<int64_t, 3>>& kg_triplets,
+                  const std::vector<std::array<int64_t, 3>>& user_triplets = {});
+
+  int64_t num_users;
+  int64_t num_items;
+  int64_t num_kg_nodes;
+  int64_t num_kg_relations;
+  int64_t num_edges = 0;
+  /// rows[v]: node v's out-edges as (rel, dst), ascending, no duplicates.
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> rows;
+};
+
+/// Empty when `graph` equals `want` scalar for scalar (sizes, relation
+/// counts, the self-loop id, every InverseRelation and every user's
+/// ItemsOfUser) and row for row in order (each node's OutDegree, then its
+/// OutRelations/OutNeighbors pairs); otherwise names the first difference.
+template <typename Graph>
+std::string AdjacencyDifference(const Graph& graph,
+                                const OracleAdjacency& want) {
+  std::ostringstream diff;
+  const int64_t base = 1 + want.num_kg_relations;
+  const int64_t num_nodes = want.num_users + want.num_kg_nodes;
+  const std::array<std::pair<int64_t, int64_t>, 9> scalars = {{
+      {graph.num_users(), want.num_users},
+      {graph.num_items(), want.num_items},
+      {graph.num_kg_nodes(), want.num_kg_nodes},
+      {graph.num_nodes(), num_nodes},
+      {graph.num_kg_relations(), want.num_kg_relations},
+      {graph.num_base_relations(), base},
+      {graph.num_relations(), 2 * base},
+      {graph.self_loop_relation(), 2 * base},
+      {graph.num_edges(), want.num_edges},
+  }};
+  for (size_t k = 0; k < scalars.size(); ++k) {
+    if (scalars[k].first != scalars[k].second) {
+      diff << "scalar " << k << " (sizes, relations, self-loop, edges): got "
+           << scalars[k].first << ", want " << scalars[k].second;
+      return diff.str();
+    }
+  }
+  for (int64_t r = 0; r < 2 * base; ++r) {
+    const int64_t inverse = r < base ? r + base : r - base;
+    if (graph.InverseRelation(r) != inverse) {
+      diff << "InverseRelation(" << r << "): got " << graph.InverseRelation(r)
+           << ", want " << inverse;
+      return diff.str();
+    }
+  }
+  for (int64_t v = 0; v < num_nodes; ++v) {
+    const auto& row = want.rows[static_cast<size_t>(v)];
+    const auto rels = graph.OutRelations(v);
+    const auto dsts = graph.OutNeighbors(v);
+    if (graph.OutDegree(v) != static_cast<int64_t>(row.size()) ||
+        rels.size() != row.size() || dsts.size() != row.size()) {
+      diff << "node " << v << ": degree " << graph.OutDegree(v) << " (spans "
+           << rels.size() << "/" << dsts.size() << "), want " << row.size();
+      return diff.str();
+    }
+    for (size_t k = 0; k < row.size(); ++k) {
+      const int64_t rel = rels[k];
+      const int64_t dst = dsts[k];
+      if (rel != row[k].first || dst != row[k].second) {
+        diff << "node " << v << " slot " << k << ": got (" << rel << ", "
+             << dst << "), want (" << row[k].first << ", " << row[k].second
+             << ")";
+        return diff.str();
+      }
+    }
+  }
+  for (int64_t u = 0; u < want.num_users; ++u) {
+    std::vector<int64_t> items;
+    for (const auto& [rel, dst] : want.rows[static_cast<size_t>(u)]) {
+      if (rel == 0) items.push_back(dst - want.num_users);
+    }
+    if (graph.ItemsOfUser(u) != items) {
+      diff << "ItemsOfUser(" << u << ") differs";
+      return diff.str();
+    }
+  }
+  return "";
+}
 
 // ---- KUCNet ------------------------------------------------------------------
 

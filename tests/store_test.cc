@@ -1,8 +1,10 @@
-// The web-scale data plane (src/store/): CompactCkg ≡ Ckg structural and
-// algorithmic equivalence, 32-bit id overflow policy, KUCSTOR1 container
-// roundtrips across every load path, a whole-file corruption sweep (every
-// flipped byte either fails with file:line:cause or is provably harmless
-// padding), and crash sweeps killing save/load at every single IO op.
+// The web-scale data plane (src/store/): the streamed, built and
+// container-loaded graphs against the set-based testing::OracleAdjacency,
+// bitwise PPR across layouts, the 32-bit id overflow policy, KUCSTOR1
+// container roundtrips across every load path, a whole-file corruption sweep
+// (every flipped byte either fails with file:line:cause or is provably
+// harmless padding), and crash sweeps killing save/load at every single IO
+// op.
 
 #include <array>
 #include <cstdint>
@@ -17,12 +19,16 @@
 #include "store/compact_ckg.h"
 #include "store/container.h"
 #include "store/web_scale.h"
+#include "testing/oracle.h"
 #include "util/fs.h"
 #include "util/serial.h"
 #include "util/status.h"
 
 namespace kucnet {
 namespace {
+
+using testing::AdjacencyDifference;
+using testing::OracleAdjacency;
 
 /// A small fixed configuration with real structure: Zipf-skewed popularity,
 /// isolated entities, duplicate interactions likely.
@@ -39,65 +45,53 @@ WebScaleConfig TinyConfig() {
   return config;
 }
 
-/// Builds the int64 oracle from the exact inputs the generator streams.
-Ckg BuildOracle(const WebScaleConfig& config) {
+/// The exact inputs the generator streams.
+struct Inputs {
   std::vector<std::array<int64_t, 2>> interactions;
   std::vector<std::array<int64_t, 3>> kg;
-  MaterializeWebScaleInputs(config, &interactions, &kg);
-  return Ckg::Build(config.num_users, config.num_items, config.num_kg_nodes(),
-                    config.num_kg_relations, interactions, kg);
+};
+
+Inputs Materialize(const WebScaleConfig& config) {
+  Inputs in;
+  MaterializeWebScaleInputs(config, &in.interactions, &in.kg);
+  return in;
 }
 
-/// Full structural comparison; returns a description of the first
-/// difference, or "" when identical.
-template <typename A, typename B>
-std::string DescribeGraphDiff(const A& a, const B& b) {
-  if (a.num_users() != b.num_users() || a.num_items() != b.num_items() ||
-      a.num_kg_nodes() != b.num_kg_nodes() ||
-      a.num_kg_relations() != b.num_kg_relations() ||
-      a.num_edges() != b.num_edges()) {
-    return "scalar sizes differ";
-  }
-  for (int64_t v = 0; v < a.num_nodes(); ++v) {
-    if (a.OutDegree(v) != b.OutDegree(v)) return "degree differs";
-    const auto a_rels = a.OutRelations(v);
-    const auto a_dsts = a.OutNeighbors(v);
-    const auto b_rels = b.OutRelations(v);
-    const auto b_dsts = b.OutNeighbors(v);
-    for (size_t k = 0; k < a_rels.size(); ++k) {
-      if (static_cast<int64_t>(a_rels[k]) != static_cast<int64_t>(b_rels[k]) ||
-          static_cast<int64_t>(a_dsts[k]) != static_cast<int64_t>(b_dsts[k])) {
-        return "adjacency row differs";
-      }
-    }
-  }
-  return "";
+/// The set-based oracle over the generator's inputs.
+OracleAdjacency BuildOracle(const WebScaleConfig& config) {
+  const Inputs in = Materialize(config);
+  return OracleAdjacency(config.num_users, config.num_items,
+                         config.num_kg_nodes(), config.num_kg_relations,
+                         in.interactions, in.kg);
 }
 
-// ---- CompactCkg ≡ Ckg --------------------------------------------------------
+// ---- Graphs against the oracle -----------------------------------------------
 
-TEST(CompactCkgTest, MatchesInt64BuildOnIdenticalInputs) {
+TEST(CompactCkgTest, GeneratedAndBuiltGraphsMatchOracleAdjacency) {
   const WebScaleConfig config = TinyConfig();
-  const Ckg oracle = BuildOracle(config);
-  CompactCkg compact;
-  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &compact).ok());
-  EXPECT_EQ(DescribeGraphDiff(oracle, compact), "");
-  EXPECT_TRUE(compact.ValidateTopology().ok());
+  const OracleAdjacency oracle = BuildOracle(config);
+  CompactCkg generated;
+  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &generated).ok());
+  EXPECT_EQ(AdjacencyDifference(generated, oracle), "");
+  EXPECT_TRUE(generated.ValidateTopology().ok());
 
-  // The shared id/relation conventions.
-  EXPECT_EQ(compact.num_relations(), oracle.num_relations());
-  EXPECT_EQ(compact.self_loop_relation(), oracle.self_loop_relation());
-  for (int64_t r = 0; r < oracle.num_relations(); ++r) {
-    EXPECT_EQ(compact.InverseRelation(r), oracle.InverseRelation(r));
-  }
-  for (int64_t u = 0; u < config.num_users; ++u) {
-    EXPECT_EQ(compact.ItemsOfUser(u), oracle.ItemsOfUser(u));
-  }
+  const Inputs in = Materialize(config);
+  CompactCkg built;
+  ASSERT_TRUE(CompactCkg::TryBuild(config.num_users, config.num_items,
+                                   config.num_kg_nodes(),
+                                   config.num_kg_relations, in.interactions,
+                                   in.kg, {}, &built)
+                  .ok());
+  EXPECT_EQ(AdjacencyDifference(built, oracle), "");
+  EXPECT_TRUE(built.ValidateTopology().ok());
 }
 
 TEST(CompactCkgTest, PprForwardPushIsBitwiseIdenticalAcrossRepresentations) {
   const WebScaleConfig config = TinyConfig();
-  const Ckg oracle = BuildOracle(config);
+  const Inputs in = Materialize(config);
+  const Ckg oracle =
+      Ckg::Build(config.num_users, config.num_items, config.num_kg_nodes(),
+                 config.num_kg_relations, in.interactions, in.kg);
   CompactCkg compact;
   ASSERT_TRUE(TryGenerateWebScaleGraph(config, &compact).ok());
   for (int64_t source = 0; source < oracle.num_nodes(); ++source) {
@@ -216,6 +210,7 @@ class ContainerTest : public ::testing::Test {
 
   static constexpr const char* kPath = "/store/test.kucstor";
   WebScaleConfig config_;
+  const OracleAdjacency oracle_ = BuildOracle(TinyConfig());
   CompactCkg graph_;
   InMemoryFileSystem fs_;
 };
@@ -230,7 +225,7 @@ TEST_F(ContainerTest, RoundTripsOnEveryLoadPath) {
       StoreLoadStats stats;
       ASSERT_TRUE(LoadCompactCkg(fs_, kPath, options, &loaded, &stats).ok())
           << "mmap=" << use_mmap << " verify=" << verify;
-      EXPECT_EQ(DescribeGraphDiff(graph_, loaded), "")
+      EXPECT_EQ(AdjacencyDifference(loaded, oracle_), "")
           << "mmap=" << use_mmap << " verify=" << verify;
       EXPECT_TRUE(loaded.ValidateTopology().ok());
       // The in-memory filesystem emulates the mapping with a heap copy.
@@ -251,7 +246,7 @@ TEST_F(ContainerTest, RealFilesystemLoadIsKernelMapped) {
                   .ok());
   EXPECT_TRUE(stats.mmap_backed);
   EXPECT_TRUE(loaded.mmap_backed());
-  EXPECT_EQ(DescribeGraphDiff(graph_, loaded), "");
+  EXPECT_EQ(AdjacencyDifference(loaded, oracle_), "");
   ASSERT_TRUE(real.Remove(path).ok());
 }
 
@@ -283,7 +278,7 @@ TEST_F(ContainerTest, EveryFlippedByteFailsWithFileLineCauseOrIsPadding) {
     const Status st =
         LoadCompactCkg(corrupt_fs, kPath, options, &loaded, nullptr);
     if (st.ok()) {
-      EXPECT_EQ(DescribeGraphDiff(graph_, loaded), "")
+      EXPECT_EQ(AdjacencyDifference(loaded, oracle_), "")
           << "flip at byte " << i << " loaded a different graph";
       ++padding;
       continue;
@@ -384,7 +379,7 @@ TEST_F(ContainerTest, SaveKilledAtEveryOpNeverCorruptsThePreviousContainer) {
           LoadCompactCkg(base, kPath, StoreLoadOptions(), &loaded, nullptr)
               .ok())
           << "kill_at=" << kill_at;
-      EXPECT_EQ(DescribeGraphDiff(graph_, loaded), "")
+      EXPECT_EQ(AdjacencyDifference(loaded, oracle_), "")
           << "kill_at=" << kill_at;
     }
   }
