@@ -551,7 +551,7 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-// Generate -> save -> mmap-reload -> verify -> PPR smoke over the compact
+// Generate -> save -> mmap-reload -> verify -> PPR smoke over the graph
 // store (src/store/). Defaults are the reduced `scale`-label CI
 // configuration; the full 10^6-user run is `--users 1000000 --items 100000
 // --entities 900000 --triplets 10000000`.
@@ -609,12 +609,12 @@ int CmdWebScale(const std::map<std::string, std::string>& flags) {
 
   // Reload the container through the mmap path and verify it end to end:
   // the round trip, not the in-memory graph, is what the command certifies.
-  CompactCkg graph;
+  Ckg graph;
   StoreLoadStats load_stats;
   Stopwatch load_timer;
   StoreLoadOptions load_options;
   const Status loaded =
-      LoadCompactCkg(fs, out_path, load_options, &graph, &load_stats);
+      LoadCkgContainer(fs, out_path, load_options, &graph, &load_stats);
   if (!loaded.ok()) {
     std::fprintf(stderr, "reload failed: %s\n", loaded.message().c_str());
     return 1;

@@ -80,7 +80,7 @@ LayerMessages NumberMessages(const CompLayer& layer, int64_t num_src,
 Kucnet::Kucnet(const Dataset* dataset, GraphRef ckg, const PprTable* ppr,
                KucnetOptions options)
     : dataset_(dataset),
-      ckg_(ckg),
+      ckg_(ckg.get()),
       ppr_(ppr),
       options_(options),
       builder_(ckg, ToBuilderOptions(options)),
@@ -90,14 +90,14 @@ Kucnet::Kucnet(const Dataset* dataset, GraphRef ckg, const PprTable* ppr,
       readout_("readout", Matrix()),
       optimizer_(MakeOptimizer(options)) {
   KUC_CHECK(dataset != nullptr);
-  KUC_CHECK(ckg.valid());
+  KUC_CHECK(ckg_ != nullptr);
   if (options.prune == PruneMode::kPpr && options.sample_k > 0) {
     KUC_CHECK(ppr != nullptr) << "PPR pruning requires a PprTable";
   }
   Rng rng(options.seed);
   const int64_t d = options.hidden_dim;
   const int64_t da = options.attention_dim;
-  const int64_t num_rel = ckg.num_relations() + 1;  // + self-loop
+  const int64_t num_rel = ckg_->num_relations() + 1;  // + self-loop
   layers_.reserve(options.depth);
   for (int32_t l = 0; l < options.depth; ++l) {
     const std::string suffix = "_l" + std::to_string(l + 1);
@@ -158,7 +158,7 @@ int64_t Kucnet::ParamCount() const {
 
 UserCompGraph Kucnet::BuildGraph(
     int64_t user, Rng* rng, const std::vector<ExcludedPair>& excluded) const {
-  const int64_t user_node = ckg_.UserNode(user);
+  const int64_t user_node = ckg_->UserNode(user);
   if (options_.prune == PruneMode::kPpr && options_.sample_k > 0) {
     const NodeScoreFn score = ppr_->ScoreFn(user);
     return builder_.Build(user_node, &score, rng, excluded);
@@ -334,10 +334,10 @@ Status Kucnet::TryForward(int64_t user, const ExecContext& ctx,
 }
 
 Status Kucnet::ValidateUser(int64_t user) const {
-  if (user < 0 || user >= ckg_.num_users()) {
+  if (user < 0 || user >= ckg_->num_users()) {
     return ErrorStatus() << "user " << user
                          << " outside the graph's users [0, "
-                         << ckg_.num_users() << ")";
+                         << ckg_->num_users() << ")";
   }
   if (options_.prune == PruneMode::kPpr && options_.sample_k > 0 &&
       user >= ppr_->num_users()) {
@@ -359,7 +359,7 @@ Status Kucnet::TryExtractGraph(int64_t user, const ExecContext& ctx,
   // Stage "ppr": fetching the pruning scores (a lookup in the precomputed
   // table; the push runs ahead of serving and takes no context).
   KUC_RETURN_IF_ERROR(ctx.Check("ppr"));
-  const int64_t user_node = ckg_.UserNode(user);
+  const int64_t user_node = ckg_->UserNode(user);
   const bool use_ppr = options_.prune == PruneMode::kPpr && options_.sample_k > 0;
   if (use_ppr) {
     const NodeScoreFn score = ppr_->ScoreFn(user);
@@ -390,8 +390,8 @@ Status Kucnet::TryForwardOnGraph(const ExecContext& ctx,
   if (!result.graph.layers.empty()) {
     const std::vector<int64_t>& final_nodes = result.graph.layers.back().nodes;
     for (size_t idx = 0; idx < final_nodes.size(); ++idx) {
-      const int64_t item = ckg_.ItemOfNode(final_nodes[idx]);
-      if (ckg_.IsItem(final_nodes[idx]) && item < num_items) {
+      const int64_t item = ckg_->ItemOfNode(final_nodes[idx]);
+      if (ckg_->IsItem(final_nodes[idx]) && item < num_items) {
         result.item_scores[item] = scores.at(static_cast<int64_t>(idx), 0);
       }
     }
@@ -424,11 +424,10 @@ std::vector<double> Kucnet::ScoreItems(int64_t user) const {
 
 std::pair<double, int64_t> Kucnet::ScorePairOnUiGraph(int64_t user,
                                                       int64_t item) const {
-  const int64_t user_node = ckg_.UserNode(user);
-  const int64_t item_node = ckg_.ItemNode(item);
-  const LayeredEdges layered = ckg_.Visit([&](const auto& g) {
-    return ExtractUiComputationGraph(g, user_node, item_node, options_.depth);
-  });
+  const int64_t user_node = ckg_->UserNode(user);
+  const int64_t item_node = ckg_->ItemNode(item);
+  const LayeredEdges layered =
+      ExtractUiComputationGraph(*ckg_, user_node, item_node, options_.depth);
   const int64_t edge_count = layered.TotalEdges();
   if (edge_count == 0) return {0.0, 0};
   const UserCompGraph graph = FromLayeredEdges(layered.layers, user_node);
@@ -457,8 +456,8 @@ Var Kucnet::BuildLoss(Tape& tape, int64_t user,
   Var all_scores = tape.MatMul(h_final, tape.Param(&readout_));
   std::vector<int64_t> pos_idx, neg_idx;
   for (size_t k = 0; k < pos.size(); ++k) {
-    const int64_t pi = graph.FinalIndexOf(ckg_.ItemNode(pos[k]));
-    const int64_t ni = graph.FinalIndexOf(ckg_.ItemNode(neg[k]));
+    const int64_t pi = graph.FinalIndexOf(ckg_->ItemNode(pos[k]));
+    const int64_t ni = graph.FinalIndexOf(ckg_->ItemNode(neg[k]));
     if (pi < 0 || ni < 0) continue;
     pos_idx.push_back(pi);
     neg_idx.push_back(ni);
@@ -488,7 +487,7 @@ double Kucnet::TrainUser(int64_t user, Rng& rng, Tape& tape,
   std::vector<ExcludedPair> excluded;
   if (options_.exclude_target_edges) {
     for (const int64_t i : pos_items) {
-      excluded.push_back({ckg_.UserNode(user), ckg_.ItemNode(i)});
+      excluded.push_back({ckg_->UserNode(user), ckg_->ItemNode(i)});
     }
   }
   UserCompGraph graph = BuildGraph(user, &rng, excluded);
@@ -502,10 +501,10 @@ double Kucnet::TrainUser(int64_t user, Rng& rng, Tape& tape,
   // zero floor that unreachable items sit on at evaluation time.
   std::vector<int64_t> pos_idx, neg_idx, pos_vs_zero_idx;
   for (const int64_t i : pos_items) {
-    const int64_t pi = graph.FinalIndexOf(ckg_.ItemNode(i));
+    const int64_t pi = graph.FinalIndexOf(ckg_->ItemNode(i));
     if (pi < 0) continue;  // unreachable positive: h = 0, no signal
     const int64_t j = sampler_.Sample(user, rng);
-    const int64_t ni = graph.FinalIndexOf(ckg_.ItemNode(j));
+    const int64_t ni = graph.FinalIndexOf(ckg_->ItemNode(j));
     if (ni >= 0) {
       pos_idx.push_back(pi);
       neg_idx.push_back(ni);

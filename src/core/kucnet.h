@@ -78,8 +78,7 @@ struct KucnetForwardWork {
 class Kucnet : public RankModel {
  public:
   /// `ppr` may be null unless options.prune == kPpr. All pointers must
-  /// outlive the model. `ckg` accepts `const Ckg*` (implicit, the historical
-  /// call sites) or any GraphRef, including over the compact store graph.
+  /// outlive the model, the graph `ckg` refers to included.
   Kucnet(const Dataset* dataset, GraphRef ckg, const PprTable* ppr,
          KucnetOptions options);
 
@@ -226,7 +225,7 @@ class Kucnet : public RankModel {
   Var Activate(Tape& tape, Var x) const;
 
   const Dataset* dataset_;
-  GraphRef ckg_;
+  const Ckg* ckg_;
   const PprTable* ppr_;
   KucnetOptions options_;
   CompGraphBuilder builder_;

@@ -62,8 +62,8 @@ UserCompGraph FromLayeredEdges(
 }
 
 CompGraphBuilder::CompGraphBuilder(GraphRef graph, CompGraphOptions options)
-    : graph_(graph), options_(options) {
-  KUC_CHECK(graph.valid());
+    : ckg_(graph.get()), options_(options) {
+  KUC_CHECK(ckg_ != nullptr);
   KUC_CHECK_GE(options.depth, 1);
   KUC_CHECK_GE(options.max_edges_per_node, 0);
 }
@@ -128,16 +128,17 @@ struct BuildScratch {
   bool in_use = false;
 };
 
-// The expansion loop, compiled once per graph representation. Dispatched
-// from CompGraphBuilder::TryBuild via GraphRef::Visit. Node indices go
-// through the thread's BuildScratch slots rather than a hash map, and
-// final_index is filled once from the last layer's node list.
-template <typename Graph>
-Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
-                    int64_t user_node, const NodeScoreFn* score, Rng* rng,
-                    const std::vector<ExcludedPair>& excluded,
-                    const ExecContext& ctx, UserCompGraph* out) {
+}  // namespace
+
+// Node indices go through the thread's BuildScratch slots rather than a hash
+// map, and final_index is filled once from the last layer's node list.
+Status CompGraphBuilder::TryBuild(int64_t user_node, const NodeScoreFn* score,
+                                  Rng* rng,
+                                  const std::vector<ExcludedPair>& excluded,
+                                  const ExecContext& ctx,
+                                  UserCompGraph* out) const {
   KUC_TRACE_SPAN("compgraph.build");
+  const Ckg& ckg = *ckg_;
   KUC_CHECK_GE(user_node, 0);
   KUC_CHECK_LT(user_node, ckg.num_nodes());
   const int64_t k_limit = options_.max_edges_per_node;
@@ -159,7 +160,7 @@ Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
     excluded_keys.push_back(PackPair(pair.item_node, pair.user_node));
   }
   std::sort(excluded_keys.begin(), excluded_keys.end());
-  const int64_t interact = Graph::kInteractRelation;
+  const int64_t interact = Ckg::kInteractRelation;
   const int64_t interact_inv = ckg.InverseRelation(interact);
   auto is_excluded = [&](int64_t src, int64_t rel, int64_t dst) {
     if (excluded_keys.empty()) return false;
@@ -244,19 +245,6 @@ Status TryBuildImpl(const Graph& ckg, const CompGraphOptions& options_,
     graph.final_index.emplace(final_nodes[i], static_cast<int64_t>(i));
   }
   return Status::Ok();
-}
-
-}  // namespace
-
-Status CompGraphBuilder::TryBuild(int64_t user_node, const NodeScoreFn* score,
-                                  Rng* rng,
-                                  const std::vector<ExcludedPair>& excluded,
-                                  const ExecContext& ctx,
-                                  UserCompGraph* out) const {
-  return graph_.Visit([&](const auto& ckg) {
-    return TryBuildImpl(ckg, options_, user_node, score, rng, excluded, ctx,
-                        out);
-  });
 }
 
 }  // namespace kucnet

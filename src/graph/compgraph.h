@@ -94,10 +94,7 @@ struct ExcludedPair {
 UserCompGraph FromLayeredEdges(
     const std::vector<std::vector<Edge>>& layers, int64_t user_node);
 
-/// Builds pruned user-centric computation graphs over a CKG. Works on either
-/// graph representation: construct from `const Ckg*` (implicit, the historical
-/// call sites) or any `GraphRef`; the expansion loop is a template
-/// instantiated per representation, dispatched once per Build call.
+/// Builds pruned user-centric computation graphs over a CKG.
 class CompGraphBuilder {
  public:
   CompGraphBuilder(GraphRef graph, CompGraphOptions options);
@@ -122,7 +119,7 @@ class CompGraphBuilder {
                   const ExecContext& ctx, UserCompGraph* out) const;
 
  private:
-  GraphRef graph_;
+  const Ckg* ckg_;
   CompGraphOptions options_;
 };
 

@@ -2,101 +2,38 @@
 #define KUCNET_GRAPH_GRAPH_REF_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/ckg.h"
-#include "store/compact_ckg.h"
 
 /// \file
-/// GraphRef: a non-owning tagged reference to either CKG representation.
-///
-/// The hot algorithms (PPR push, BFS, subgraph extraction, computation-graph
-/// expansion) are templates instantiated for both `Ckg` (int64 CSR) and
-/// `CompactCkg` (typed 32/16-bit CSR, store/compact_ckg.h), so their inner
-/// loops contain zero dispatch. The *cold* layers — Kucnet, RecServer, the
-/// fleet — only touch the graph through scalar queries (id mapping, sizes)
-/// plus a handful of per-request algorithm entry points. GraphRef gives
-/// those layers one pointer-sized handle over either representation:
-/// scalars forward through a single branch, and `Visit` dispatches once
-/// per request into the right template instantiation.
-///
-/// Implicit construction from `const Ckg*` keeps every existing call site
-/// (`Kucnet(..., &ckg, ...)`) source-compatible; the int64 path executes
-/// the identical template instantiation it always did.
+/// GraphRef: a non-owning reference to a `Ckg`, the parameter type through
+/// which Kucnet, CompGraphBuilder, RecServer and the fleet take their graph.
+/// It converts implicitly from `const Ckg*`; `Visit` hands the graph to a
+/// callable.
 
 namespace kucnet {
 
-/// Non-owning reference to a `Ckg` or `CompactCkg`. Copyable, pointer-sized
-/// semantics; the referenced graph must outlive it.
+/// Non-owning reference to a `Ckg`; the graph must outlive it.
 class GraphRef {
  public:
   GraphRef() = default;
   // NOLINTNEXTLINE(google-explicit-constructor): implicit by design, see \file.
   GraphRef(const Ckg* ckg) : ckg_(ckg) {}
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  GraphRef(const CompactCkg* compact) : compact_(compact) {}
 
-  bool valid() const { return ckg_ != nullptr || compact_ != nullptr; }
-  bool is_compact() const { return compact_ != nullptr; }
+  const Ckg* get() const { return ckg_; }
 
-  /// Invokes `fn` with the concrete graph (`const Ckg&` or
-  /// `const CompactCkg&`). `fn` must be generic; this is the single
-  /// dispatch point into the templated hot paths.
+  /// Invokes `fn` with the graph.
   template <typename Fn>
   decltype(auto) Visit(Fn&& fn) const {
-    return ckg_ != nullptr ? fn(*ckg_) : fn(*compact_);
+    return fn(*ckg_);
   }
 
-  // ---- Scalar forwards (identical contracts to Ckg) -------------------------
-
-  int64_t num_users() const { return Dispatch(&Ckg::num_users, &CompactCkg::num_users); }
-  int64_t num_items() const { return Dispatch(&Ckg::num_items, &CompactCkg::num_items); }
-  int64_t num_kg_nodes() const { return Dispatch(&Ckg::num_kg_nodes, &CompactCkg::num_kg_nodes); }
-  int64_t num_nodes() const { return Dispatch(&Ckg::num_nodes, &CompactCkg::num_nodes); }
-  int64_t num_kg_relations() const { return Dispatch(&Ckg::num_kg_relations, &CompactCkg::num_kg_relations); }
-  int64_t num_base_relations() const { return Dispatch(&Ckg::num_base_relations, &CompactCkg::num_base_relations); }
-  int64_t num_relations() const { return Dispatch(&Ckg::num_relations, &CompactCkg::num_relations); }
-  int64_t self_loop_relation() const { return Dispatch(&Ckg::self_loop_relation, &CompactCkg::self_loop_relation); }
-  int64_t num_edges() const { return Dispatch(&Ckg::num_edges, &CompactCkg::num_edges); }
-
-  bool IsUser(int64_t node) const {
-    return Visit([&](const auto& g) { return g.IsUser(node); });
-  }
-  bool IsItem(int64_t node) const {
-    return Visit([&](const auto& g) { return g.IsItem(node); });
-  }
-  int64_t UserNode(int64_t user) const {
-    return Visit([&](const auto& g) { return g.UserNode(user); });
-  }
-  int64_t ItemNode(int64_t item) const {
-    return Visit([&](const auto& g) { return g.ItemNode(item); });
-  }
-  int64_t KgNode(int64_t kg_id) const {
-    return Visit([&](const auto& g) { return g.KgNode(kg_id); });
-  }
-  int64_t ItemOfNode(int64_t node) const {
-    return Visit([&](const auto& g) { return g.ItemOfNode(node); });
-  }
-  int64_t InverseRelation(int64_t rel) const {
-    return Visit([&](const auto& g) { return g.InverseRelation(rel); });
-  }
-  int64_t OutDegree(int64_t node) const {
-    return Visit([&](const auto& g) { return g.OutDegree(node); });
-  }
-  std::vector<int64_t> ItemsOfUser(int64_t user) const {
-    return Visit([&](const auto& g) { return g.ItemsOfUser(user); });
-  }
-
-  static constexpr int64_t kInteractRelation = Ckg::kInteractRelation;
+  int64_t UserNode(int64_t user) const { return ckg_->UserNode(user); }
+  bool IsItem(int64_t node) const { return ckg_->IsItem(node); }
+  int64_t ItemOfNode(int64_t node) const { return ckg_->ItemOfNode(node); }
 
  private:
-  template <typename R>
-  R Dispatch(R (Ckg::*a)() const, R (CompactCkg::*b)() const) const {
-    return ckg_ != nullptr ? (ckg_->*a)() : (compact_->*b)();
-  }
-
   const Ckg* ckg_ = nullptr;
-  const CompactCkg* compact_ = nullptr;
 };
 
 }  // namespace kucnet

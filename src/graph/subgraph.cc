@@ -5,13 +5,11 @@
 #include <unordered_set>
 
 #include "obs/trace.h"
-#include "store/compact_ckg.h"
 #include "util/logging.h"
 
 namespace kucnet {
 
-template <typename Graph>
-std::vector<int32_t> BfsDistances(const Graph& ckg, int64_t source,
+std::vector<int32_t> BfsDistances(const Ckg& ckg, int64_t source,
                                   int32_t max_depth) {
   KUC_TRACE_SPAN("subgraph.bfs");
   KUC_CHECK_GE(source, 0);
@@ -33,8 +31,7 @@ std::vector<int32_t> BfsDistances(const Graph& ckg, int64_t source,
   return dist;
 }
 
-template <typename Graph>
-UiSubgraph ExtractUiSubgraph(const Graph& ckg, int64_t user_node,
+UiSubgraph ExtractUiSubgraph(const Ckg& ckg, int64_t user_node,
                              int64_t item_node, int32_t depth) {
   const auto du = BfsDistances(ckg, user_node, depth);
   const auto di = BfsDistances(ckg, item_node, depth);
@@ -62,8 +59,7 @@ int64_t LayeredEdges::TotalEdges() const {
   return total;
 }
 
-template <typename Graph>
-LayeredEdges ExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
+LayeredEdges ExtractUiComputationGraph(const Ckg& ckg, int64_t user_node,
                                        int64_t item_node, int32_t depth) {
   KUC_TRACE_SPAN("subgraph.extract");
   const auto du = BfsDistances(ckg, user_node, depth);
@@ -93,20 +89,5 @@ LayeredEdges ExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
   }
   return out;
 }
-
-// The BFS/extraction hot paths are compiled here once per graph
-// representation; the Ckg instantiation is the pre-store code, bit for bit.
-template std::vector<int32_t> BfsDistances<Ckg>(const Ckg&, int64_t, int32_t);
-template std::vector<int32_t> BfsDistances<CompactCkg>(const CompactCkg&,
-                                                       int64_t, int32_t);
-template UiSubgraph ExtractUiSubgraph<Ckg>(const Ckg&, int64_t, int64_t,
-                                           int32_t);
-template UiSubgraph ExtractUiSubgraph<CompactCkg>(const CompactCkg&, int64_t,
-                                                  int64_t, int32_t);
-template LayeredEdges ExtractUiComputationGraph<Ckg>(const Ckg&, int64_t,
-                                                     int64_t, int32_t);
-template LayeredEdges ExtractUiComputationGraph<CompactCkg>(const CompactCkg&,
-                                                            int64_t, int64_t,
-                                                            int32_t);
 
 }  // namespace kucnet

@@ -17,12 +17,8 @@ namespace kucnet {
 
 /// Bounded BFS from `source`: distances[v] = shortest-path hops (ignoring
 /// direction is unnecessary: the CKG stores both directions), or -1 if
-/// v is farther than `max_depth` (or unreachable). Works on any graph
-/// exposing the Ckg span API; instantiated in subgraph.cc for `Ckg` and
-/// `CompactCkg` (the Ckg instantiation is the pre-store code, so the int64
-/// path is bitwise identical).
-template <typename Graph>
-std::vector<int32_t> BfsDistances(const Graph& ckg, int64_t source,
+/// v is farther than `max_depth` (or unreachable).
+std::vector<int32_t> BfsDistances(const Ckg& ckg, int64_t source,
                                   int32_t max_depth);
 
 /// The U-I subgraph G_{u,i|L} of Definition 2: nodes whose summed distance
@@ -33,9 +29,7 @@ struct UiSubgraph {
 };
 
 /// Extracts G_{u,i|L} for the pair (u, i); `item_node` is a global node id.
-/// Instantiated for `Ckg` and `CompactCkg`.
-template <typename Graph>
-UiSubgraph ExtractUiSubgraph(const Graph& ckg, int64_t user_node,
+UiSubgraph ExtractUiSubgraph(const Ckg& ckg, int64_t user_node,
                              int64_t item_node, int32_t depth);
 
 /// The layered computation graph C_{u,i|L} of Eq. (8): edge (s, r, o) is at
@@ -53,9 +47,7 @@ struct LayeredEdges {
 /// Builds C_{u,i|L}. Self-loop edges (n, self, n) are included at layer l for
 /// every node active at both endpoints' constraints, so shorter paths are
 /// padded to length exactly L as in Sec. IV-B.
-/// Instantiated for `Ckg` and `CompactCkg`.
-template <typename Graph>
-LayeredEdges ExtractUiComputationGraph(const Graph& ckg, int64_t user_node,
+LayeredEdges ExtractUiComputationGraph(const Ckg& ckg, int64_t user_node,
                                        int64_t item_node, int32_t depth);
 
 }  // namespace kucnet

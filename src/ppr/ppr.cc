@@ -7,7 +7,6 @@
 #include "graph/dynamic_ckg.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "store/compact_ckg.h"
 #include "util/clock.h"
 #include "util/finite.h"
 #include "util/logging.h"
@@ -220,8 +219,7 @@ PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
   return counts;
 }
 
-template <typename Graph>
-std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
+std::unordered_map<int64_t, real_t> PprForwardPush(const Ckg& ckg,
                                                    int64_t source, real_t alpha,
                                                    real_t epsilon) {
   KUC_TRACE_SPAN("ppr.push");
@@ -237,8 +235,7 @@ std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
   return scratch.TakeEstimates();
 }
 
-template <typename Graph>
-PprTable PprTable::Compute(const Graph& ckg, PprTableOptions options,
+PprTable PprTable::Compute(const Ckg& ckg, PprTableOptions options,
                            ThreadPool* pool) {
   KUC_TRACE_SPAN("ppr.table_compute");
   Stopwatch timer;
@@ -257,26 +254,14 @@ PprTable PprTable::Compute(const Graph& ckg, PprTableOptions options,
   return table;
 }
 
-// The push is compiled here once per graph representation.
+// The push is compiled here for the static and the dynamic graph.
 template PushCounts PushToConvergence<Ckg>(const Ckg&, real_t, real_t,
                                           const std::vector<int64_t>&,
                                           PushScratch*);
-template PushCounts PushToConvergence<CompactCkg>(const CompactCkg&, real_t,
-                                                 real_t,
-                                                 const std::vector<int64_t>&,
-                                                 PushScratch*);
 template PushCounts PushToConvergence<DynamicCkg>(const DynamicCkg&, real_t,
                                                  real_t,
                                                  const std::vector<int64_t>&,
                                                  PushScratch*);
-template std::unordered_map<int64_t, real_t> PprForwardPush<Ckg>(
-    const Ckg&, int64_t, real_t, real_t);
-template std::unordered_map<int64_t, real_t> PprForwardPush<CompactCkg>(
-    const CompactCkg&, int64_t, real_t, real_t);
-template PprTable PprTable::Compute<Ckg>(const Ckg&, PprTableOptions,
-                                         ThreadPool*);
-template PprTable PprTable::Compute<CompactCkg>(const CompactCkg&,
-                                                PprTableOptions, ThreadPool*);
 
 PprTable PprTable::FromVectors(
     std::vector<std::unordered_map<int64_t, real_t>> vectors) {

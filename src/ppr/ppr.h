@@ -159,9 +159,9 @@ class PushScratch {
 /// Residuals may be negative: the streaming repair seeds signed corrections,
 /// and negative mass pushes like positive. A push from a fresh source
 /// (residual 1 at the source, nothing else) only ever holds non-negative
-/// residuals. Instantiated in ppr.cc for `Ckg`, `CompactCkg` and
-/// `DynamicCkg`; neighbors are visited in each graph's own order (for
-/// `DynamicCkg`, base CSR then overflow).
+/// residuals. Instantiated in ppr.cc for `Ckg` and `DynamicCkg`; neighbors
+/// are visited in each graph's own order (for `DynamicCkg`, base CSR then
+/// overflow).
 template <typename Graph>
 PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
                              const std::vector<int64_t>& seeds,
@@ -169,10 +169,8 @@ PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
 
 /// Sparse PPR of `source` by forward push with per-node residual threshold
 /// `epsilon * degree(v)`. Returns only the estimates, which undershoot the
-/// true PPR by at most epsilon * degree summed over nodes. Instantiated for
-/// `Ckg` and `CompactCkg`.
-template <typename Graph>
-std::unordered_map<int64_t, real_t> PprForwardPush(const Graph& ckg,
+/// true PPR by at most epsilon * degree summed over nodes.
+std::unordered_map<int64_t, real_t> PprForwardPush(const Ckg& ckg,
                                                    int64_t source,
                                                    real_t alpha = 0.15,
                                                    real_t epsilon = 1e-6);
@@ -188,9 +186,7 @@ struct PprTableOptions {
 class PprTable {
  public:
   /// Computes vectors for all users, in parallel when a pool is given.
-  /// Instantiated for `Ckg` and `CompactCkg` (see PprForwardPush).
-  template <typename Graph>
-  static PprTable Compute(const Graph& ckg,
+  static PprTable Compute(const Ckg& ckg,
                           PprTableOptions options = PprTableOptions(),
                           ThreadPool* pool = nullptr);
 

@@ -78,7 +78,7 @@ RecServer::RecServer(const Kucnet* model, const Dataset* dataset,
                      RecServerOptions options)
     : model_(model),
       dataset_(dataset),
-      ckg_(ckg),
+      ckg_(ckg.get()),
       ppr_(ppr),
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : &RealClock()),
@@ -86,7 +86,7 @@ RecServer::RecServer(const Kucnet* model, const Dataset* dataset,
       train_items_(dataset->TrainItemsByUser()) {
   KUC_CHECK(model != nullptr);
   KUC_CHECK(dataset != nullptr);
-  KUC_CHECK(ckg.valid());
+  KUC_CHECK(ckg_ != nullptr);
   KUC_CHECK(ppr != nullptr);
   KUC_CHECK_GT(dataset->num_items, 0) << "cannot serve an empty catalogue";
   KUC_CHECK_GE(options_.num_workers, 0);
@@ -368,7 +368,7 @@ void RecServer::RunFallbackTiers(ServeJob* job) {
         request.user < ppr_->num_users()) {
       std::vector<double> scores(dataset_->num_items, 0.0);
       for (int64_t item = 0; item < dataset_->num_items; ++item) {
-        scores[item] = ppr_->Score(request.user, ckg_.ItemNode(item));
+        scores[item] = ppr_->Score(request.user, ckg_->ItemNode(item));
       }
       if (RankInto(request.user, scores, job->top_n, &job->response)) {
         job->served = true;

@@ -345,7 +345,7 @@ class RecServer {
 
   const Kucnet* model_;
   const Dataset* dataset_;
-  GraphRef ckg_;
+  const Ckg* ckg_;
   const PprTable* ppr_;
   RecServerOptions options_;
   const Clock* clock_;

@@ -39,7 +39,7 @@ struct SectionEntry {
   uint64_t length = 0;
 };
 
-std::string EncodeMeta(const CompactCkg& g) {
+std::string EncodeMeta(const Ckg& g) {
   ByteWriter w;
   w.I64(g.num_users());
   w.I64(g.num_items());
@@ -72,9 +72,9 @@ Status DecodeMeta(const std::string& path, const char* data, uint64_t length,
   }
   if (meta->num_users < 0 || meta->num_items < 0 ||
       meta->num_kg_nodes < meta->num_items || meta->num_kg_relations < 0 ||
-      meta->num_edges < 0 || meta->num_nodes() > CompactCkg::kMaxNodes ||
-      meta->num_edges > CompactCkg::kMaxEdges ||
-      2 * (1 + meta->num_kg_relations) > CompactCkg::kMaxRelations) {
+      meta->num_edges < 0 || meta->num_nodes() > Ckg::kMaxNodes ||
+      meta->num_edges > Ckg::kMaxEdges ||
+      2 * (1 + meta->num_kg_relations) > Ckg::kMaxRelations) {
     return KUC_STORE_ERR(path) << "META sizes out of range (users="
                                << meta->num_users << " items="
                                << meta->num_items << " kg_nodes="
@@ -191,8 +191,8 @@ Status CheckRowPtr(const std::string& path, const uint32_t* row_ptr,
 
 }  // namespace
 
-Status SaveCompactCkg(FileSystem& fs, const std::string& path,
-                      const CompactCkg& graph) {
+Status SaveCkgContainer(FileSystem& fs, const std::string& path,
+                        const Ckg& graph) {
   KUC_TRACE_SPAN("store.container_save");
   const auto row_ptr = graph.raw_row_ptr();
   const auto rel = graph.raw_rel();
@@ -255,9 +255,9 @@ Status SaveCompactCkg(FileSystem& fs, const std::string& path,
   return AtomicWriteFile(fs, path, file);
 }
 
-Status LoadCompactCkg(FileSystem& fs, const std::string& path,
-                      const StoreLoadOptions& options, CompactCkg* out,
-                      StoreLoadStats* stats) {
+Status LoadCkgContainer(FileSystem& fs, const std::string& path,
+                        const StoreLoadOptions& options, Ckg* out,
+                        StoreLoadStats* stats) {
   KUC_TRACE_SPAN("store.container_load");
   StoreLoadStats local_stats;
   StoreLoadStats& st = stats != nullptr ? *stats : local_stats;

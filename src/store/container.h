@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <string>
 
-#include "store/compact_ckg.h"
+#include "graph/ckg.h"
 #include "util/fs.h"
 #include "util/status.h"
 
 /// \file
-/// KUCSTOR1: the versioned, checksummed on-disk container for CompactCkg
+/// KUCSTOR1: the versioned, checksummed on-disk container for a Ckg
 /// (DESIGN.md §5g).
 ///
 /// Layout (all integers host-endian, like checkpoints):
@@ -43,7 +43,7 @@ namespace kucnet {
 /// Container format version this build writes and reads.
 inline constexpr uint64_t kStoreFormatVersion = 1;
 
-/// How LoadCompactCkg acquires and validates the file.
+/// How LoadCkgContainer acquires and validates the file.
 struct StoreLoadOptions {
   /// Map the file (zero-copy, lazy paging) instead of range-reading it into
   /// owned arrays. Emulating filesystems hand back a heap copy through the
@@ -64,16 +64,16 @@ struct StoreLoadStats {
 
 /// Serializes `graph` into a KUCSTOR1 container at `path` via
 /// AtomicWriteFile.
-Status SaveCompactCkg(FileSystem& fs, const std::string& path,
-                      const CompactCkg& graph);
+Status SaveCkgContainer(FileSystem& fs, const std::string& path,
+                        const Ckg& graph);
 
-/// Loads a container written by SaveCompactCkg. On success `*out` either
+/// Loads a container written by SaveCkgContainer. On success `*out` either
 /// borrows the mapping (use_mmap) or owns freshly-read arrays. Emits the
 /// `store.bytes_resident` / `store.edges` / `store.mmap_hit` gauges and a
 /// `store.container_load` trace span.
-Status LoadCompactCkg(FileSystem& fs, const std::string& path,
-                      const StoreLoadOptions& options, CompactCkg* out,
-                      StoreLoadStats* stats = nullptr);
+Status LoadCkgContainer(FileSystem& fs, const std::string& path,
+                        const StoreLoadOptions& options, Ckg* out,
+                        StoreLoadStats* stats = nullptr);
 
 }  // namespace kucnet
 

@@ -58,12 +58,11 @@ int64_t ZipfSampler::Sample(uint64_t hash) const {
   return std::min<int64_t>(idx, static_cast<int64_t>(cdf_.size()) - 1);
 }
 
-Status TryGenerateWebScaleGraph(const WebScaleConfig& config,
-                                CompactCkg* out) {
+Status TryGenerateWebScaleGraph(const WebScaleConfig& config, Ckg* out) {
   KUC_RETURN_IF_ERROR(ValidateWebScaleConfig(config));
   const int64_t num_users = config.num_users;
   const int64_t num_base = 1 + config.num_kg_relations;
-  return CompactCkg::TryAssemble(
+  return Ckg::TryAssemble(
       num_users, config.num_items, config.num_kg_nodes(),
       config.num_kg_relations,
       [&](const auto& sink) {
@@ -71,8 +70,8 @@ Status TryGenerateWebScaleGraph(const WebScaleConfig& config,
             config,
             [&](int64_t user, int64_t item) {
               const int64_t i = num_users + item;
-              sink(user, CompactCkg::kInteractRelation, i);
-              sink(i, CompactCkg::kInteractRelation + num_base, user);
+              sink(user, Ckg::kInteractRelation, i);
+              sink(i, Ckg::kInteractRelation + num_base, user);
             },
             [&](int64_t head, int64_t rel, int64_t tail) {
               const int64_t h = num_users + head;
@@ -87,11 +86,11 @@ Status TryGenerateWebScaleGraph(const WebScaleConfig& config,
 
 Status GenerateWebScaleContainer(FileSystem& fs, const std::string& path,
                                  const WebScaleConfig& config,
-                                 CompactCkg* graph_out) {
-  CompactCkg local;
-  CompactCkg& graph = graph_out != nullptr ? *graph_out : local;
+                                 Ckg* graph_out) {
+  Ckg local;
+  Ckg& graph = graph_out != nullptr ? *graph_out : local;
   KUC_RETURN_IF_ERROR(TryGenerateWebScaleGraph(config, &graph));
-  return SaveCompactCkg(fs, path, graph);
+  return SaveCkgContainer(fs, path, graph);
 }
 
 void MaterializeWebScaleInputs(

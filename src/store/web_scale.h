@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "store/compact_ckg.h"
+#include "graph/ckg.h"
 #include "store/container.h"
 #include "util/fs.h"
 #include "util/status.h"
@@ -20,7 +20,7 @@
 /// vectors, which caps it at laptop sizes. This generator is *streaming*:
 /// every edge is derived from a counter-based hash of (seed, stream, index),
 /// so the full edge sequence can be replayed any number of times with O(1)
-/// state per edge and fed straight into `CompactCkg::TryAssemble`'s two-pass
+/// state per edge and fed straight into `Ckg::TryAssemble`'s two-pass
 /// assembly — 10⁶ users / 10⁵ items / 10⁷ KG triplets never exist as a
 /// `vector<array<int64_t, 3>>`.
 ///
@@ -31,10 +31,14 @@
 /// entity layer and the entity layer has internal structure (the KGCN-style
 /// receptive field PPR explores). Deterministic in `seed`; the identical
 /// logical inputs can be materialized at small scale
-/// (`MaterializeWebScaleInputs`) to build the int64 `Ckg` oracle that
-/// diff_fuzz compares against.
+/// (`MaterializeWebScaleInputs`) for the in-memory `Ckg::TryBuild` and the
+/// adjacency oracle that diff_fuzz compares against.
 
 namespace kucnet {
+
+/// The former name of the graph class, kept for the repository benchmark
+/// (perfbench/main.cc), which generates the reduced graph through it.
+using CompactCkg = Ckg;
 
 /// Knobs of the streaming web-scale generator.
 struct WebScaleConfig {
@@ -120,21 +124,21 @@ void ForEachWebScaleInput(const WebScaleConfig& c,
   }
 }
 
-/// Streams the configured graph into a CompactCkg (two deterministic
-/// passes; O(1) memory per edge beyond the final arrays).
-Status TryGenerateWebScaleGraph(const WebScaleConfig& config,
-                                CompactCkg* out);
+/// Streams the configured graph into a Ckg (two deterministic passes; O(1)
+/// memory per edge beyond the final arrays).
+Status TryGenerateWebScaleGraph(const WebScaleConfig& config, Ckg* out);
 
 /// Generates and writes the KUCSTOR1 container at `path` in one step; on
 /// success `*graph_out` (optional) receives the in-memory graph so callers
 /// can verify the written file against it.
 Status GenerateWebScaleContainer(FileSystem& fs, const std::string& path,
                                  const WebScaleConfig& config,
-                                 CompactCkg* graph_out = nullptr);
+                                 Ckg* graph_out = nullptr);
 
 /// Materializes the exact logical inputs the streaming generator emits, for
-/// building the int64 `Ckg` oracle. Small configurations only: this is the
-/// O(edges)-memory path the streaming generator exists to avoid.
+/// building the same graph in memory or an oracle of it. Small
+/// configurations only: this is the O(edges)-memory path the streaming
+/// generator exists to avoid.
 void MaterializeWebScaleInputs(
     const WebScaleConfig& config,
     std::vector<std::array<int64_t, 2>>* interactions,

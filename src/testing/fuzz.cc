@@ -23,7 +23,6 @@
 #include "serve/fleet/shard_fault.h"
 #include "serve/fleet/shard_router.h"
 #include "serve/rec_server.h"
-#include "store/compact_ckg.h"
 #include "store/container.h"
 #include "store/web_scale.h"
 #include "stream/streaming_ckg.h"
@@ -513,16 +512,9 @@ struct KucnetFuzzContext {
     explicit Data(Dataset d)
         : dataset(std::move(d)),
           ckg(dataset.BuildCkg()),
-          ppr(PprTable::Compute(ckg)) {
-      const Status built = CompactCkg::TryBuild(
-          dataset.num_users, dataset.num_items, dataset.num_kg_nodes,
-          dataset.num_kg_relations, dataset.train, dataset.kg,
-          dataset.user_kg, &compact);
-      KUC_CHECK(built.ok()) << built.message();
-    }
+          ppr(PprTable::Compute(ckg)) {}
     Dataset dataset;
     Ckg ckg;
-    CompactCkg compact;  ///< the same graph in the u32/u16 layout
     PprTable ppr;
   };
 
@@ -631,10 +623,10 @@ UserCompGraph OracleGraphOf(const KucnetFuzzContext::Data& data,
                              &rng, excluded);
 }
 
-/// The builder against OracleUserCompGraph on both layouts: every user's
-/// TryExtractGraph and LossGraph graph from a Kucnet over the Ckg and one
-/// over the CompactCkg, and a direct CompGraphBuilder::TryBuild (self-loops
-/// on or off) that hides random interact pairs, real and absent ones. In a
+/// The builder against OracleUserCompGraph: every user's TryExtractGraph and
+/// LossGraph graph from the case's Kucnet, and a direct
+/// CompGraphBuilder::TryBuild (self-loops on or off) that hides random
+/// interact pairs, real and absent ones. In a
 /// quarter of the cases a build that a FaultInjector cancels at a random
 /// "subgraph" hit runs first on this thread: it must fail with an empty
 /// graph and leave nothing behind for the builds after it.
@@ -642,8 +634,6 @@ void CheckGraphsAgainstOracle(const KucnetFuzzContext::Data& data,
                               const KucnetOptions& opts, Rng& rng,
                               const Kucnet& model,
                               const std::function<std::ostream&()>& fail) {
-  const Kucnet compact_model(&data.dataset, &data.compact, &data.ppr, opts);
-  const std::array<const Kucnet*, 2> models = {&model, &compact_model};
   const CompGraphOptions options = BuilderOptionsOf(opts);
   const int64_t num_users = data.dataset.num_users;
 
@@ -659,9 +649,8 @@ void CheckGraphsAgainstOracle(const KucnetFuzzContext::Data& data,
     }
     FaultInjector injector;
     injector.Arm("subgraph", 1 + rng.UniformInt(hits));
-    const Kucnet& target = *models[rng.UniformInt(2)];
     KucnetForward cancelled;
-    const Status status = target.TryExtractGraph(
+    const Status status = model.TryExtractGraph(
         user, ExecContext(Deadline::Infinite(), &injector), &cancelled);
     if (status.ok() || !cancelled.graph.layers.empty()) {
       fail() << "cancelled TryExtractGraph user " << user
@@ -670,32 +659,26 @@ void CheckGraphsAgainstOracle(const KucnetFuzzContext::Data& data,
     }
   }
 
-  for (size_t m = 0; m < models.size(); ++m) {
-    const char* layout = m == 0 ? "Ckg" : "CompactCkg";
-    for (int64_t user = 0; user < num_users; ++user) {
-      KucnetForward fwd;
-      const Status status =
-          models[m]->TryExtractGraph(user, ExecContext(), &fwd);
-      if (!status.ok()) {
-        fail() << layout << " TryExtractGraph user " << user << ": "
-               << status.message();
-        return;
-      }
-      std::string diff = UserCompGraphDifference(
-          fwd.graph,
-          OracleGraphOf(data, options, user, ExtractSeed(opts, user)));
-      if (diff.empty()) {
-        diff = UserCompGraphDifference(
-            models[m]->LossGraph(user),
-            OracleGraphOf(data, options, user, LossSeed(opts, user)));
-        if (!diff.empty()) diff = "LossGraph: " + diff;
-      } else {
-        diff = "TryExtractGraph: " + diff;
-      }
-      if (!diff.empty()) {
-        fail() << layout << " user " << user << " " << diff;
-        return;
-      }
+  for (int64_t user = 0; user < num_users; ++user) {
+    KucnetForward fwd;
+    const Status status = model.TryExtractGraph(user, ExecContext(), &fwd);
+    if (!status.ok()) {
+      fail() << "TryExtractGraph user " << user << ": " << status.message();
+      return;
+    }
+    std::string diff = UserCompGraphDifference(
+        fwd.graph, OracleGraphOf(data, options, user, ExtractSeed(opts, user)));
+    if (diff.empty()) {
+      diff = UserCompGraphDifference(
+          model.LossGraph(user),
+          OracleGraphOf(data, options, user, LossSeed(opts, user)));
+      if (!diff.empty()) diff = "LossGraph: " + diff;
+    } else {
+      diff = "TryExtractGraph: " + diff;
+    }
+    if (!diff.empty()) {
+      fail() << "user " << user << " " << diff;
+      return;
     }
   }
 
@@ -719,23 +702,18 @@ void CheckGraphsAgainstOracle(const KucnetFuzzContext::Data& data,
   const uint64_t seed = rng.Next64();
   const UserCompGraph want = OracleGraphOf(data, direct, user, seed, excluded);
   const NodeScoreFn score = data.ppr.ScoreFn(user);
-  for (int m = 0; m < 2; ++m) {
-    const CompGraphBuilder builder =
-        m == 0 ? CompGraphBuilder(&data.ckg, direct)
-               : CompGraphBuilder(&data.compact, direct);
-    Rng build_rng(seed);
-    UserCompGraph got;
-    const Status status = builder.TryBuild(
-        data.ckg.UserNode(user),
-        direct.prune == PruneMode::kPpr ? &score : nullptr, &build_rng,
-        excluded, ExecContext(), &got);
-    const std::string diff =
-        status.ok() ? UserCompGraphDifference(got, want) : status.message();
-    if (!diff.empty()) {
-      fail() << (m == 0 ? "Ckg" : "CompactCkg") << " TryBuild user " << user
-             << " with " << excluded.size() << " excluded pairs: " << diff;
-      return;
-    }
+  const CompGraphBuilder builder(&data.ckg, direct);
+  Rng build_rng(seed);
+  UserCompGraph got;
+  const Status status = builder.TryBuild(
+      data.ckg.UserNode(user),
+      direct.prune == PruneMode::kPpr ? &score : nullptr, &build_rng,
+      excluded, ExecContext(), &got);
+  const std::string diff =
+      status.ok() ? UserCompGraphDifference(got, want) : status.message();
+  if (!diff.empty()) {
+    fail() << "TryBuild user " << user << " with " << excluded.size()
+           << " excluded pairs: " << diff;
   }
 }
 
@@ -1884,7 +1862,7 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   // the in-memory TryBuild of the materialized inputs.
   InMemoryFileSystem fs;
   const std::string path = "/fuzz/store.kucstor";
-  CompactCkg generated;
+  Ckg generated;
   const Status gen = GenerateWebScaleContainer(fs, path, config, &generated);
   if (!gen.ok()) {
     result.Fail() << "generate: " << gen.message();
@@ -1893,37 +1871,34 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   StoreLoadOptions load_options;
   load_options.use_mmap = rng.Bernoulli(0.5);
   load_options.verify_checksums = rng.Bernoulli(0.5);
-  CompactCkg compact;
+  Ckg loaded;
   StoreLoadStats stats;
-  const Status load = LoadCompactCkg(fs, path, load_options, &compact, &stats);
+  const Status load =
+      LoadCkgContainer(fs, path, load_options, &loaded, &stats);
   if (!load.ok()) {
     result.Fail() << "load: " << load.message();
     return;
   }
-  const Status topology = compact.ValidateTopology();
+  const Status topology = loaded.ValidateTopology();
   if (!topology.ok()) {
     result.Fail() << "topology: " << topology.message();
     return;
   }
-  CompactCkg built;
-  const Status build = CompactCkg::TryBuild(
+  Ckg in_memory;
+  const Status build = Ckg::TryBuild(
       config.num_users, config.num_items, config.num_kg_nodes(),
-      config.num_kg_relations, interactions, kg_triplets, {}, &built);
+      config.num_kg_relations, interactions, kg_triplets, {}, &in_memory);
   if (!build.ok()) {
     result.Fail() << "TryBuild: " << build.message();
     return;
   }
-  const Ckg in_memory =
-      Ckg::Build(config.num_users, config.num_items, config.num_kg_nodes(),
-                 config.num_kg_relations, interactions, kg_triplets);
 
   // Full structural equality against the oracle: every scalar, every
   // adjacency row (relation and destination, in order).
   for (const auto& [name, diff] :
        {std::pair<const char*, std::string>{
-            "container", AdjacencyDifference(compact, oracle)},
-        {"TryBuild", AdjacencyDifference(built, oracle)},
-        {"Build", AdjacencyDifference(in_memory, oracle)}}) {
+            "container", AdjacencyDifference(loaded, oracle)},
+        {"TryBuild", AdjacencyDifference(in_memory, oracle)}}) {
     if (!diff.empty()) {
       result.Fail() << name << " graph vs OracleAdjacency: " << diff;
       return;
@@ -1935,19 +1910,19 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   const int64_t source = rng.UniformInt(in_memory.num_nodes());
   const real_t alpha = rng.Uniform(0.05, 0.95);
   const real_t epsilon = std::pow(10.0, -(3.0 + rng.Uniform() * 4.0));
-  const auto push_compact = PprForwardPush(compact, source, alpha, epsilon);
+  const auto push_loaded = PprForwardPush(loaded, source, alpha, epsilon);
   const auto push_memory = PprForwardPush(in_memory, source, alpha, epsilon);
-  if (push_compact.size() != push_memory.size()) {
-    result.Fail() << "ppr support: container=" << push_compact.size()
+  if (push_loaded.size() != push_memory.size()) {
+    result.Fail() << "ppr support: container=" << push_loaded.size()
                   << " in-memory=" << push_memory.size() << " (source="
                   << source << " alpha=" << alpha << " eps=" << epsilon << ")";
     return;
   }
   for (const auto& [node, value] : push_memory) {
-    const auto it = push_compact.find(node);
-    if (it == push_compact.end() || UlpDistance(it->second, value) != 0) {
+    const auto it = push_loaded.find(node);
+    if (it == push_loaded.end() || UlpDistance(it->second, value) != 0) {
       result.Fail() << "ppr estimate at node " << node << ": container="
-                    << (it == push_compact.end() ? 0.0 : it->second)
+                    << (it == push_loaded.end() ? 0.0 : it->second)
                     << " in-memory=" << value << " (source=" << source
                     << " alpha=" << alpha << " eps=" << epsilon << ")";
       return;
@@ -1969,7 +1944,7 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   dataset.kg = kg_triplets;
 
   const PprTable ppr_memory = PprTable::Compute(in_memory);
-  const PprTable ppr_compact = PprTable::Compute(compact);
+  const PprTable ppr_loaded = PprTable::Compute(loaded);
 
   KucnetOptions model_opts;
   model_opts.hidden_dim = 8;
@@ -1977,19 +1952,19 @@ void StoreCase(uint64_t case_seed, CaseResult& result) {
   model_opts.depth = 2;
   model_opts.sample_k = 8;
   Kucnet model_memory(&dataset, &in_memory, &ppr_memory, model_opts);
-  Kucnet model_compact(&dataset, &compact, &ppr_compact, model_opts);
+  Kucnet model_loaded(&dataset, &loaded, &ppr_loaded, model_opts);
 
   RecServerOptions server_opts;
   server_opts.num_workers = 0;  // ServeSync only: strictly sequential
   RecServer server_memory(&model_memory, &dataset, &in_memory, &ppr_memory,
                           server_opts);
-  RecServer server_compact(&model_compact, &dataset, &compact, &ppr_compact,
+  RecServer server_loaded(&model_loaded, &dataset, &loaded, &ppr_loaded,
                            server_opts);
 
   const int64_t top_n = 1 + rng.UniformInt(10);
   for (int64_t user = 0; user < config.num_users; ++user) {
     const RecResponse a = server_memory.ServeSync({user, top_n, 0});
-    const RecResponse b = server_compact.ServeSync({user, top_n, 0});
+    const RecResponse b = server_loaded.ServeSync({user, top_n, 0});
     if (a.status != b.status || a.tier != b.tier ||
         a.degraded != b.degraded || a.items.size() != b.items.size()) {
       result.Fail() << "serve response shape for user " << user

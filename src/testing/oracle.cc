@@ -191,6 +191,70 @@ OracleAdjacency::OracleAdjacency(
   num_edges = static_cast<int64_t>(edges.size());
 }
 
+std::string AdjacencyDifference(const Ckg& graph, const OracleAdjacency& want) {
+  std::ostringstream diff;
+  const int64_t base = 1 + want.num_kg_relations;
+  const int64_t num_nodes = want.num_users + want.num_kg_nodes;
+  const std::array<std::pair<int64_t, int64_t>, 9> scalars = {{
+      {graph.num_users(), want.num_users},
+      {graph.num_items(), want.num_items},
+      {graph.num_kg_nodes(), want.num_kg_nodes},
+      {graph.num_nodes(), num_nodes},
+      {graph.num_kg_relations(), want.num_kg_relations},
+      {graph.num_base_relations(), base},
+      {graph.num_relations(), 2 * base},
+      {graph.self_loop_relation(), 2 * base},
+      {graph.num_edges(), want.num_edges},
+  }};
+  for (size_t k = 0; k < scalars.size(); ++k) {
+    if (scalars[k].first != scalars[k].second) {
+      diff << "scalar " << k << " (sizes, relations, self-loop, edges): got "
+           << scalars[k].first << ", want " << scalars[k].second;
+      return diff.str();
+    }
+  }
+  for (int64_t r = 0; r < 2 * base; ++r) {
+    const int64_t inverse = r < base ? r + base : r - base;
+    if (graph.InverseRelation(r) != inverse) {
+      diff << "InverseRelation(" << r << "): got " << graph.InverseRelation(r)
+           << ", want " << inverse;
+      return diff.str();
+    }
+  }
+  for (int64_t v = 0; v < num_nodes; ++v) {
+    const auto& row = want.rows[static_cast<size_t>(v)];
+    const auto rels = graph.OutRelations(v);
+    const auto dsts = graph.OutNeighbors(v);
+    if (graph.OutDegree(v) != static_cast<int64_t>(row.size()) ||
+        rels.size() != row.size() || dsts.size() != row.size()) {
+      diff << "node " << v << ": degree " << graph.OutDegree(v) << " (spans "
+           << rels.size() << "/" << dsts.size() << "), want " << row.size();
+      return diff.str();
+    }
+    for (size_t k = 0; k < row.size(); ++k) {
+      const int64_t rel = rels[k];
+      const int64_t dst = dsts[k];
+      if (rel != row[k].first || dst != row[k].second) {
+        diff << "node " << v << " slot " << k << ": got (" << rel << ", "
+             << dst << "), want (" << row[k].first << ", " << row[k].second
+             << ")";
+        return diff.str();
+      }
+    }
+  }
+  for (int64_t u = 0; u < want.num_users; ++u) {
+    std::vector<int64_t> items;
+    for (const auto& [rel, dst] : want.rows[static_cast<size_t>(u)]) {
+      if (rel == 0) items.push_back(dst - want.num_users);
+    }
+    if (graph.ItemsOfUser(u) != items) {
+      diff << "ItemsOfUser(" << u << ") differs";
+      return diff.str();
+    }
+  }
+  return "";
+}
+
 // ---- KUCNet ------------------------------------------------------------------
 
 UserCompGraph OracleUserCompGraph(const Ckg& ckg,

@@ -322,12 +322,12 @@ TEST_F(ObsTest, ContainerLoadSetsStoreGaugesAndRecordsSpans) {
   config.num_kg_triplets = 12;
 
   InMemoryFileSystem fs;
-  CompactCkg written;
+  Ckg written;
   ASSERT_TRUE(
       GenerateWebScaleContainer(fs, "/obs/g.kucstor", config, &written).ok());
-  CompactCkg loaded;
+  Ckg loaded;
   StoreLoadStats stats;
-  ASSERT_TRUE(LoadCompactCkg(fs, "/obs/g.kucstor", StoreLoadOptions(),
+  ASSERT_TRUE(LoadCkgContainer(fs, "/obs/g.kucstor", StoreLoadOptions(),
                              &loaded, &stats)
                   .ok());
 
@@ -364,15 +364,15 @@ TEST_F(ObsTest, StoreMmapHitGaugeReportsKernelMappings) {
   FileSystem& real = DefaultFileSystem();
   const std::string path = ::testing::TempDir() + "/obs_store.kucstor";
   ASSERT_TRUE(GenerateWebScaleContainer(real, path, config).ok());
-  CompactCkg loaded;
+  Ckg loaded;
   ASSERT_TRUE(
-      LoadCompactCkg(real, path, StoreLoadOptions(), &loaded, nullptr).ok());
+      LoadCkgContainer(real, path, StoreLoadOptions(), &loaded, nullptr).ok());
   EXPECT_EQ(obs::DefaultRegistry().Snapshot().gauges.at("store.mmap_hit"), 1);
 
   // A full (non-mmap) load resets the gauge: it reports the *last* load.
   StoreLoadOptions full_read;
   full_read.use_mmap = false;
-  ASSERT_TRUE(LoadCompactCkg(real, path, full_read, &loaded, nullptr).ok());
+  ASSERT_TRUE(LoadCkgContainer(real, path, full_read, &loaded, nullptr).ok());
   EXPECT_EQ(obs::DefaultRegistry().Snapshot().gauges.at("store.mmap_hit"), 0);
   ASSERT_TRUE(real.Remove(path).ok());
 }

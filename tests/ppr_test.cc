@@ -11,7 +11,6 @@
 #include "graph/ckg.h"
 #include "graph/dynamic_ckg.h"
 #include "ppr/ppr.h"
-#include "store/compact_ckg.h"
 #include "testing/fuzz.h"
 #include "testing/oracle.h"
 #include "util/finite.h"
@@ -332,19 +331,13 @@ void ExpectSameBits(const FlatPprVector& got,
 TEST(PprScratchTest, LongPushCompactsTheFifoAndMatchesOracle) {
   // A full push from a synth-lastfm user pops ~13,500 times, so the FIFO
   // drops its popped prefix mid-push (every graph in the tests above is far
-  // too small to reach that). The three graph layouts hold the same
-  // adjacency in the same order, so each must reproduce the oracle
-  // transcript, estimates and residuals, bit for bit.
+  // too small to reach that). The static graph and the dynamic one over
+  // the same inputs hold the same adjacency in the same order, so each must
+  // reproduce the oracle transcript, estimates and residuals, bit for bit.
   Rng split_rng(1);
   const Dataset data = TraditionalSplit(
       GenerateSynthetic(SynthLastFmConfig()).raw, 0.2, split_rng);
   const Ckg ckg = data.BuildCkg();
-  CompactCkg compact;
-  ASSERT_TRUE(CompactCkg::TryBuild(data.num_users, data.num_items,
-                                   data.num_kg_nodes, data.num_kg_relations,
-                                   data.train, data.kg, data.user_kg,
-                                   &compact)
-                  .ok());
   const DynamicCkg dynamic(data.num_users, data.num_items, data.num_kg_nodes,
                            data.num_kg_relations, data.train, data.kg,
                            data.user_kg);
@@ -365,7 +358,6 @@ TEST(PprScratchTest, LongPushCompactsTheFifoAndMatchesOracle) {
       ExpectSameBits(residual, oracle.residual, what + " residual");
     };
     check(ckg, "Ckg");
-    check(compact, "CompactCkg");
     check(dynamic, "DynamicCkg");
   }
 }

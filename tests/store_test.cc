@@ -1,6 +1,6 @@
 // The web-scale data plane (src/store/): the streamed, built and
 // container-loaded graphs against the set-based testing::OracleAdjacency,
-// bitwise PPR across layouts, the 32-bit id overflow policy, KUCSTOR1
+// the push against the oracle push, the 32-bit id overflow policy, KUCSTOR1
 // container roundtrips across every load path, a whole-file corruption sweep
 // (every flipped byte either fails with file:line:cause or is provably
 // harmless padding), and crash sweeps killing save/load at every single IO
@@ -16,7 +16,6 @@
 
 #include "graph/ckg.h"
 #include "ppr/ppr.h"
-#include "store/compact_ckg.h"
 #include "store/container.h"
 #include "store/web_scale.h"
 #include "testing/oracle.h"
@@ -67,17 +66,17 @@ OracleAdjacency BuildOracle(const WebScaleConfig& config) {
 
 // ---- Graphs against the oracle -----------------------------------------------
 
-TEST(CompactCkgTest, GeneratedAndBuiltGraphsMatchOracleAdjacency) {
+TEST(StoreGraphTest, GeneratedAndBuiltGraphsMatchOracleAdjacency) {
   const WebScaleConfig config = TinyConfig();
   const OracleAdjacency oracle = BuildOracle(config);
-  CompactCkg generated;
+  Ckg generated;
   ASSERT_TRUE(TryGenerateWebScaleGraph(config, &generated).ok());
   EXPECT_EQ(AdjacencyDifference(generated, oracle), "");
   EXPECT_TRUE(generated.ValidateTopology().ok());
 
   const Inputs in = Materialize(config);
-  CompactCkg built;
-  ASSERT_TRUE(CompactCkg::TryBuild(config.num_users, config.num_items,
+  Ckg built;
+  ASSERT_TRUE(Ckg::TryBuild(config.num_users, config.num_items,
                                    config.num_kg_nodes(),
                                    config.num_kg_relations, in.interactions,
                                    in.kg, {}, &built)
@@ -86,65 +85,62 @@ TEST(CompactCkgTest, GeneratedAndBuiltGraphsMatchOracleAdjacency) {
   EXPECT_TRUE(built.ValidateTopology().ok());
 }
 
-TEST(CompactCkgTest, PprForwardPushIsBitwiseIdenticalAcrossRepresentations) {
+TEST(StoreGraphTest, PprForwardPushMatchesTheOraclePushBitwise) {
   const WebScaleConfig config = TinyConfig();
-  const Inputs in = Materialize(config);
-  const Ckg oracle =
-      Ckg::Build(config.num_users, config.num_items, config.num_kg_nodes(),
-                 config.num_kg_relations, in.interactions, in.kg);
-  CompactCkg compact;
-  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &compact).ok());
-  for (int64_t source = 0; source < oracle.num_nodes(); ++source) {
-    const auto a = PprForwardPush(oracle, source);
-    const auto b = PprForwardPush(compact, source);
-    ASSERT_EQ(a.size(), b.size()) << "source " << source;
-    for (const auto& [node, value] : a) {
-      const auto it = b.find(node);
-      ASSERT_NE(it, b.end()) << "source " << source << " node " << node;
-      // Same push transcript over equal adjacency: exact equality, not
+  Ckg graph;
+  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &graph).ok());
+  for (int64_t source = 0; source < graph.num_nodes(); ++source) {
+    const auto push = PprForwardPush(graph, source);
+    const testing::OraclePprResult oracle =
+        testing::OraclePprPush(graph, source, 0.15, 1e-6);
+    ASSERT_EQ(push.size(), oracle.estimate.size()) << "source " << source;
+    for (const auto& [node, value] : oracle.estimate) {
+      const auto it = push.find(node);
+      ASSERT_NE(it, push.end()) << "source " << source << " node " << node;
+      // Same push transcript over the narrow spans: exact equality, not
       // within-epsilon.
       EXPECT_EQ(it->second, value) << "source " << source << " node " << node;
     }
   }
 }
 
-TEST(CompactCkgTest, CompactFootprintIsWellUnderHalfOfInt64Layout) {
+TEST(StoreGraphTest, FootprintIsWellUnderHalfOfAnInt64Layout) {
   const WebScaleConfig config = TinyConfig();
-  CompactCkg compact;
-  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &compact).ok());
+  Ckg graph;
+  ASSERT_TRUE(TryGenerateWebScaleGraph(config, &graph).ok());
   const int64_t int64_bytes =
-      (compact.num_nodes() + 1) * 8 + compact.num_edges() * 16;
-  EXPECT_LE(compact.bytes_resident() * 100, int64_bytes * 40)
-      << "bytes/edge must stay <= 40% of the int64 CSR layout";
+      (graph.num_nodes() + 1) * 8 + graph.num_edges() * 16;
+  EXPECT_LE(graph.bytes_resident() * 100, int64_bytes * 40)
+      << "bytes/edge must stay <= 40% of an int64 CSR layout";
 }
 
 // ---- Overflow policy ---------------------------------------------------------
 
-TEST(CompactCkgTest, RelationOverflowIsRecoverableStatus) {
-  CompactCkg out;
+TEST(StoreGraphTest, RelationOverflowIsRecoverableStatus) {
+  Ckg out;
   const Status st =
-      CompactCkg::TryBuild(1, 1, 1, /*num_kg_relations=*/40'000, {}, {}, {},
+      Ckg::TryBuild(1, 1, 1, /*num_kg_relations=*/40'000, {}, {}, {},
                            &out);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("overflow 16-bit"), std::string::npos)
       << st.message();
 }
 
-TEST(CompactCkgTest, NodeOverflowIsRecoverableStatusBeforeAllocation) {
-  CompactCkg out;
+TEST(StoreGraphTest, NodeOverflowIsRecoverableStatusBeforeAllocation) {
+  Ckg out;
   // 5e9 nodes would be a 20 GB row-pointer array; the overflow check must
   // fire before any allocation is attempted.
-  const Status st = CompactCkg::TryBuild(5'000'000'000, 1, 1, 1, {}, {}, {},
+  const Status st = Ckg::TryBuild(5'000'000'000, 1, 1, 1, {}, {}, {},
                                          &out);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("overflow 32-bit"), std::string::npos)
       << st.message();
 }
 
-TEST(CompactCkgTest, OutOfRangeEdgeIsRecoverableStatus) {
-  CompactCkg out;
+TEST(StoreGraphTest, OutOfRangeEdgeIsRecoverableStatus) {
+  Ckg out;
   const std::vector<std::array<int64_t, 2>> bad_inter = {{0, 99}};
-  const Status st = CompactCkg::TryBuild(2, 3, 3, 1, bad_inter, {}, {}, &out);
+  const Status st = Ckg::TryBuild(2, 3, 3, 1, bad_inter, {}, {}, &out);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("out of range"), std::string::npos)
       << st.message();
@@ -154,12 +150,12 @@ TEST(CompactCkgTest, OutOfRangeEdgeIsRecoverableStatus) {
 // re-validation this would index the row cursors out of range (or run a
 // row's writes into its neighbor's) — silent arena corruption instead of a
 // recoverable Status.
-TEST(CompactCkgTest, ContentDivergentSecondPassIsARecoverableStatus) {
+TEST(StoreGraphTest, ContentDivergentSecondPassIsARecoverableStatus) {
   // Case 1: pass 2 routes the edges to a different (valid) source whose
   // pass-1 row is empty, overflowing that row's cursor.
-  CompactCkg out;
+  Ckg out;
   int pass = 0;
-  Status st = CompactCkg::TryAssemble(
+  Status st = Ckg::TryAssemble(
       2, 1, 1, 1,
       [&pass](auto&& sink) {
         ++pass;
@@ -174,7 +170,7 @@ TEST(CompactCkgTest, ContentDivergentSecondPassIsARecoverableStatus) {
 
   // Case 2: pass 2 emits a source id far outside [0, n).
   pass = 0;
-  st = CompactCkg::TryAssemble(
+  st = Ckg::TryAssemble(
       2, 1, 1, 1,
       [&pass](auto&& sink) { sink(++pass == 1 ? 0 : 99, 0, 1); }, &out);
   ASSERT_FALSE(st.ok());
@@ -182,10 +178,10 @@ TEST(CompactCkgTest, ContentDivergentSecondPassIsARecoverableStatus) {
       << st.message();
 }
 
-TEST(CompactCkgTest, NonDeterministicEmitStreamIsRejected) {
-  CompactCkg out;
+TEST(StoreGraphTest, NonDeterministicEmitStreamIsRejected) {
+  Ckg out;
   int pass = 0;
-  const Status st = CompactCkg::TryAssemble(
+  const Status st = Ckg::TryAssemble(
       1, 1, 1, 1,
       [&pass](auto&& sink) {
         ++pass;
@@ -205,13 +201,13 @@ class ContainerTest : public ::testing::Test {
   void SetUp() override {
     config_ = TinyConfig();
     ASSERT_TRUE(TryGenerateWebScaleGraph(config_, &graph_).ok());
-    ASSERT_TRUE(SaveCompactCkg(fs_, kPath, graph_).ok());
+    ASSERT_TRUE(SaveCkgContainer(fs_, kPath, graph_).ok());
   }
 
   static constexpr const char* kPath = "/store/test.kucstor";
   WebScaleConfig config_;
   const OracleAdjacency oracle_ = BuildOracle(TinyConfig());
-  CompactCkg graph_;
+  Ckg graph_;
   InMemoryFileSystem fs_;
 };
 
@@ -221,9 +217,9 @@ TEST_F(ContainerTest, RoundTripsOnEveryLoadPath) {
       StoreLoadOptions options;
       options.use_mmap = use_mmap;
       options.verify_checksums = verify;
-      CompactCkg loaded;
+      Ckg loaded;
       StoreLoadStats stats;
-      ASSERT_TRUE(LoadCompactCkg(fs_, kPath, options, &loaded, &stats).ok())
+      ASSERT_TRUE(LoadCkgContainer(fs_, kPath, options, &loaded, &stats).ok())
           << "mmap=" << use_mmap << " verify=" << verify;
       EXPECT_EQ(AdjacencyDifference(loaded, oracle_), "")
           << "mmap=" << use_mmap << " verify=" << verify;
@@ -239,10 +235,10 @@ TEST_F(ContainerTest, RoundTripsOnEveryLoadPath) {
 TEST_F(ContainerTest, RealFilesystemLoadIsKernelMapped) {
   FileSystem& real = DefaultFileSystem();
   const std::string path = ::testing::TempDir() + "/store_mmap.kucstor";
-  ASSERT_TRUE(SaveCompactCkg(real, path, graph_).ok());
-  CompactCkg loaded;
+  ASSERT_TRUE(SaveCkgContainer(real, path, graph_).ok());
+  Ckg loaded;
   StoreLoadStats stats;
-  ASSERT_TRUE(LoadCompactCkg(real, path, StoreLoadOptions(), &loaded, &stats)
+  ASSERT_TRUE(LoadCkgContainer(real, path, StoreLoadOptions(), &loaded, &stats)
                   .ok());
   EXPECT_TRUE(stats.mmap_backed);
   EXPECT_TRUE(loaded.mmap_backed());
@@ -251,9 +247,9 @@ TEST_F(ContainerTest, RealFilesystemLoadIsKernelMapped) {
 }
 
 TEST_F(ContainerTest, MissingFileIsRecoverableStatus) {
-  CompactCkg loaded;
+  Ckg loaded;
   const Status st =
-      LoadCompactCkg(fs_, "/store/nope.kucstor", StoreLoadOptions(), &loaded,
+      LoadCkgContainer(fs_, "/store/nope.kucstor", StoreLoadOptions(), &loaded,
                      nullptr);
   ASSERT_FALSE(st.ok());
 }
@@ -274,9 +270,9 @@ TEST_F(ContainerTest, EveryFlippedByteFailsWithFileLineCauseOrIsPadding) {
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0x5a);
     InMemoryFileSystem corrupt_fs;
     ASSERT_TRUE(corrupt_fs.WriteFile(kPath, corrupt).ok());
-    CompactCkg loaded;
+    Ckg loaded;
     const Status st =
-        LoadCompactCkg(corrupt_fs, kPath, options, &loaded, nullptr);
+        LoadCkgContainer(corrupt_fs, kPath, options, &loaded, nullptr);
     if (st.ok()) {
       EXPECT_EQ(AdjacencyDifference(loaded, oracle_), "")
           << "flip at byte " << i << " loaded a different graph";
@@ -321,9 +317,9 @@ TEST_F(ContainerTest, CraftedHugeSectionLengthWithValidChecksumsIsRejected) {
       for (const bool use_mmap : {true, false}) {
         StoreLoadOptions options;
         options.use_mmap = use_mmap;
-        CompactCkg loaded;
+        Ckg loaded;
         const Status st =
-            LoadCompactCkg(corrupt_fs, kPath, options, &loaded, nullptr);
+            LoadCkgContainer(corrupt_fs, kPath, options, &loaded, nullptr);
         ASSERT_FALSE(st.ok()) << "section " << s << " length " << crafted
                               << " mmap=" << use_mmap;
         EXPECT_NE(st.message().find("container.cc:"), std::string::npos)
@@ -339,9 +335,9 @@ TEST_F(ContainerTest, TruncationAtEveryLengthIsRejectedWithFileLine) {
   for (size_t len = 0; len < image.size(); len += 7) {
     InMemoryFileSystem short_fs;
     ASSERT_TRUE(short_fs.WriteFile(kPath, image.substr(0, len)).ok());
-    CompactCkg loaded;
+    Ckg loaded;
     const Status st =
-        LoadCompactCkg(short_fs, kPath, StoreLoadOptions(), &loaded, nullptr);
+        LoadCkgContainer(short_fs, kPath, StoreLoadOptions(), &loaded, nullptr);
     ASSERT_FALSE(st.ok()) << "truncated to " << len << " bytes";
     EXPECT_NE(st.message().find("container.cc:"), std::string::npos)
         << st.message();
@@ -355,28 +351,28 @@ TEST_F(ContainerTest, SaveKilledAtEveryOpNeverCorruptsThePreviousContainer) {
     InMemoryFileSystem base;
     FaultInjectingFileSystem faulty(&base);
     // A valid older container is already in place.
-    ASSERT_TRUE(SaveCompactCkg(base, kPath, graph_).ok());
+    ASSERT_TRUE(SaveCkgContainer(base, kPath, graph_).ok());
 
     // Learn the op count of a clean save, then kill at every op.
     WebScaleConfig bigger = config_;
     bigger.num_kg_triplets += 8;
-    CompactCkg next;
+    Ckg next;
     ASSERT_TRUE(TryGenerateWebScaleGraph(bigger, &next).ok());
     faulty.ResetOpCount();
-    ASSERT_TRUE(SaveCompactCkg(faulty, kPath, next).ok());
+    ASSERT_TRUE(SaveCkgContainer(faulty, kPath, next).ok());
     const int64_t ops = faulty.op_count();
     ASSERT_GT(ops, 0);
 
     for (int64_t kill_at = 1; kill_at <= ops; ++kill_at) {
-      ASSERT_TRUE(SaveCompactCkg(base, kPath, graph_).ok());  // reset old
+      ASSERT_TRUE(SaveCkgContainer(base, kPath, graph_).ok());  // reset old
       faulty.FailFrom(kill_at, mode);
-      const Status st = SaveCompactCkg(faulty, kPath, next);
+      const Status st = SaveCkgContainer(faulty, kPath, next);
       faulty.Disarm();
       ASSERT_FALSE(st.ok()) << "kill_at=" << kill_at;
       // Atomic replacement: the old container still loads, bit for bit.
-      CompactCkg loaded;
+      Ckg loaded;
       ASSERT_TRUE(
-          LoadCompactCkg(base, kPath, StoreLoadOptions(), &loaded, nullptr)
+          LoadCkgContainer(base, kPath, StoreLoadOptions(), &loaded, nullptr)
               .ok())
           << "kill_at=" << kill_at;
       EXPECT_EQ(AdjacencyDifference(loaded, oracle_), "")
@@ -390,20 +386,20 @@ TEST_F(ContainerTest, LoadKilledAtEveryOpFailsCleanlyOnEveryPath) {
     for (const bool use_mmap : {true, false}) {
       InMemoryFileSystem base;
       FaultInjectingFileSystem faulty(&base);
-      ASSERT_TRUE(SaveCompactCkg(base, kPath, graph_).ok());
+      ASSERT_TRUE(SaveCkgContainer(base, kPath, graph_).ok());
       StoreLoadOptions options;
       options.use_mmap = use_mmap;
       faulty.ResetOpCount();
-      CompactCkg warm;
+      Ckg warm;
       ASSERT_TRUE(
-          LoadCompactCkg(faulty, kPath, options, &warm, nullptr).ok());
+          LoadCkgContainer(faulty, kPath, options, &warm, nullptr).ok());
       const int64_t ops = faulty.op_count();
       ASSERT_GT(ops, 0);
       for (int64_t kill_at = 1; kill_at <= ops; ++kill_at) {
         faulty.FailFrom(kill_at, mode);
-        CompactCkg loaded;
+        Ckg loaded;
         const Status st =
-            LoadCompactCkg(faulty, kPath, options, &loaded, nullptr);
+            LoadCkgContainer(faulty, kPath, options, &loaded, nullptr);
         faulty.Disarm();
         // A torn map/read may surface as an IO error or as a checksum /
         // length validation failure — either way a recoverable Status.
