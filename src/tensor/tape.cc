@@ -20,33 +20,9 @@ constexpr int64_t kParallelWorkThreshold = int64_t{1} << 15;
 constexpr int64_t kRowGrain = 512;
 
 /// True when farming out is worthwhile. Only guards paths whose serial and
-/// parallel executions are bitwise identical (independent writes, or
-/// accumulation order fixed by the grouping below).
+/// parallel executions are bitwise identical (independent writes).
 bool WantParallel(int64_t work) {
   return work >= kParallelWorkThreshold && EffectiveParallelism() > 1;
-}
-
-/// CSR-style grouping of scatter indices: `order` lists the positions of
-/// `rows` stably bucketed by target row, `offsets` delimits each bucket.
-/// Scatter-accumulations become independent per-target-row reductions that
-/// visit contributions in their original (serial) order — so the threaded
-/// scatter is bit-identical to the sequential loop, with no atomics.
-struct RowGroups {
-  std::vector<int64_t> offsets;  ///< size num_rows + 1
-  std::vector<int64_t> order;    ///< size rows.size()
-};
-
-RowGroups GroupByRow(const std::vector<int64_t>& rows, int64_t num_rows) {
-  RowGroups g;
-  g.offsets.assign(num_rows + 1, 0);
-  for (const int64_t r : rows) ++g.offsets[r + 1];
-  for (int64_t i = 0; i < num_rows; ++i) g.offsets[i + 1] += g.offsets[i];
-  g.order.resize(rows.size());
-  std::vector<int64_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
-  for (size_t k = 0; k < rows.size(); ++k) {
-    g.order[cursor[rows[k]]++] = static_cast<int64_t>(k);
-  }
-  return g;
 }
 
 /// How many indexed rows ahead to issue a software prefetch. Index-chasing
@@ -54,91 +30,24 @@ RowGroups GroupByRow(const std::vector<int64_t>& rows, int64_t num_rows) {
 /// eight rows ahead covers ~a memory round-trip at these row widths.
 constexpr int64_t kPrefetchAhead = 8;
 
-/// Widest row (in doubles) that the scatter path accumulates in a stack
-/// buffer: 64 * 8 B = one 512-byte tile, comfortably register/L1-resident.
-constexpr int64_t kLocalAccCols = 64;
-
-/// dst->row(rows[k]) += src.row(k) for all k, deterministically: each
-/// destination row receives its contributions in ascending-k order no matter
-/// the thread count. With `src_rows`, contribution k reads
-/// src.row((*src_rows)[k]) instead, so a gather fuses into the scatter.
-///
-/// Serial form is a direct scatter with software prefetch of upcoming
-/// indexed rows. The parallel form groups contributions by destination row
-/// (CSR counting sort) and then splits the destination index space into
-/// blocks balanced by *edge count*, with boundaries aligned to destination
-/// groups — a block always owns every contribution of each of its rows.
-/// Equal-row-count blocks (the old scheme) degenerate on power-law scatter
-/// patterns where a few hub rows hold most of the edges; equal-edge blocks
-/// keep workers busy. Rows with several contributions are accumulated in a
-/// cache-line-aligned stack tile so the destination row stays in registers
-/// while source rows stream past (the round-trip through the tile performs
-/// the same element-wise adds, so results are bit-identical to the in-place
-/// loop).
+/// dst->row(rows[k]) += src.row(k) for k ascending, with software prefetch
+/// of upcoming destination rows. With `src_rows`, contribution k reads
+/// src.row((*src_rows)[k]) instead, so a gather fuses into the scatter. It
+/// runs on the calling thread: a threaded form that grouped contributions
+/// by destination row never beat it (DESIGN.md §2).
 void ScatterAddRows(const std::vector<int64_t>& rows, const Matrix& src,
                     Matrix* dst,
                     const std::vector<int64_t>* src_rows = nullptr) {
   const int64_t d = src.cols();
   const int64_t n = static_cast<int64_t>(rows.size());
   const detail::RowBinaryFn row_add = detail::ActiveKernelSet().row_add;
-  auto src_row = [&src, src_rows](int64_t k) {
-    return src.row(src_rows == nullptr ? k : (*src_rows)[k]);
-  };
-  if (!(WantParallel(n * d) && dst->rows() > 1)) {
-    for (int64_t k = 0; k < n; ++k) {
-      if (k + kPrefetchAhead < n) {
-        __builtin_prefetch(dst->row(rows[k + kPrefetchAhead]));
-      }
-      row_add(dst->row(rows[k]), src_row(k), d);
+  for (int64_t k = 0; k < n; ++k) {
+    if (k + kPrefetchAhead < n) {
+      __builtin_prefetch(dst->row(rows[k + kPrefetchAhead]));
     }
-    return;
+    row_add(dst->row(rows[k]),
+            src.row(src_rows == nullptr ? k : (*src_rows)[k]), d);
   }
-  const RowGroups groups = GroupByRow(rows, dst->rows());
-  // Edge-balanced blocks: cut after ~target edges, only at group boundaries.
-  // Block placement affects scheduling only — every destination row's
-  // accumulation chain lives entirely inside one block — so sizing blocks by
-  // the current worker count cannot change results.
-  const int64_t target = std::max<int64_t>(
-      kRowGrain, n / (static_cast<int64_t>(EffectiveParallelism()) * 4));
-  std::vector<int64_t> cuts;
-  cuts.push_back(0);
-  int64_t acc = 0;
-  for (int64_t r = 0; r < dst->rows(); ++r) {
-    acc += groups.offsets[r + 1] - groups.offsets[r];
-    if (acc >= target && r + 1 < dst->rows()) {
-      cuts.push_back(r + 1);
-      acc = 0;
-    }
-  }
-  cuts.push_back(dst->rows());
-  ParallelFor(
-      static_cast<int64_t>(cuts.size()) - 1,
-      [&groups, &cuts, &src_row, dst, d, row_add](int64_t blk) {
-        alignas(64) real_t tile[kLocalAccCols];
-        for (int64_t r = cuts[blk]; r < cuts[blk + 1]; ++r) {
-          const int64_t e0 = groups.offsets[r];
-          const int64_t e1 = groups.offsets[r + 1];
-          if (e0 == e1) continue;
-          real_t* dstrow = dst->row(r);
-          if (d <= kLocalAccCols && e1 - e0 > 1) {
-            for (int64_t j = 0; j < d; ++j) tile[j] = dstrow[j];
-            for (int64_t e = e0; e < e1; ++e) {
-              if (e + kPrefetchAhead < e1) {
-                __builtin_prefetch(src_row(groups.order[e + kPrefetchAhead]));
-              }
-              row_add(tile, src_row(groups.order[e]), d);
-            }
-            for (int64_t j = 0; j < d; ++j) dstrow[j] = tile[j];
-          } else {
-            for (int64_t e = e0; e < e1; ++e) {
-              if (e + kPrefetchAhead < e1) {
-                __builtin_prefetch(src_row(groups.order[e + kPrefetchAhead]));
-              }
-              row_add(dstrow, src_row(groups.order[e]), d);
-            }
-          }
-        }
-      });
 }
 
 /// The range form Tape::UnaryElementwise takes, of a per-element function.
@@ -578,9 +487,7 @@ Var Tape::Gather(Var a, std::vector<int64_t> idx) {
   nodes_[id].backward = [id, a, idx = std::move(idx)](Tape& t) {
     const Matrix& dy = t.nodes_[id].grad;
     Matrix& da = t.node(a).grad;
-    // Backward is a scatter-add: da.row(idx[k]) += dy.row(k), grouped and
-    // edge-balanced by ScatterAddRows — bit-identical to the serial loop at
-    // any thread count, no atomics.
+    // Backward is a scatter-add: da.row(idx[k]) += dy.row(k), k ascending.
     ScatterAddRows(idx, dy, &da);
   };
   return out;
@@ -596,9 +503,8 @@ Var Tape::SegmentSum(Var a, std::vector<int64_t> seg, int64_t num_segments) {
     KUC_CHECK_LT(seg[k], num_segments);
   }
   Matrix y(num_segments, d);
-  // Forward is a scatter-add over segments, grouped and edge-balanced by
-  // ScatterAddRows: each segment sums its member rows in original edge
-  // order, bit-identical to the sequential loop at any thread count.
+  // Forward is a scatter-add over segments: each segment sums its member
+  // rows in edge order.
   ScatterAddRows(seg, av, &y);
   const bool ng = NeedsGrad(a);
   Var out = NewNode(std::move(y), ng, nullptr);
@@ -653,8 +559,8 @@ Var Tape::GatherSegmentSum(Var messages, std::vector<int64_t> message_of,
   nodes_[id].backward = [id, messages, message_of = std::move(message_of),
                          dst_index = std::move(dst_index)](Tape& t) {
     // dmessages.row(message_of[e]) += dy.row(dst_index[e]), each message
-    // row in edge order: the same grouped, edge-balanced scatter as the
-    // forward with the two index lists swapped.
+    // row in edge order: the forward's scatter with the two index lists
+    // swapped.
     ScatterAddRows(message_of, t.nodes_[id].grad, &t.node(messages).grad,
                    &dst_index);
   };
