@@ -34,19 +34,13 @@
 /// Snapshot()` materializes plain values (`MetricsSnapshot`) that the
 /// exporters (export.h) turn into Prometheus text.
 ///
-/// Two switches guarantee zero cost when observability is off:
-///  - compile time: building with -DKUCNET_OBS=0 compiles the KUC_OBS_* and
-///    KUC_TRACE_SPAN macros to nothing;
-///  - run time: `obs::SetEnabled(false)` (the default) reduces every macro to
-///    one relaxed atomic load and a predictable branch.
+/// When observability is off — `obs::SetEnabled(false)`, the default — every
+/// KUC_OBS_* and KUC_TRACE_SPAN macro reduces to one relaxed atomic load and
+/// a predictable branch.
 ///
 /// Time never comes from the OS directly: anything time-dependent reads
 /// `obs::ObsClock()`, which tests point at a `FakeClock` via
 /// `SetClockForTest`, making every metric and span value deterministic.
-
-#ifndef KUCNET_OBS
-#define KUCNET_OBS 1
-#endif
 
 namespace kucnet::obs {
 
@@ -266,12 +260,10 @@ void Count(const std::string& name, int64_t delta = 1);
 
 // ---- Instrumentation macros --------------------------------------------------
 //
-// All macros are no-ops when built with -DKUCNET_OBS=0 and reduce to one
-// relaxed load + branch when runtime observability is disabled. The literal
+// All macros reduce to one relaxed load + branch when runtime observability
+// is disabled. The literal
 // `name` is looked up once per call site (function-local static) and the
 // resulting reference reused forever.
-
-#if KUCNET_OBS
 
 #define KUC_OBS_COUNT(name, delta)                                     \
   do {                                                                 \
@@ -299,13 +291,5 @@ void Count(const std::string& name, int64_t delta = 1);
       kuc_obs_histogram_.Record(value);                                \
     }                                                                  \
   } while (0)
-
-#else  // !KUCNET_OBS
-
-#define KUC_OBS_COUNT(name, delta) ((void)0)
-#define KUC_OBS_GAUGE_SET(name, value) ((void)0)
-#define KUC_OBS_HISTOGRAM(name, value) ((void)0)
-
-#endif  // KUCNET_OBS
 
 #endif  // KUCNET_OBS_METRICS_H_

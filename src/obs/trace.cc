@@ -111,20 +111,14 @@ void TraceRecorder::SetCapacityPerThread(int64_t capacity) {
 }
 
 ScopedSpan::ScopedSpan(const char* name, TraceRecorder& recorder) {
-#if KUCNET_OBS
   if (!Enabled()) return;
   recorder_ = &recorder;
   name_ = name;
   start_micros_ = ObsClock().NowMicros();
   recorder_->LocalBuffer().open_depth += 1;
-#else
-  (void)name;
-  (void)recorder;
-#endif
 }
 
 ScopedSpan::~ScopedSpan() {
-#if KUCNET_OBS
   if (recorder_ == nullptr) return;
   TraceRecorder::ThreadBuffer& buffer = recorder_->LocalBuffer();
   buffer.open_depth -= 1;
@@ -135,7 +129,6 @@ ScopedSpan::~ScopedSpan() {
   event.tid = buffer.tid;
   event.depth = buffer.open_depth;
   recorder_->Push(buffer, event);
-#endif
 }
 
 }  // namespace kucnet::obs

@@ -114,19 +114,11 @@ class ScopedSpan {
 
 }  // namespace kucnet::obs
 
-#if KUCNET_OBS
-
 #define KUC_OBS_CONCAT_INNER(a, b) a##b
 #define KUC_OBS_CONCAT(a, b) KUC_OBS_CONCAT_INNER(a, b)
 
 /// Traces the enclosing scope under `name` (a string literal).
 #define KUC_TRACE_SPAN(name) \
   ::kucnet::obs::ScopedSpan KUC_OBS_CONCAT(kuc_obs_span_, __LINE__)(name)
-
-#else  // !KUCNET_OBS
-
-#define KUC_TRACE_SPAN(name) ((void)0)
-
-#endif  // KUCNET_OBS
 
 #endif  // KUCNET_OBS_TRACE_H_

@@ -284,8 +284,6 @@ TEST_F(ObsTest, ConcurrentHistogramSnapshotsMatchValueType) {
   EXPECT_EQ(data.PercentileUpperBound(0.5), 20);
 }
 
-#if KUCNET_OBS
-
 TEST_F(ObsTest, MacrosRecordOnlyWhenEnabled) {
   obs::SetEnabled(false);
   KUC_OBS_COUNT("obs_test.gated", 1);
@@ -307,10 +305,6 @@ TEST_F(ObsTest, MacrosRecordOnlyWhenEnabled) {
   EXPECT_EQ(obs::DefaultRegistry().Snapshot().counters.at("obs_test.dynamic"),
             3);
 }
-
-#endif  // KUCNET_OBS
-
-#if KUCNET_OBS
 
 TEST_F(ObsTest, ContainerLoadSetsStoreGaugesAndRecordsSpans) {
   WebScaleConfig config;
@@ -377,8 +371,6 @@ TEST_F(ObsTest, StoreMmapHitGaugeReportsKernelMappings) {
   ASSERT_TRUE(real.Remove(path).ok());
 }
 
-#endif  // KUCNET_OBS
-
 TEST_F(ObsTest, DefaultRegistryExposesThreadPoolGauges) {
   const obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
   ASSERT_EQ(snapshot.gauges.count("threadpool.queue_depth"), 1u);
@@ -436,8 +428,6 @@ TEST_F(ObsTest, ConcurrentWritersAndSnapshottersAreConsistent) {
                 snapshot.counters.at("stress.odd"),
             int64_t{kThreads} * kIterations);
 }
-
-#if KUCNET_OBS
 
 TEST_F(ObsTest, ConcurrentSpansLandInPerThreadBuffers) {
   constexpr int kThreads = 6;
@@ -515,8 +505,6 @@ TEST_F(ObsTest, RingBufferOverwritesOldestAndCountsDrops) {
   obs::TraceRecorder::Default().SetCapacityPerThread(8192);
   obs::TraceRecorder::Default().Clear();
 }
-
-#endif  // KUCNET_OBS
 
 TEST_F(ObsTest, DisabledSpansRecordNothing) {
   obs::SetEnabled(false);
@@ -607,8 +595,6 @@ struct ObsServeFixture {
   std::unique_ptr<RecServer> server;
 };
 
-#if KUCNET_OBS
-
 /// The recorded spans as sorted "depth name" strings: the span tree of one
 /// request, independent of which threads ran its stages.
 std::vector<std::string> SpanTree() {
@@ -692,8 +678,6 @@ TEST_F(ObsTest, ScoreCacheCountersReconcileWithMetrics) {
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 3);
 }
-
-#endif  // KUCNET_OBS
 
 TEST_F(ObsTest, ModelOutputsBitIdenticalWithObsOnAndOff) {
   ObsServeFixture f;
