@@ -107,6 +107,20 @@ Status TryLoadDataset(const std::string& dir, Dataset* out, FileSystem* fs) {
                             "num_items, num_kg_relations >= 0 and "
                             "num_kg_nodes >= num_items)";
   }
+  // The graph holds u32 node ids and u16 relation ids (graph/ckg.h): reject
+  // sizes it cannot hold before anything is sized from them.
+  if (d.num_users > Ckg::kMaxNodes ||
+      d.num_kg_nodes > Ckg::kMaxNodes - d.num_users) {
+    return ErrorStatus() << meta_path << ": num_users + num_kg_nodes = "
+                         << d.num_users << " + " << d.num_kg_nodes
+                         << " nodes exceed the graph's " << Ckg::kMaxNodes;
+  }
+  if (d.num_kg_relations > Ckg::kMaxRelations / 2 - 1) {
+    return ErrorStatus() << meta_path << ": " << d.num_kg_relations
+                         << " KG relations give 2 * (1 + num_kg_relations) "
+                            "relation ids, over the graph's "
+                         << Ckg::kMaxRelations;
+  }
   d.kind = static_cast<SplitKind>(kind);
 
   std::vector<int64_t> lines;
@@ -132,6 +146,14 @@ Status TryLoadDataset(const std::string& dir, Dataset* out, FileSystem* fs) {
     KUC_RETURN_IF_ERROR(ValidateTriplets(user_kg_path, d.user_kg, lines,
                                          d.num_users, d.num_kg_relations,
                                          "user"));
+  }
+  // Every train interaction and triplet becomes two directed edges.
+  const int64_t directed_edges = 2 * static_cast<int64_t>(
+      d.train.size() + d.kg.size() + d.user_kg.size());
+  if (directed_edges > Ckg::kMaxEdges) {
+    return ErrorStatus() << dir << ": " << directed_edges
+                         << " directed edges exceed the graph's "
+                         << Ckg::kMaxEdges;
   }
   *out = std::move(d);
   return Status::Ok();

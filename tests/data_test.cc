@@ -8,6 +8,7 @@
 #include "data/dataset.h"
 #include "data/serialize.h"
 #include "data/synthetic.h"
+#include "util/fs.h"
 #include "util/rng.h"
 
 namespace kucnet {
@@ -264,6 +265,36 @@ TEST(SerializeTest, RoundTripWithUserKg) {
   SaveDataset(d, dir);
   Dataset loaded = LoadDataset(dir);
   EXPECT_EQ(loaded.user_kg, d.user_kg);
+}
+
+// A meta.txt whose sizes the graph's u32 node ids or u16 relation ids
+// cannot hold is a Status naming the file, returned before anything is
+// sized from those numbers; at the bounds the meta line passes and the load
+// stops at the missing train.txt. The 2^32 directed-edge bound needs over
+// 2^31 input rows and is not exercised here.
+TEST(SerializeTest, MetaSizesBeyondTheGraphIdsAreRejected) {
+  auto load = [](const std::string& sizes) {
+    InMemoryFileSystem fs;
+    EXPECT_TRUE(fs.MakeDirs("/d").ok());
+    EXPECT_TRUE(
+        fs.WriteFile("/d/meta.txt", "# header\nbig 0 " + sizes + "\n").ok());
+    Dataset d;
+    return TryLoadDataset("/d", &d, &fs);
+  };
+  for (const std::string sizes :
+       {"4294967294 1 1 1", "1 1 4294967294 1", "2147483648 1 2147483647 1",
+        "9223372036854775807 1 9223372036854775807 1", "1 1 1 32767",
+        "1 1 1 9223372036854775807"}) {
+    const Status st = load(sizes);
+    ASSERT_FALSE(st.ok()) << sizes;
+    EXPECT_EQ(st.message().rfind("/d/meta.txt: ", 0), 0u) << st.message();
+  }
+  for (const std::string sizes : {"4294967293 1 1 1", "1 1 1 32766"}) {
+    const Status st = load(sizes);
+    ASSERT_FALSE(st.ok()) << sizes;
+    EXPECT_NE(st.message().find("train.txt"), std::string::npos)
+        << st.message();
+  }
 }
 
 }  // namespace
