@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "graph/subgraph.h"
 #include "obs/trace.h"
@@ -74,6 +75,25 @@ LayerMessages NumberMessages(const CompLayer& layer, int64_t num_src,
   }
   return out;
 }
+
+/// The inference forward's largest matrices, one set per thread, reused
+/// across forwards: a warm thread allocates none of them. Allocated afresh,
+/// they are ~100 KB per layer on synth-lastfm, and glibc hands a freed heap
+/// top above its trim threshold (128 KB unless a freed mapped block raised
+/// it) back to the kernel, so every forward paid page faults for them.
+/// TryInfer never runs nested on one thread (a pool worker runs nested
+/// ParallelFor calls inline, and a caller waits only for its own tasks).
+struct InferScratch {
+  static InferScratch& ForThisThread() {
+    static thread_local InferScratch scratch;
+    return scratch;
+  }
+
+  Matrix h;           ///< node rows of the previous layer
+  Matrix input;       ///< per message: h_s + h_r
+  Matrix messages;    ///< per message: W (h_s + h_r), then times alpha
+  Matrix aggregated;  ///< per destination: the sum of its messages
+};
 
 }  // namespace
 
@@ -235,8 +255,13 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
   const int64_t d = options_.hidden_dim;
   const detail::KernelSet& kernels = detail::ActiveKernelSet();
   attention->assign(graph.layers.size(), {});
+  InferScratch& scratch = InferScratch::ForThisThread();
+  Matrix& h = scratch.h;
+  Matrix& input = scratch.input;
+  Matrix& messages = scratch.messages;
+  Matrix& aggregated = scratch.aggregated;
   // h^0: a single zero row for the user (Alg. 1 line 1).
-  Matrix h(1, d);
+  h.Reset(1, d);
   for (size_t l = 0; l < graph.layers.size(); ++l) {
     KUC_TRACE_SPAN("kucnet.layer");
     KUC_RETURN_IF_ERROR(ctx.Check("forward"));
@@ -249,14 +274,14 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
     const int64_t num_messages = static_cast<int64_t>(msgs.src.size());
 
     // Message input (h_{u:s}^{l-1} + h_r^l), Eq. (6), one row per message.
-    Matrix input(num_messages, d);
+    input.Reset(num_messages, d);
     for (int64_t k = 0; k < num_messages; ++k) {
       const real_t* hs = h.row(msgs.src[k]);
       const real_t* hr = rel_emb.row(msgs.rel[k]);
       real_t* out = input.row(k);
       for (int64_t j = 0; j < d; ++j) out[j] = hs[j] + hr[j];
     }
-    Matrix messages = MatMul(input, params.w.value());
+    MatMulInto(input, params.w.value(), &messages);
     std::vector<double>& layer_attention = (*attention)[l];
     if (options_.use_attention) {
       // alpha = sigmoid(w_a^T relu(W_as h_s + W_ar h_r + b_a)), Sec. IV-B,
@@ -298,7 +323,7 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
 
     // Eq. (5): each destination sums its messages in edge order, the same
     // accumulation chain as a per-edge segment sum.
-    Matrix aggregated(num_dst, d);
+    aggregated.Reset(num_dst, d);
     for (int64_t e = 0; e < edges; ++e) {
       kernels.row_add(aggregated.row(layer.dst_index[e]),
                       messages.row(msgs.message_of[e]), d);
@@ -314,7 +339,7 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
         kernels.row_relu(x, x, aggregated.size());
         break;
     }
-    h = std::move(aggregated);
+    std::swap(h, aggregated);
   }
   *node_scores = MatMul(h, readout_.value());  // Eq. (7)
   return Status::Ok();

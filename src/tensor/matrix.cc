@@ -355,6 +355,14 @@ Matrix Matrix::GlorotUniform(int64_t rows, int64_t cols, Rng& rng) {
 
 void Matrix::SetZero() { std::fill(data_.begin(), data_.end(), 0.0); }
 
+void Matrix::Reset(int64_t rows, int64_t cols) {
+  KUC_CHECK_GE(rows, 0);
+  KUC_CHECK_GE(cols, 0);
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, 0.0);
+}
+
 void Matrix::Add(const Matrix& other) {
   KUC_CHECK_EQ(rows_, other.rows_);
   KUC_CHECK_EQ(cols_, other.cols_);
@@ -461,11 +469,17 @@ real_t Matrix::MaxAbsDiff(const Matrix& other) const {
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
-  KUC_CHECK_EQ(a.cols(), b.rows());
-  Matrix c(a.rows(), b.cols());
-  MatMulDispatch(a, b, &c, MatMulVariant::kNormal);
-  KUC_CHECK_FINITE(c.data(), c.size(), "tensor.MatMul");
+  Matrix c;
+  MatMulInto(a, b, &c);
   return c;
+}
+
+void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
+  KUC_CHECK_EQ(a.cols(), b.rows());
+  KUC_CHECK(c != &a && c != &b) << "MatMulInto: the output aliases an input";
+  c->Reset(a.rows(), b.cols());
+  MatMulDispatch(a, b, c, MatMulVariant::kNormal);
+  KUC_CHECK_FINITE(c->data(), c->size(), "tensor.MatMul");
 }
 
 Matrix MatMulTransposedA(const Matrix& a, const Matrix& b) {

@@ -80,6 +80,10 @@ class Matrix {
   /// Sets every entry to zero.
   void SetZero();
 
+  /// Becomes the all-zero rows x cols matrix, reusing the storage: once the
+  /// matrix has held rows * cols entries, this allocates nothing.
+  void Reset(int64_t rows, int64_t cols);
+
   /// this += other (same shape).
   void Add(const Matrix& other);
 
@@ -109,6 +113,9 @@ class Matrix {
 
 /// C = A * B. Shapes must agree (A: n x k, B: k x m).
 Matrix MatMul(const Matrix& a, const Matrix& b);
+
+/// MatMul into `*c` (neither input), reusing its storage (Matrix::Reset).
+void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// C = A^T * B (A: k x n, B: k x m -> C: n x m), without materializing A^T.
 Matrix MatMulTransposedA(const Matrix& a, const Matrix& b);
