@@ -19,15 +19,15 @@ DynamicPprTable DynamicPprTable::Compute(const DynamicCkg& graph,
   table.options_ = options;
   table.users_.resize(graph.num_users());
   auto compute_one = [&](int64_t user) {
-    UserState& state = table.users_[user];
+    DensePprState& state = table.users_[user];
+    state = DensePprState(graph.num_nodes());
     const int64_t source = graph.UserNode(user);
     PushScratch& scratch = PushScratch::ForThisThread();
-    scratch.Begin(graph.num_nodes());
-    scratch.Load(&state.estimate, &state.residual);
+    scratch.SwapIn(&state);
     scratch.Residual(source) = 1.0;
     PushToConvergence(graph, options.alpha, options.epsilon, {source},
                       &scratch);
-    scratch.Store();
+    scratch.SwapOut();
   };
   if (pool != nullptr) {
     ParallelFor(*pool, graph.num_users(), compute_one);
@@ -42,23 +42,24 @@ bool DynamicPprTable::RepairUser(const DynamicCkg& graph,
                                  const std::vector<int64_t>& d_old,
                                  int64_t user, int64_t* corrections,
                                  int64_t* pushes) {
-  UserState& state = users_[user];
+  DensePprState& state = users_[user];
   // An edge moves mass only if some mass was pushed or absorbed at its
   // source (p̂(u) != 0). When no edge does, the state stays as stored, and
-  // the stored arrays answer the touched test without loading the scratch:
+  // its arrays answer the touched test (a node without an entry holds 0):
   // the update touches this user if it had any mass at either endpoint —
   // the proxy for "the edge landed inside the user's PPR neighborhood".
+  const real_t* const estimate = state.estimate.data();
+  const real_t* const residual = state.residual.data();
   bool moves_mass = false;
   for (const Edge& e : inserted) {
-    if (FlatPprValue(state.estimate, e.src) != 0.0) {
+    if (estimate[e.src] != 0.0) {
       moves_mass = true;
       break;
     }
   }
   if (!moves_mass) {
     auto holds_mass = [&](int64_t v) {
-      return FlatPprValue(state.estimate, v) != 0.0 ||
-             FlatPprValue(state.residual, v) != 0.0;
+      return estimate[v] != 0.0 || residual[v] != 0.0;
     };
     for (const Edge& e : inserted) {
       if (holds_mass(e.src) || holds_mass(e.dst)) return true;
@@ -67,8 +68,7 @@ bool DynamicPprTable::RepairUser(const DynamicCkg& graph,
   }
 
   PushScratch& scratch = PushScratch::ForThisThread();
-  scratch.Begin(graph.num_nodes());
-  scratch.Load(&state.estimate, &state.residual);
+  scratch.SwapIn(&state);
   std::vector<int64_t> dirty;
   for (size_t j = 0; j < inserted.size(); ++j) {
     const Edge& e = inserted[j];
@@ -126,7 +126,7 @@ bool DynamicPprTable::RepairUser(const DynamicCkg& graph,
                                  seeds, &scratch)
                    .pushes;
   }
-  scratch.Store();
+  scratch.SwapOut();
   return true;  // the first edge that moves mass corrected some residual
 }
 
@@ -181,21 +181,41 @@ std::vector<int64_t> DynamicPprTable::ApplyEdgeInsertions(
   return touched_users;
 }
 
-const FlatPprVector& DynamicPprTable::Estimate(int64_t user) const {
-  KUC_CHECK_GE(user, 0);
-  KUC_CHECK_LT(user, num_users());
-  return users_[user].estimate;
+namespace {
+
+// The entries of one of a user's arrays: the nodes flagged `flag`, in
+// ascending order.
+FlatPprVector Entries(const std::vector<real_t>& values,
+                      const std::vector<uint8_t>& flags, uint8_t flag) {
+  FlatPprVector out;
+  for (size_t v = 0; v < flags.size(); ++v) {
+    if (flags[v] & flag) out.push_back({static_cast<int64_t>(v), values[v]});
+  }
+  return out;
 }
 
-const FlatPprVector& DynamicPprTable::Residual(int64_t user) const {
+}  // namespace
+
+FlatPprVector DynamicPprTable::Estimate(int64_t user) const {
   KUC_CHECK_GE(user, 0);
   KUC_CHECK_LT(user, num_users());
-  return users_[user].residual;
+  const DensePprState& state = users_[user];
+  return Entries(state.estimate, state.flags, PushScratch::kHasEstimate);
+}
+
+FlatPprVector DynamicPprTable::Residual(int64_t user) const {
+  KUC_CHECK_GE(user, 0);
+  KUC_CHECK_LT(user, num_users());
+  const DensePprState& state = users_[user];
+  return Entries(state.residual, state.flags, PushScratch::kHasResidual);
 }
 
 real_t DynamicPprTable::ResidualMass(int64_t user) const {
+  KUC_CHECK_GE(user, 0);
+  KUC_CHECK_LT(user, num_users());
+  // Nodes without an entry hold 0, so they add nothing.
   real_t sum = 0.0;
-  for (const auto& [node, r] : Residual(user)) sum += std::abs(r);
+  for (const real_t r : users_[user].residual) sum += std::abs(r);
   return sum;
 }
 

@@ -44,8 +44,25 @@
 /// rebuilt graph (push order differs), but both satisfy (*) with converged
 /// residuals, so they differ by at most Σ|r_inc| + Σ r_fresh — the bound
 /// the `stream` diff_fuzz subsystem checks against the recompute oracle.
+///
+/// Storage: each user's estimate and residual live in a `DensePprState`
+/// (ppr/ppr.h), node-indexed arrays with one flag byte per node, 17 bytes
+/// per node per user. A user's PPR support covers nearly every node of the
+/// graphs this table streams on (99-100% on the synthetic configs), so the
+/// dense arrays take about half the bytes of sorted (node, value) entries.
+/// A repair or a fresh push swaps the user's arrays into the thread's
+/// PushScratch and runs on them in place; nothing is copied.
 
 namespace kucnet {
+
+/// One (node, value) entry of a flat PPR vector.
+struct PprEntry {
+  int64_t node = 0;
+  real_t value = 0.0;
+};
+
+/// A sparse PPR vector stored flat: entries in strictly ascending node order.
+using FlatPprVector = std::vector<PprEntry>;
 
 /// Aggregate counters from the last ApplyEdgeInsertions call.
 struct PprRepairStats {
@@ -75,11 +92,16 @@ class DynamicPprTable {
                                            const std::vector<Edge>& inserted,
                                            ThreadPool* pool = nullptr);
 
-  /// A user's estimate and residual entries, in ascending node order.
-  /// Estimate nodes are a subset of residual nodes, and entries holding 0.0
-  /// are kept where the push or repair created them.
-  const FlatPprVector& Estimate(int64_t user) const;
-  const FlatPprVector& Residual(int64_t user) const;
+  /// Bytes of PPR state per user and graph node, whatever the user's
+  /// support: an estimate, a residual and a flag byte.
+  static constexpr int64_t kStateBytesPerNode =
+      2 * sizeof(real_t) + sizeof(uint8_t);
+
+  /// A user's estimate and residual entries, gathered in ascending node
+  /// order. Estimate nodes are a subset of residual nodes, and entries
+  /// holding 0.0 are kept where the push or repair created them.
+  FlatPprVector Estimate(int64_t user) const;
+  FlatPprVector Residual(int64_t user) const;
 
   /// Σ|r| of a user's residual — the user's contribution to the agreement
   /// bound vs a fresh recompute.
@@ -92,11 +114,6 @@ class DynamicPprTable {
   real_t epsilon() const { return options_.epsilon; }
 
  private:
-  struct UserState {
-    FlatPprVector estimate;
-    FlatPprVector residual;
-  };
-
   /// Repairs one user for the inserted edges; d_old[j] is the source-node
   /// degree edge j's endpoint had at its insertion. Returns true if the
   /// update touched this user's neighborhood.
@@ -105,7 +122,7 @@ class DynamicPprTable {
                   int64_t* corrections, int64_t* pushes);
 
   PprTableOptions options_;
-  std::vector<UserState> users_;
+  std::vector<DensePprState> users_;
   PprRepairStats repair_stats_;
 };
 

@@ -1,6 +1,5 @@
 #include "ppr/ppr.h"
 
-#include <algorithm>
 #include <cmath>
 #include <type_traits>
 
@@ -13,20 +12,13 @@
 
 namespace kucnet {
 
-real_t FlatPprValue(const FlatPprVector& vec, int64_t node) {
-  const auto it = std::lower_bound(
-      vec.begin(), vec.end(), node,
-      [](const PprEntry& e, int64_t key) { return e.node < key; });
-  return it != vec.end() && it->node == node ? it->value : 0.0;
-}
-
 PushScratch& PushScratch::ForThisThread() {
   static thread_local PushScratch scratch;
   return scratch;
 }
 
 void PushScratch::Begin(int64_t num_nodes) {
-  KUC_CHECK(touched_.empty() && queue_.empty() && loaded_residual_ == nullptr)
+  KUC_CHECK(touched_.empty() && queue_.empty() && swapped_in_ == nullptr)
       << "PushScratch::Begin: the previous use did not end";
   const auto n = static_cast<size_t>(num_nodes);
   if (flags_.size() < n) {
@@ -36,31 +28,21 @@ void PushScratch::Begin(int64_t num_nodes) {
   }
 }
 
-void PushScratch::Load(FlatPprVector* estimate, FlatPprVector* residual) {
-  KUC_CHECK(touched_.empty()) << "PushScratch::Load after entries were made";
-  // One pass over the residual nodes; the estimate nodes, also ascending,
-  // are matched in step.
-  size_t j = 0;
-  for (const auto& [v, r] : *residual) {
-    residual_[v] = r;
-    uint8_t f = kHasResidual;
-    if (j < estimate->size() && (*estimate)[j].node == v) {
-      estimate_[v] = (*estimate)[j++].value;
-      f |= kHasEstimate;
-    }
-    flags_[v] = f;
-  }
-  KUC_CHECK_EQ(j, estimate->size()) << "PushScratch::Load: an estimate node "
-                                       "without a residual entry";
-  loaded_estimate_ = estimate;
-  loaded_residual_ = residual;
-  num_estimates_ = static_cast<int64_t>(estimate->size());
-  num_residuals_ = static_cast<int64_t>(residual->size());
+void PushScratch::SwapIn(DensePprState* state) {
+  KUC_CHECK(touched_.empty() && queue_.empty() && swapped_in_ == nullptr)
+      << "PushScratch::SwapIn: the previous use did not end";
+  KUC_CHECK(state->estimate.size() == state->flags.size() &&
+            state->residual.size() == state->flags.size())
+      << "PushScratch::SwapIn: the state's arrays differ in length";
+  estimate_.swap(state->estimate);
+  residual_.swap(state->residual);
+  flags_.swap(state->flags);
+  swapped_in_ = state;
 }
 
 std::unordered_map<int64_t, real_t> PushScratch::TakeEstimates() {
-  KUC_CHECK(loaded_residual_ == nullptr)
-      << "PushScratch::TakeEstimates: a use with Load ends in Store";
+  KUC_CHECK(swapped_in_ == nullptr)
+      << "PushScratch::TakeEstimates: a SwapIn use ends in SwapOut";
   std::unordered_map<int64_t, real_t> out;
   out.reserve(static_cast<size_t>(num_estimates_));
   for (const int64_t v : touched_) {
@@ -71,45 +53,11 @@ std::unordered_map<int64_t, real_t> PushScratch::TakeEstimates() {
   return out;
 }
 
-void PushScratch::Store() {
-  KUC_CHECK(loaded_residual_ != nullptr) << "PushScratch: Store without Load";
-  FlatPprVector& estimate = *loaded_estimate_;
-  FlatPprVector& residual = *loaded_residual_;
-  if (touched_.empty() &&
-      num_estimates_ == static_cast<int64_t>(estimate.size())) {
-    // Same node sets as loaded (flags are only ever set during a use).
-    size_t j = 0;
-    for (PprEntry& e : residual) {
-      const int64_t v = e.node;
-      e.value = residual_[v];
-      if (j < estimate.size() && estimate[j].node == v) {
-        estimate[j++].value = estimate_[v];
-      }
-      Clear(v);
-    }
-  } else {
-    // Merge the new nodes (sorted) into the loaded residual nodes, which
-    // include every loaded estimate node.
-    std::sort(touched_.begin(), touched_.end());
-    FlatPprVector out_estimate, out_residual;
-    out_estimate.reserve(static_cast<size_t>(num_estimates_));
-    out_residual.reserve(static_cast<size_t>(num_residuals_));
-    auto emit = [&](int64_t v) {
-      if (flags_[v] & kHasEstimate) out_estimate.push_back({v, estimate_[v]});
-      if (flags_[v] & kHasResidual) out_residual.push_back({v, residual_[v]});
-      Clear(v);
-    };
-    size_t i = 0;
-    for (const int64_t v : touched_) {
-      while (i < residual.size() && residual[i].node < v) {
-        emit(residual[i++].node);
-      }
-      emit(v);
-    }
-    while (i < residual.size()) emit(residual[i++].node);
-    estimate.swap(out_estimate);
-    residual.swap(out_residual);
-  }
+void PushScratch::SwapOut() {
+  KUC_CHECK(swapped_in_ != nullptr) << "PushScratch: SwapOut without SwapIn";
+  estimate_.swap(swapped_in_->estimate);
+  residual_.swap(swapped_in_->residual);
+  flags_.swap(swapped_in_->flags);
   EndUse();
 }
 
@@ -120,18 +68,18 @@ void PushScratch::CheckEstimatesFinite() const {
         << "ppr.estimate: non-finite value " << estimate_[v] << " at node "
         << v;
   };
-  if (loaded_residual_ != nullptr) {
-    for (const PprEntry& e : *loaded_residual_) check(e.node);
+  if (swapped_in_ != nullptr) {
+    // A stored state's entries predate the use and are not all touched.
+    for (size_t v = 0; v < flags_.size(); ++v) check(static_cast<int64_t>(v));
+  } else {
+    for (const int64_t v : touched_) check(v);
   }
-  for (const int64_t v : touched_) check(v);
 }
 
 void PushScratch::EndUse() {
-  loaded_estimate_ = nullptr;
-  loaded_residual_ = nullptr;
+  swapped_in_ = nullptr;
   touched_.clear();
   num_estimates_ = 0;
-  num_residuals_ = 0;
   queue_.clear();
   head_ = 0;
 }
@@ -140,15 +88,15 @@ template <typename Graph>
 PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
                              const std::vector<int64_t>& seeds,
                              PushScratch* scratch) {
-  // Begin sized the arrays for this graph, so their buffers stay put for
-  // the whole push; only the FIFO and the touched list grow.
+  // Begin sized the arrays for this graph (SwapIn brought arrays of its
+  // size), so their buffers stay put for the whole push; only the FIFO and
+  // the touched list grow.
   real_t* const estimate = scratch->estimate_.data();
   real_t* const residual = scratch->residual_.data();
   uint8_t* const flags = scratch->flags_.data();
   std::vector<int64_t>& queue = scratch->queue_;
   std::vector<int64_t>& touched = scratch->touched_;
   int64_t new_estimates = 0;
-  int64_t new_residuals = 0;
   for (const int64_t v : seeds) {
     flags[v] |= PushScratch::kQueued;
     queue.push_back(v);
@@ -168,7 +116,6 @@ PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
     // when its first entry is made, as in Mark.
     uint8_t f = flags[v] & static_cast<uint8_t>(~PushScratch::kQueued);
     if (f == 0) touched.push_back(v);
-    if ((f & PushScratch::kHasResidual) == 0) ++new_residuals;
     f |= PushScratch::kHasResidual;
     if (moves) {
       if ((f & PushScratch::kHasEstimate) == 0) ++new_estimates;
@@ -190,11 +137,8 @@ PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
     // every visit reads and writes w's flag and residual afresh.
     auto visit = [&](int64_t w) {
       uint8_t fw = flags[w];
-      if ((fw & PushScratch::kHasResidual) == 0) {
-        if (fw == 0) touched.push_back(w);
-        ++new_residuals;
-        fw |= PushScratch::kHasResidual;
-      }
+      if (fw == 0) touched.push_back(w);
+      fw |= PushScratch::kHasResidual;
       const real_t rw = residual[w] += push;
       if ((fw & PushScratch::kQueued) == 0 &&
           std::abs(rw) >= epsilon * static_cast<real_t>(graph.OutDegree(w))) {
@@ -211,7 +155,6 @@ PushCounts PushToConvergence(const Graph& graph, real_t alpha, real_t epsilon,
     }
   }
   scratch->num_estimates_ += new_estimates;
-  scratch->num_residuals_ += new_residuals;
   // PPR boundary: estimates feed pruning and the serving heuristic tier; a
   // non-finite entry (degenerate alpha/epsilon, corrupt graph weights) must
   // fail here rather than skew rankings downstream.

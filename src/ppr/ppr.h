@@ -18,10 +18,12 @@
 /// the top-K out-edges per head node. Every PPR vector here comes from one
 /// loop, the classic Andersen-Chung-Lang forward push (`PushToConvergence`),
 /// run on a per-thread dense scratch (`PushScratch`): the static `PprTable`
-/// (a hash map per user), the streaming `DynamicPprTable` (node-sorted flat
-/// arrays) and its repair (ppr/dynamic_ppr.h). The dense power iteration survives only as the test
-/// reference `testing::OraclePprDense`; the push agrees with it to its
-/// residual bound (tests/ppr_test.cc, the `ppr` diff_fuzz subsystem).
+/// (a hash map per user, gathered from the scratch) and the streaming
+/// `DynamicPprTable` and its repair (ppr/dynamic_ppr.h), whose per-user
+/// dense arrays (`DensePprState`) the scratch swaps in and pushes on in
+/// place. The dense power iteration survives only as the test reference
+/// `testing::OraclePprDense`; the push agrees with it to its residual bound
+/// (tests/ppr_test.cc, the `ppr` diff_fuzz subsystem).
 
 namespace kucnet {
 
@@ -31,35 +33,48 @@ struct PushCounts {
   int64_t pushes = 0;  ///< pops that moved mass onto out-neighbors
 };
 
-/// One (node, value) entry of a flat PPR vector.
-struct PprEntry {
-  int64_t node = 0;
-  real_t value = 0.0;
+/// PPR estimate and residual entries held dense, indexed by node id: the
+/// two value arrays and one flag byte per node saying which entries exist
+/// (`PushScratch::kHasEstimate`, `kHasResidual`). A node without an entry
+/// holds 0.0; an entry may hold 0.0 too. All three arrays have one element
+/// per graph node.
+struct DensePprState {
+  DensePprState() = default;
+  /// No entries, on a graph of `num_nodes` nodes.
+  explicit DensePprState(int64_t num_nodes)
+      : estimate(static_cast<size_t>(num_nodes), 0.0),
+        residual(static_cast<size_t>(num_nodes), 0.0),
+        flags(static_cast<size_t>(num_nodes), 0) {}
+
+  std::vector<real_t> estimate;
+  std::vector<real_t> residual;
+  std::vector<uint8_t> flags;
 };
-
-/// A sparse PPR vector stored flat: entries in strictly ascending node order.
-using FlatPprVector = std::vector<PprEntry>;
-
-/// The value stored for `node` in `vec`, or 0 if it has no entry (binary
-/// search).
-real_t FlatPprValue(const FlatPprVector& vec, int64_t node);
 
 /// Dense working state of the forward push, one per thread (`ForThisThread`).
 /// Estimate and residual values and one flag byte per node (has-estimate,
-/// has-residual, queued) are indexed by node id and sized to the largest
-/// graph the thread has pushed on. Between uses every value is 0 and every
-/// flag clear. A use is Begin, optionally Load, pushes and accessor calls,
-/// then Store (after Load) or TakeEstimates (without); both gather the
-/// entries and clear what the use set, in O(entries).
+/// has-residual, queued) are indexed by node id. A use runs on either
+///
+///  - the scratch's own arrays, sized to the largest graph the thread has
+///    pushed on, which hold 0 and no flag between uses: Begin, pushes and
+///    accessor calls, then TakeEstimates, which gathers the entries and
+///    clears what the use set, in O(entries); or
+///  - a stored `DensePprState`: SwapIn exchanges its arrays with the
+///    scratch's, pushes and accessor calls read and write it in place, and
+///    SwapOut exchanges them back. Both swaps are O(1) and copy nothing.
 ///
 /// An entry exists where a hash-map push would have created one with
 /// `operator[]`: `Estimate(v)`/`Residual(v)` create it (value 0 if new),
 /// `EstimateOrZero`/`ResidualOrZero` only read. Entries holding 0.0 are
-/// kept, so the gathered entry sets match the map code's exactly. The push
-/// loop (PushToConvergence) reads and writes the arrays and the FIFO
-/// directly and keeps the same invariants.
+/// kept, so the entry sets match the map code's exactly. The push loop
+/// (PushToConvergence) reads and writes the arrays and the FIFO directly and
+/// keeps the same invariants.
 class PushScratch {
  public:
+  /// Flag bits of a node's entries.
+  static constexpr uint8_t kHasEstimate = 1;
+  static constexpr uint8_t kHasResidual = 2;
+
   /// The calling thread's scratch.
   static PushScratch& ForThisThread();
 
@@ -67,10 +82,10 @@ class PushScratch {
   /// needed. The scratch must be between uses.
   void Begin(int64_t num_nodes);
 
-  /// Loads the entries of a stored state (ascending node order; empty
-  /// vectors for a fresh push), whose estimate nodes must be residual nodes.
-  /// Store writes the result back into the same vectors.
-  void Load(FlatPprVector* estimate, FlatPprVector* residual);
+  /// Starts a use on `state` in place; its arrays must have one element
+  /// per node of the graph the use pushes on. The scratch must be between
+  /// uses.
+  void SwapIn(DensePprState* state);
 
   real_t& Estimate(int64_t v) {
     Mark(v, kHasEstimate);
@@ -83,13 +98,11 @@ class PushScratch {
   real_t EstimateOrZero(int64_t v) const { return estimate_[v]; }
   real_t ResidualOrZero(int64_t v) const { return residual_[v]; }
 
-  /// Ends a use without Load: returns the estimate entries as a hash map.
+  /// Ends a Begin use: returns the estimate entries as a hash map.
   std::unordered_map<int64_t, real_t> TakeEstimates();
 
-  /// Ends a use with Load: writes the entries back into the loaded vectors
-  /// in ascending node order. When the use created no entry, the values are
-  /// overwritten in place.
-  void Store();
+  /// Ends a SwapIn use: hands the arrays back to the state.
+  void SwapOut();
 
  private:
   template <typename Graph>
@@ -98,8 +111,6 @@ class PushScratch {
                                       const std::vector<int64_t>& seeds,
                                       PushScratch* scratch);
 
-  static constexpr uint8_t kHasEstimate = 1;
-  static constexpr uint8_t kHasResidual = 2;
   static constexpr uint8_t kQueued = 4;
 
   void Mark(int64_t v, uint8_t flag) {
@@ -107,7 +118,7 @@ class PushScratch {
     if (f & flag) return;
     if (f == 0) touched_.push_back(v);
     f |= flag;
-    ++(flag == kHasEstimate ? num_estimates_ : num_residuals_);
+    if (flag == kHasEstimate) ++num_estimates_;
   }
   /// Clears node v's values and flags.
   void Clear(int64_t v) {
@@ -129,21 +140,19 @@ class PushScratch {
     *v = queue_[head_++];
     return true;
   }
-  /// Aborts with the node and value if an estimate entry is not finite.
+  /// Aborts with the node and value if an estimate entry is not finite:
+  /// every flagged node of a swapped-in state, else the touched nodes.
   void CheckEstimatesFinite() const;
   void EndUse();
 
   std::vector<real_t> estimate_;
   std::vector<real_t> residual_;
   std::vector<uint8_t> flags_;
-  /// The vectors Load read; their residual nodes are flagged but not listed
-  /// in `touched_`.
-  FlatPprVector* loaded_estimate_ = nullptr;
-  FlatPprVector* loaded_residual_ = nullptr;
-  /// Nodes flagged during the use that Load did not load.
+  /// The state SwapIn took the arrays from, during a SwapIn use.
+  DensePprState* swapped_in_ = nullptr;
+  /// Nodes that gained their first entry during the use.
   std::vector<int64_t> touched_;
   int64_t num_estimates_ = 0;
-  int64_t num_residuals_ = 0;
   std::vector<int64_t> queue_;
   size_t head_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "stream/streaming_ckg.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 
 #include "obs/metrics.h"
@@ -24,6 +26,23 @@ Status StreamingCkg::Open(const Dataset& data, FileSystem* fs,
                           ThreadPool* pool,
                           std::unique_ptr<StreamingCkg>* out) {
   KUC_TRACE_SPAN("stream.open");
+  // The PPR table keeps every user's state dense over all graph nodes
+  // (ppr/dynamic_ppr.h): refuse sizes whose state exceeds physical memory
+  // before anything is built. Doubles keep any declared size from
+  // overflowing.
+  const double num_nodes = static_cast<double>(data.num_users) +
+                           static_cast<double>(data.num_kg_nodes);
+  const double state_bytes = static_cast<double>(data.num_users) * num_nodes *
+                             DynamicPprTable::kStateBytesPerNode;
+  const double memory_bytes = static_cast<double>(sysconf(_SC_PHYS_PAGES)) *
+                              static_cast<double>(sysconf(_SC_PAGE_SIZE));
+  if (memory_bytes > 0 && state_bytes > memory_bytes) {
+    return ErrorStatus() << "stream: the PPR state of " << data.num_users
+                         << " users and " << data.num_kg_nodes
+                         << " KG nodes takes " << state_bytes
+                         << " bytes, more than the " << memory_bytes
+                         << " bytes of physical memory";
+  }
   std::unique_ptr<StreamingCkg> ckg(
       new StreamingCkg(data, fs, std::move(dir), options, pool));
   std::vector<GraphUpdate> recovered;
@@ -136,9 +155,9 @@ uint64_t StreamingCkg::StateDigest() const {
   }
   // PPR state: estimates and residuals, sorted by node, raw double bits.
   for (int64_t u = 0; u < ppr_.num_users(); ++u) {
-    for (const FlatPprVector* vec : {&ppr_.Estimate(u), &ppr_.Residual(u)}) {
-      w.I64(static_cast<int64_t>(vec->size()));
-      for (const auto& [node, value] : *vec) {
+    for (const FlatPprVector& vec : {ppr_.Estimate(u), ppr_.Residual(u)}) {
+      w.I64(static_cast<int64_t>(vec.size()));
+      for (const auto& [node, value] : vec) {
         w.I64(node);
         w.F64(value);
       }

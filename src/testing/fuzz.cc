@@ -1618,6 +1618,15 @@ Status ApplyStreamOp(StreamingCkg* stream, const StreamOp& op) {
                         : stream->AppendKgTriplet(op.a, op.b, op.c);
 }
 
+/// The value stored for `node` in `vec`, or 0 if it has no entry (binary
+/// search).
+real_t FlatPprValue(const FlatPprVector& vec, int64_t node) {
+  const auto it = std::lower_bound(
+      vec.begin(), vec.end(), node,
+      [](const PprEntry& e, int64_t key) { return e.node < key; });
+  return it != vec.end() && it->node == node ? it->value : 0.0;
+}
+
 /// Same keys (`a` strictly ascending), and the same raw bits under every key.
 bool SameBits(const FlatPprVector& a,
               const std::unordered_map<int64_t, real_t>& b) {
@@ -1741,7 +1750,7 @@ void StreamCase(uint64_t case_seed, CaseResult& result) {
     }
     const double bound =
         clean->ppr().ResidualMass(u) + fresh_residual + 1e-12;
-    const auto& inc = clean->ppr().Estimate(u);
+    const FlatPprVector inc = clean->ppr().Estimate(u);
     for (const auto& [node, fresh] : oracle.estimate) {
       const double got = FlatPprValue(inc, node);
       if (std::abs(got - fresh) > bound) {

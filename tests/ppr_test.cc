@@ -297,35 +297,42 @@ TEST(PprScratchTest, PooledTableTwiceInARowMatchesOracle) {
   }
 }
 
-// Loads an empty state into the scratch, pushes from `source` to
-// convergence and stores the result; returns the push's counts.
+// Pushes from `source` to convergence in place on a fresh dense state of
+// the graph, swapped into the scratch; returns the push's counts.
 template <typename Graph>
 PushCounts PushFromSource(const Graph& g, int64_t source, real_t alpha,
-                          real_t epsilon, FlatPprVector* estimate,
-                          FlatPprVector* residual) {
+                          real_t epsilon, DensePprState* state) {
+  *state = DensePprState(g.num_nodes());
   PushScratch& scratch = PushScratch::ForThisThread();
-  scratch.Begin(g.num_nodes());
-  scratch.Load(estimate, residual);
+  scratch.SwapIn(state);
   scratch.Residual(source) = 1.0;
   const PushCounts counts =
       PushToConvergence(g, alpha, epsilon, {source}, &scratch);
-  scratch.Store();
+  scratch.SwapOut();
   return counts;
 }
 
-// Flat entries equal to the oracle map's, key for key and raw bit for raw
-// bit.
-void ExpectSameBits(const FlatPprVector& got,
+// The dense state's entries flagged `flag` equal the oracle map's, key for
+// key and raw bit for raw bit; nodes without an entry hold 0.
+void ExpectSameBits(const std::vector<real_t>& values,
+                    const std::vector<uint8_t>& flags, uint8_t flag,
                     const std::unordered_map<int64_t, real_t>& want,
                     const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (const auto& [node, value] : got) {
+  size_t entries = 0;
+  for (size_t v = 0; v < flags.size(); ++v) {
+    const auto node = static_cast<int64_t>(v);
+    if ((flags[v] & flag) == 0) {
+      ASSERT_EQ(values[v], 0.0) << what << " node " << node;
+      continue;
+    }
+    ++entries;
     const auto it = want.find(node);
     ASSERT_NE(it, want.end()) << what << " node " << node;
-    EXPECT_EQ(std::bit_cast<uint64_t>(value),
+    EXPECT_EQ(std::bit_cast<uint64_t>(values[v]),
               std::bit_cast<uint64_t>(it->second))
         << what << " node " << node;
   }
+  EXPECT_EQ(entries, want.size()) << what;
 }
 
 TEST(PprScratchTest, LongPushCompactsTheFifoAndMatchesOracle) {
@@ -347,15 +354,17 @@ TEST(PprScratchTest, LongPushCompactsTheFifoAndMatchesOracle) {
     const testing::OraclePprResult oracle =
         testing::OraclePprPush(ckg, source, alpha, epsilon);
     auto check = [&](const auto& g, const char* layout) {
-      FlatPprVector estimate, residual;
+      DensePprState state;
       const PushCounts counts =
-          PushFromSource(g, source, alpha, epsilon, &estimate, &residual);
+          PushFromSource(g, source, alpha, epsilon, &state);
       const std::string what =
           std::string(layout) + " user " + std::to_string(user);
       // Compaction needs 4096 pops, and at least half the buffer popped.
       EXPECT_GE(counts.pops, 8192) << what;
-      ExpectSameBits(estimate, oracle.estimate, what + " estimate");
-      ExpectSameBits(residual, oracle.residual, what + " residual");
+      ExpectSameBits(state.estimate, state.flags, PushScratch::kHasEstimate,
+                     oracle.estimate, what + " estimate");
+      ExpectSameBits(state.residual, state.flags, PushScratch::kHasResidual,
+                     oracle.residual, what + " residual");
     };
     check(ckg, "Ckg");
     check(dynamic, "DynamicCkg");
@@ -370,16 +379,18 @@ TEST(PprDeathTest, NonFiniteEstimateAbortsUnderFiniteChecks) {
   // A fresh push: the NaN reaches the source's estimate.
   EXPECT_DEATH(PprForwardPush(g, g.UserNode(0), nan, 1e-6),
                "ppr.estimate: non-finite value");
-  // A loaded state: loaded nodes are checked though the push never pops.
-  auto push_on_loaded_nan = [&] {
-    FlatPprVector estimate = {{g.UserNode(0), nan}};
-    FlatPprVector residual = {{g.UserNode(0), 0.0}};
+  // A stored state swapped in: its entries are checked though the push
+  // never pops them.
+  auto push_on_stored_nan = [&] {
+    DensePprState state(g.num_nodes());
+    state.estimate[g.UserNode(0)] = nan;
+    state.flags[g.UserNode(0)] =
+        PushScratch::kHasEstimate | PushScratch::kHasResidual;
     PushScratch& scratch = PushScratch::ForThisThread();
-    scratch.Begin(g.num_nodes());
-    scratch.Load(&estimate, &residual);
+    scratch.SwapIn(&state);
     PushToConvergence(g, 0.15, 1e-6, {}, &scratch);
   };
-  EXPECT_DEATH(push_on_loaded_nan(), "ppr.estimate: non-finite value");
+  EXPECT_DEATH(push_on_stored_nan(), "ppr.estimate: non-finite value");
 }
 
 TEST(PprOracleTest, MassConservationUnderFuzz) {

@@ -109,7 +109,7 @@ void ExpectMatchesRecomputeOracle(const StreamingCkg& ckg) {
     }
     const real_t bound = ppr.ResidualMass(u) + fresh_residual + 1e-12;
 
-    const auto& incremental = ppr.Estimate(u);
+    const FlatPprVector incremental = ppr.Estimate(u);
     for (const auto& [node, value] : incremental) {
       const auto it = fresh.estimate.find(node);
       const real_t reference = it == fresh.estimate.end() ? 0.0 : it->second;
@@ -436,7 +436,7 @@ TEST(DynamicPprTest, ComputeMatchesStaticTableBitwise) {
   ASSERT_EQ(dynamic.num_users(), reference.num_users());
   for (int64_t u = 0; u < dynamic.num_users(); ++u) {
     // Same push discipline, same CSR iteration order: bitwise equality.
-    const FlatPprVector& flat = dynamic.Estimate(u);
+    const FlatPprVector flat = dynamic.Estimate(u);
     const auto& map = reference.Vector(u);
     ASSERT_EQ(flat.size(), map.size()) << "user " << u;
     for (const auto& [node, value] : flat) {
@@ -460,9 +460,9 @@ TEST(DynamicPprTest, EntriesStayInStrictlyAscendingNodeOrder) {
   }
   const DynamicPprTable& ppr = ckg->ppr();
   for (int64_t u = 0; u < ppr.num_users(); ++u) {
-    for (const FlatPprVector* vec : {&ppr.Estimate(u), &ppr.Residual(u)}) {
-      for (size_t i = 1; i < vec->size(); ++i) {
-        EXPECT_LT((*vec)[i - 1].node, (*vec)[i].node)
+    for (const FlatPprVector& vec : {ppr.Estimate(u), ppr.Residual(u)}) {
+      for (size_t i = 1; i < vec.size(); ++i) {
+        EXPECT_LT(vec[i - 1].node, vec[i].node)
             << "user " << u << " entry " << i;
       }
     }
@@ -481,8 +481,9 @@ TEST(DynamicPprTest, EstimateKeysAreResidualKeys) {
     ASSERT_TRUE(ApplyUpdate(*ckg, update).ok());
     const DynamicPprTable& ppr = ckg->ppr();
     for (int64_t u = 0; u < ppr.num_users(); ++u) {
+      const FlatPprVector residual = ppr.Residual(u);
       for (const auto& [node, value] : ppr.Estimate(u)) {
-        EXPECT_TRUE(HasEntry(ppr.Residual(u), node))
+        EXPECT_TRUE(HasEntry(residual, node))
             << "user " << u << " node " << node;
       }
     }
@@ -599,6 +600,26 @@ TEST(StreamingCkgTest, RejectsOutOfRangeUpdates) {
   EXPECT_FALSE(ckg->AppendKgTriplet(99, 0, 0).ok());
   // Rejected updates are never logged.
   EXPECT_EQ(ckg->wal().next_seq(), seq_before);
+}
+
+// Every user's PPR state spans all graph nodes however few rows the data
+// holds: 2^20 users over 2^20 + 2^22 nodes would take ~85 TiB, so Open
+// must refuse before it builds the graph or sizes the table.
+TEST(StreamingCkgTest, RefusesSizesWhosePprStateExceedsPhysicalMemory) {
+  Dataset d = TinyDataset();
+  d.num_users = int64_t{1} << 20;
+  d.num_kg_nodes = int64_t{1} << 22;
+  InMemoryFileSystem fs;
+  std::unique_ptr<StreamingCkg> ckg;
+  const Status st =
+      StreamingCkg::Open(d, &fs, "wal", SmallSegments(), nullptr, &ckg);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("1048576 users and 4194304 KG nodes"),
+            std::string::npos)
+      << st.message();
+  EXPECT_NE(st.message().find("physical memory"), std::string::npos)
+      << st.message();
+  EXPECT_EQ(ckg, nullptr);
 }
 
 TEST(StreamingCkgTest, RecoveryReplayMatchesUninterruptedRun) {
