@@ -19,7 +19,9 @@ namespace kucnet::bench {
 
 Workload MakeWorkload(const std::string& config_name, SplitKind kind,
                       uint64_t split_seed) {
-  const SyntheticConfig cfg = SynthConfigByName(config_name);
+  SyntheticConfig cfg;
+  const Status found = SynthConfigByName(config_name, &cfg);
+  KUC_CHECK(found.ok()) << found.message();
   const SyntheticData synth = GenerateSynthetic(cfg);
   const RawData& raw = synth.raw;
   Rng rng(split_seed);
@@ -38,8 +40,7 @@ Workload MakeWorkload(const std::string& config_name, SplitKind kind,
       dataset = TemporalSplit(raw, synth.arrival_order, 0.8);
       break;
   }
-  Workload w{std::move(dataset), Ckg::Build(0, 0, 0, 0, {}, {}),
-             PprTable(), 0.0};
+  Workload w{std::move(dataset), Ckg(), PprTable(), 0.0};
   w.ckg = w.dataset.BuildCkg();
   Stopwatch timer;
   w.ppr = PprTable::Compute(w.ckg, PprTableOptions(), &GlobalPool());

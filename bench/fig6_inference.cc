@@ -15,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "core/kucnet.h"
 #include "util/clock.h"
+#include "util/logging.h"
 
 namespace kucnet::bench {
 namespace {
@@ -53,14 +54,20 @@ void RunDataset(const std::string& config_name, int64_t sample_k) {
     }
     {
       Stopwatch timer;
-      const KucnetForward fwd = unpruned_kucnet->Forward(user);
+      KucnetForward fwd;
+      const Status status =
+          unpruned_kucnet->TryForward(user, ExecContext(), &fwd);
       uc_ms += timer.Millis();
+      KUC_CHECK(status.ok()) << status.message();
       uc_edges += static_cast<double>(fwd.graph.TotalEdges());
     }
     {
       Stopwatch timer;
-      const KucnetForward fwd = pruned_kucnet->Forward(user);
+      KucnetForward fwd;
+      const Status status =
+          pruned_kucnet->TryForward(user, ExecContext(), &fwd);
       ppr_ms += timer.Millis();
+      KUC_CHECK(status.ok()) << status.message();
       ppr_edges += static_cast<double>(fwd.graph.TotalEdges());
     }
   }

@@ -130,9 +130,12 @@ void BM_BuildUserCompGraph(benchmark::State& state) {
   for (auto _ : state) {
     const int64_t u = user % f.ckg.num_users();
     const NodeScoreFn score = f.ppr.ScoreFn(u);
-    benchmark::DoNotOptimize(
-        builder.Build(f.ckg.UserNode(u),
-                      opts.prune == PruneMode::kPpr ? &score : nullptr));
+    UserCompGraph graph;
+    const Status built = builder.TryBuild(
+        f.ckg.UserNode(u), opts.prune == PruneMode::kPpr ? &score : nullptr,
+        nullptr, {}, ExecContext(), &graph);
+    KUC_CHECK(built.ok()) << built.message();
+    benchmark::DoNotOptimize(graph);
     ++user;
   }
 }

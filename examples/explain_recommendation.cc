@@ -37,7 +37,12 @@ int main() {
   TrainModel(model, dataset, train_options);
 
   const int64_t user = dataset.TestUsers().front();
-  const KucnetForward forward = model.Forward(user);
+  KucnetForward forward;
+  const Status status = model.TryForward(user, ExecContext(), &forward);
+  if (!status.ok()) {
+    std::fprintf(stderr, "forward failed: %s\n", status.message().c_str());
+    return 1;
+  }
   const auto top = RecommendTopN(model, dataset, user, 3);
 
   std::printf("why does KUCNet recommend these items to user %lld?\n",

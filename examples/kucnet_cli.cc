@@ -45,7 +45,16 @@
 // learning curve) every --checkpoint_every epochs; re-running the same
 // command with --resume true continues from the newest valid snapshot and
 // produces a final model bitwise identical to an uninterrupted run.
+//
+// Exit status: 0 on success; 1 when a dataset, checkpoint, WAL or output
+// path fails to load or save (the error goes to stderr); 2 on a usage error
+// (an unknown command, flag, --config, --split or --model, a missing or
+// non-numeric value, a value out of range, or --ckpt with a model outside
+// the KUCNet family), reported with the usage text before any data is
+// loaded. Resuming with --resume true from a snapshot of a model with other
+// options still aborts inside the trainer.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -68,10 +77,10 @@
 #include "store/container.h"
 #include "store/web_scale.h"
 #include "stream/streaming_ckg.h"
+#include "tensor/serialize.h"
 #include "train/trainer.h"
 #include "util/clock.h"
 #include "util/fs.h"
-#include "util/logging.h"
 
 namespace kucnet {
 namespace {
@@ -188,14 +197,32 @@ void MaybeExportObs(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
-  const std::string config_name = FlagOr(flags, "config", "synth-lastfm");
+  int64_t seed;
+  if (!ParseIntFlag(flags, "seed", 1, 0, std::numeric_limits<int64_t>::max(),
+                    &seed)) {
+    return 2;
+  }
   const std::string split = FlagOr(flags, "split", "traditional");
+  if (split != "traditional" && split != "new-item" && split != "new-user" &&
+      split != "temporal") {
+    std::fprintf(stderr,
+                 "--split: unknown split '%s' (traditional, new-item, "
+                 "new-user or temporal)\n%s",
+                 split.c_str(), kUsage);
+    return 2;
+  }
+  SyntheticConfig config;
+  const Status found =
+      SynthConfigByName(FlagOr(flags, "config", "synth-lastfm"), &config);
+  if (!found.ok()) {
+    std::fprintf(stderr, "--config: %s\n%s", found.message().c_str(), kUsage);
+    return 2;
+  }
   const std::string out = FlagOr(flags, "out", ".");
-  const uint64_t seed = std::stoull(FlagOr(flags, "seed", "1"));
 
-  const SyntheticData synth = GenerateSynthetic(SynthConfigByName(config_name));
+  const SyntheticData synth = GenerateSynthetic(config);
   const RawData& raw = synth.raw;
-  Rng rng(seed);
+  Rng rng(static_cast<uint64_t>(seed));
   Dataset dataset;
   if (split == "traditional") {
     dataset = TraditionalSplit(raw, 0.2, rng);
@@ -203,26 +230,56 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
     dataset = NewItemSplit(raw, 0.2, rng);
   } else if (split == "new-user") {
     dataset = NewUserSplit(raw, 0.2, rng);
-  } else if (split == "temporal") {
+  } else {
     // Streaming setting: the arrival-order prefix trains, the suffix is the
     // replay stream (`kucnet_cli stream` appends it as live updates).
     dataset = TemporalSplit(raw, synth.arrival_order, 0.8);
-  } else {
-    KUC_CHECK(false) << "unknown split: " << split;
   }
-  SaveDataset(dataset, out);
+  const Status saved = TrySaveDataset(dataset, out);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "cannot save dataset: %s\n", saved.message().c_str());
+    return 1;
+  }
   std::printf("wrote %s to %s\n", dataset.Summary().c_str(), out.c_str());
   return 0;
 }
 
 int CmdTrainOrEvaluate(const std::map<std::string, std::string>& flags,
                        bool train) {
+  // Every flag is checked before the dataset is loaded. An --epochs of -1
+  // (the default) trains for the model's DefaultEpochs.
+  int64_t epochs, sample_k, depth, checkpoint_every;
+  const int64_t kMaxInt = std::numeric_limits<int>::max();
+  if (!ParseIntFlag(flags, "epochs", -1, -1, kMaxInt, &epochs) ||
+      !ParseIntFlag(flags, "k", 30, 0, std::numeric_limits<int64_t>::max(),
+                    &sample_k) ||
+      !ParseIntFlag(flags, "depth", 3, 1, 64, &depth) ||
+      !ParseIntFlag(flags, "checkpoint_every", 1, 0, kMaxInt,
+                    &checkpoint_every)) {
+    return 2;
+  }
+  const std::string model_name = FlagOr(flags, "model", "KUCNet");
+  const std::vector<std::string> names = AllModelNames();
+  if (std::find(names.begin(), names.end(), model_name) == names.end()) {
+    std::fprintf(stderr,
+                 "--model: unknown model '%s' (`kucnet_cli models` lists "
+                 "them)\n%s",
+                 model_name.c_str(), kUsage);
+    return 2;
+  }
+  // A checkpoint holds KUCNet weights; every KUCNet-family name starts with
+  // "KUCNet" (baselines/registry.h).
+  const std::string ckpt = FlagOr(flags, "ckpt", "");
+  if (!ckpt.empty() && model_name.rfind("KUCNet", 0) != 0) {
+    std::fprintf(stderr,
+                 "--ckpt: only KUCNet-family models have checkpoints, not "
+                 "'%s'\n%s",
+                 model_name.c_str(), kUsage);
+    return 2;
+  }
+
   MaybeEnableObs(flags);
   const std::string data_dir = FlagOr(flags, "data", ".");
-  const std::string model_name = FlagOr(flags, "model", "KUCNet");
-  const std::string ckpt = FlagOr(flags, "ckpt", "");
-  const int epochs = std::stoi(FlagOr(flags, "epochs", "-1"));
-
   Dataset dataset;
   const Status loaded = TryLoadDataset(data_dir, &dataset);
   if (!loaded.ok()) {
@@ -238,17 +295,17 @@ int CmdTrainOrEvaluate(const std::map<std::string, std::string>& flags,
   ctx.dataset = &dataset;
   ctx.ckg = &ckg;
   ctx.ppr = &ppr;
-  ctx.kucnet.sample_k = std::stoll(FlagOr(flags, "k", "30"));
-  ctx.kucnet.depth = std::stoi(FlagOr(flags, "depth", "3"));
+  ctx.kucnet.sample_k = sample_k;
+  ctx.kucnet.depth = static_cast<int>(depth);
   auto model = CreateModel(model_name, ctx);
-  auto* kucnet = dynamic_cast<Kucnet*>(model.get());
 
   if (train) {
     TrainOptions opts;
-    opts.epochs = epochs >= 0 ? epochs : DefaultEpochs(model_name);
+    opts.epochs =
+        epochs >= 0 ? static_cast<int>(epochs) : DefaultEpochs(model_name);
     opts.verbose = true;
     opts.checkpoint_dir = FlagOr(flags, "checkpoint_dir", "");
-    opts.checkpoint_every = std::stoi(FlagOr(flags, "checkpoint_every", "1"));
+    opts.checkpoint_every = static_cast<int>(checkpoint_every);
     opts.resume = FlagOr(flags, "resume", "false") == "true";
     const TrainResult result = TrainModel(*model, dataset, opts);
     if (result.resumed_from_epoch > 0) {
@@ -257,16 +314,23 @@ int CmdTrainOrEvaluate(const std::map<std::string, std::string>& flags,
     std::printf("%s: %s (trained %.1fs)\n", model_name.c_str(),
                 ToString(result.final_eval).c_str(), result.train_seconds);
     if (!ckpt.empty()) {
-      KUC_CHECK(kucnet != nullptr)
-          << "--ckpt is only supported for KUCNet-family models";
-      kucnet->SaveCheckpoint(ckpt);
+      const Status saved = TrySaveParameters(model->TrainableParams(), ckpt);
+      if (!saved.ok()) {
+        std::fprintf(stderr, "cannot write checkpoint: %s\n",
+                     saved.message().c_str());
+        return 1;
+      }
       std::printf("checkpoint written to %s\n", ckpt.c_str());
     }
   } else {
     if (!ckpt.empty()) {
-      KUC_CHECK(kucnet != nullptr)
-          << "--ckpt is only supported for KUCNet-family models";
-      kucnet->LoadCheckpoint(ckpt);
+      const Status restored =
+          TryLoadParameters(model->TrainableParams(), ckpt);
+      if (!restored.ok()) {
+        std::fprintf(stderr, "cannot load checkpoint: %s\n",
+                     restored.message().c_str());
+        return 1;
+      }
       std::printf("loaded checkpoint %s\n", ckpt.c_str());
     }
     const EvalResult eval = EvaluateRanking(*model, dataset);
@@ -342,7 +406,14 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     for (int s = 0; s < shards; ++s) {
       owned.push_back(
           std::make_unique<Kucnet>(&dataset, &ckg, &ppr, model_opts));
-      if (!ckpt.empty()) owned.back()->LoadCheckpoint(ckpt);
+      if (!ckpt.empty()) {
+        const Status restored = TryLoadParameters(owned.back()->Params(), ckpt);
+        if (!restored.ok()) {
+          std::fprintf(stderr, "cannot load checkpoint: %s\n",
+                       restored.message().c_str());
+          return 1;
+        }
+      }
       models.push_back(owned.back().get());
     }
     if (!ckpt.empty()) {
@@ -400,7 +471,12 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
 
   Kucnet model(&dataset, &ckg, &ppr, model_opts);
   if (!ckpt.empty()) {
-    model.LoadCheckpoint(ckpt);
+    const Status restored = TryLoadParameters(model.Params(), ckpt);
+    if (!restored.ok()) {
+      std::fprintf(stderr, "cannot load checkpoint: %s\n",
+                   restored.message().c_str());
+      return 1;
+    }
     std::printf("loaded checkpoint %s\n", ckpt.c_str());
   }
   RecServer server(&model, &dataset, &ckg, &ppr, server_opts);

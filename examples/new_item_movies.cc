@@ -62,7 +62,12 @@ int main() {
 
   // Show that the recommended new movies are actually KG-reachable.
   const int64_t user = dataset.TestUsers().front();
-  const KucnetForward forward = kucnet.Forward(user);
+  KucnetForward forward;
+  const Status status = kucnet.TryForward(user, ExecContext(), &forward);
+  if (!status.ok()) {
+    std::fprintf(stderr, "forward failed: %s\n", status.message().c_str());
+    return 1;
+  }
   int64_t reachable = 0;
   const auto test_items = dataset.TestItemsByUser()[user];
   for (const int64_t item : test_items) {

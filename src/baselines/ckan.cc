@@ -17,12 +17,12 @@ Adam MakeAdam(const EmbeddingModelOptions& options) {
 
 }  // namespace
 
-Ckan::Ckan(const Dataset* dataset, const Ckg* ckg,
-           EmbeddingModelOptions options, int64_t max_user_set)
+Ckan::Ckan(const Dataset* dataset, EmbeddingModelOptions options,
+           int64_t max_user_set)
     : dataset_(dataset),
       options_(options),
       sampler_(*dataset),
-      item_neighbors_(ItemKgNeighborsWithRelations(*dataset, *ckg)),
+      item_neighbors_(ItemKgNeighborsWithRelations(*dataset)),
       user_sets_(dataset->num_users),
       user_emb_("user_emb", Matrix()),
       entity_emb_("entity_emb", Matrix()),

@@ -25,7 +25,7 @@ namespace kucnet {
 /// CKAN-style attentive ripple aggregation; score = user_rep . item_rep.
 class Ckan : public RankModel {
  public:
-  Ckan(const Dataset* dataset, const Ckg* ckg, EmbeddingModelOptions options,
+  Ckan(const Dataset* dataset, EmbeddingModelOptions options,
        int64_t max_user_set = 64);
 
   std::string name() const override { return "CKAN"; }

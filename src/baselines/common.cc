@@ -23,10 +23,9 @@ FlatEdges AllEdges(const Ckg& ckg) {
   return edges;
 }
 
-std::vector<std::vector<int64_t>> ItemKgNeighbors(const Dataset& dataset,
-                                                  const Ckg& ckg) {
+std::vector<std::vector<int64_t>> ItemKgNeighbors(const Dataset& dataset) {
   std::vector<std::vector<int64_t>> out(dataset.num_items);
-  const auto with_rel = ItemKgNeighborsWithRelations(dataset, ckg);
+  const auto with_rel = ItemKgNeighborsWithRelations(dataset);
   for (int64_t i = 0; i < dataset.num_items; ++i) {
     for (const ItemNeighbor& n : with_rel[i]) out[i].push_back(n.entity);
     std::sort(out[i].begin(), out[i].end());
@@ -36,7 +35,7 @@ std::vector<std::vector<int64_t>> ItemKgNeighbors(const Dataset& dataset,
 }
 
 std::vector<std::vector<ItemNeighbor>> ItemKgNeighborsWithRelations(
-    const Dataset& dataset, const Ckg& ckg) {
+    const Dataset& dataset) {
   std::vector<std::vector<ItemNeighbor>> out(dataset.num_items);
   for (const auto& [head, rel, tail] : dataset.kg) {
     if (head < dataset.num_items) {
@@ -46,7 +45,6 @@ std::vector<std::vector<ItemNeighbor>> ItemKgNeighborsWithRelations(
       out[tail].push_back({head, rel});
     }
   }
-  (void)ckg;
   return out;
 }
 

@@ -28,8 +28,7 @@ FlatEdges AllEdges(const Ckg& ckg);
 /// KG entities adjacent to each item (one hop, out of the item, KG relations
 /// only). Used as side features by FM/NFM and by the shallow KG baselines.
 /// Returned ids are KG-local (items first, then entities).
-std::vector<std::vector<int64_t>> ItemKgNeighbors(const Dataset& dataset,
-                                                  const Ckg& ckg);
+std::vector<std::vector<int64_t>> ItemKgNeighbors(const Dataset& dataset);
 
 /// (entity, relation) pairs adjacent to each item; parallel to
 /// ItemKgNeighbors but keeps the relation of each edge (KG-relation index in
@@ -39,7 +38,7 @@ struct ItemNeighbor {
   int64_t rel;     ///< KG relation in [0, num_kg_relations)
 };
 std::vector<std::vector<ItemNeighbor>> ItemKgNeighborsWithRelations(
-    const Dataset& dataset, const Ckg& ckg);
+    const Dataset& dataset);
 
 }  // namespace kucnet
 

@@ -15,8 +15,7 @@ Adam MakeAdam(const EmbeddingModelOptions& options) {
 
 }  // namespace
 
-FactorizationModel::FactorizationModel(const Dataset* dataset, const Ckg* ckg,
-                                       Kind kind,
+FactorizationModel::FactorizationModel(const Dataset* dataset, Kind kind,
                                        EmbeddingModelOptions options,
                                        int64_t mlp_hidden)
     : dataset_(dataset),
@@ -24,7 +23,7 @@ FactorizationModel::FactorizationModel(const Dataset* dataset, const Ckg* ckg,
       options_(options),
       mlp_hidden_(mlp_hidden),
       sampler_(*dataset),
-      item_entities_(ItemKgNeighbors(*dataset, *ckg)),
+      item_entities_(ItemKgNeighbors(*dataset)),
       num_features_(dataset->num_users + dataset->num_kg_nodes),
       feat_emb_("feat_emb", Matrix()),
       feat_linear_("feat_linear", Matrix::Zeros(num_features_, 1)),

@@ -30,7 +30,7 @@ class FactorizationModel : public RankModel {
  public:
   enum class Kind { kFm, kNfm };
 
-  FactorizationModel(const Dataset* dataset, const Ckg* ckg, Kind kind,
+  FactorizationModel(const Dataset* dataset, Kind kind,
                      EmbeddingModelOptions options, int64_t mlp_hidden = 32);
 
   std::string name() const override {

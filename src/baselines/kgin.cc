@@ -15,13 +15,13 @@ Adam MakeAdam(const EmbeddingModelOptions& options) {
 
 }  // namespace
 
-KginLite::KginLite(const Dataset* dataset, const Ckg* ckg,
-                   EmbeddingModelOptions options, int64_t num_intents)
+KginLite::KginLite(const Dataset* dataset, EmbeddingModelOptions options,
+                   int64_t num_intents)
     : dataset_(dataset),
       options_(options),
       num_intents_(num_intents),
       sampler_(*dataset),
-      item_neighbors_(ItemKgNeighborsWithRelations(*dataset, *ckg)),
+      item_neighbors_(ItemKgNeighborsWithRelations(*dataset)),
       user_emb_("user_emb", Matrix()),
       entity_emb_("entity_emb", Matrix()),
       rel_emb_("rel_emb", Matrix()),

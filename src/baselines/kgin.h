@@ -27,8 +27,8 @@ namespace kucnet {
 /// KGIN-lite. score(u, i) = (u + intent mix) . (e_i + KG aggregation).
 class KginLite : public RankModel {
  public:
-  KginLite(const Dataset* dataset, const Ckg* ckg,
-           EmbeddingModelOptions options, int64_t num_intents = 4);
+  KginLite(const Dataset* dataset, EmbeddingModelOptions options,
+           int64_t num_intents = 4);
 
   std::string name() const override { return "KGIN"; }
   int64_t ParamCount() const override;

@@ -15,12 +15,11 @@ Adam MakeAdam(const EmbeddingModelOptions& options) {
 
 }  // namespace
 
-KgnnLs::KgnnLs(const Dataset* dataset, const Ckg* ckg,
-               EmbeddingModelOptions options)
+KgnnLs::KgnnLs(const Dataset* dataset, EmbeddingModelOptions options)
     : dataset_(dataset),
       options_(options),
       sampler_(*dataset),
-      item_neighbors_(ItemKgNeighborsWithRelations(*dataset, *ckg)),
+      item_neighbors_(ItemKgNeighborsWithRelations(*dataset)),
       user_emb_("user_emb", Matrix()),
       entity_emb_("entity_emb", Matrix()),
       rel_emb_("rel_emb", Matrix()),

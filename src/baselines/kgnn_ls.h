@@ -25,8 +25,7 @@ namespace kucnet {
 /// KGNN-LS-style user-conditioned item GNN; score(u, i) = u . h_i(u).
 class KgnnLs : public RankModel {
  public:
-  KgnnLs(const Dataset* dataset, const Ckg* ckg,
-         EmbeddingModelOptions options);
+  KgnnLs(const Dataset* dataset, EmbeddingModelOptions options);
 
   std::string name() const override { return "KGNN-LS"; }
   int64_t ParamCount() const override;

@@ -61,11 +61,11 @@ std::unique_ptr<RankModel> CreateModel(const std::string& name,
   }
   if (name == "FM") {
     return std::make_unique<FactorizationModel>(
-        d, g, FactorizationModel::Kind::kFm, EmbeddingOptions(context));
+        d, FactorizationModel::Kind::kFm, EmbeddingOptions(context));
   }
   if (name == "NFM") {
     return std::make_unique<FactorizationModel>(
-        d, g, FactorizationModel::Kind::kNfm, EmbeddingOptions(context));
+        d, FactorizationModel::Kind::kNfm, EmbeddingOptions(context));
   }
   if (name == "CKE") {
     return std::make_unique<Cke>(d, EmbeddingOptions(context));
@@ -77,13 +77,13 @@ std::unique_ptr<RankModel> CreateModel(const std::string& name,
     return std::make_unique<Kgat>(d, g, GnnOptions(context));
   }
   if (name == "KGIN") {
-    return std::make_unique<KginLite>(d, g, EmbeddingOptions(context));
+    return std::make_unique<KginLite>(d, EmbeddingOptions(context));
   }
   if (name == "KGNN-LS") {
-    return std::make_unique<KgnnLs>(d, g, EmbeddingOptions(context));
+    return std::make_unique<KgnnLs>(d, EmbeddingOptions(context));
   }
   if (name == "CKAN") {
-    return std::make_unique<Ckan>(d, g, EmbeddingOptions(context));
+    return std::make_unique<Ckan>(d, EmbeddingOptions(context));
   }
   if (name == "RippleNet") {
     return std::make_unique<RippleNet>(d, g, EmbeddingOptions(context));

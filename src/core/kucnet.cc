@@ -8,7 +8,6 @@
 #include "graph/subgraph.h"
 #include "obs/trace.h"
 #include "tensor/kernels.h"
-#include "tensor/serialize.h"
 #include "util/finite.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -178,12 +177,15 @@ int64_t Kucnet::ParamCount() const {
 
 UserCompGraph Kucnet::BuildGraph(
     int64_t user, Rng* rng, const std::vector<ExcludedPair>& excluded) const {
-  const int64_t user_node = ckg_->UserNode(user);
-  if (options_.prune == PruneMode::kPpr && options_.sample_k > 0) {
-    const NodeScoreFn score = ppr_->ScoreFn(user);
-    return builder_.Build(user_node, &score, rng, excluded);
-  }
-  return builder_.Build(user_node, nullptr, rng, excluded);
+  const bool use_ppr =
+      options_.prune == PruneMode::kPpr && options_.sample_k > 0;
+  const NodeScoreFn score = use_ppr ? ppr_->ScoreFn(user) : NodeScoreFn();
+  UserCompGraph graph;
+  const Status built =
+      builder_.TryBuild(ckg_->UserNode(user), use_ppr ? &score : nullptr, rng,
+                        excluded, ExecContext(), &graph);
+  KUC_CHECK(built.ok()) << built.message();
+  return graph;
 }
 
 Var Kucnet::Activate(Tape& tape, Var x) const {
@@ -345,13 +347,6 @@ Status Kucnet::TryInfer(const UserCompGraph& graph, const ExecContext& ctx,
   return Status::Ok();
 }
 
-KucnetForward Kucnet::Forward(int64_t user) const {
-  KucnetForward result;
-  const Status status = TryForward(user, ExecContext(), &result);
-  KUC_CHECK(status.ok()) << status.message();
-  return result;
-}
-
 Status Kucnet::TryForward(int64_t user, const ExecContext& ctx,
                           KucnetForward* out) const {
   KUC_RETURN_IF_ERROR(TryExtractGraph(user, ctx, out));
@@ -439,7 +434,10 @@ void Kucnet::TryForwardMany(std::vector<KucnetForwardWork>* work,
 }
 
 std::vector<double> Kucnet::ScoreItems(int64_t user) const {
-  std::vector<double> scores = Forward(user).item_scores;
+  KucnetForward forward;
+  const Status status = TryForward(user, ExecContext(), &forward);
+  KUC_CHECK(status.ok()) << status.message();
+  std::vector<double> scores = std::move(forward.item_scores);
   // Evaluation boundary: a non-finite score here (diverged weights, kernel
   // overflow) would silently corrupt every metric computed downstream.
   KUC_CHECK_FINITE(scores.data(), static_cast<int64_t>(scores.size()),
@@ -462,14 +460,6 @@ std::pair<double, int64_t> Kucnet::ScorePairOnUiGraph(int64_t user,
   KUC_CHECK(status.ok()) << status.message();
   const int64_t idx = graph.FinalIndexOf(item_node);
   return {idx >= 0 ? scores.at(idx, 0) : 0.0, edge_count};
-}
-
-void Kucnet::SaveCheckpoint(const std::string& path) {
-  SaveParameters(Params(), path);
-}
-
-void Kucnet::LoadCheckpoint(const std::string& path) {
-  LoadParameters(Params(), path);
 }
 
 Var Kucnet::BuildLoss(Tape& tape, int64_t user,

@@ -96,14 +96,12 @@ class Kucnet : public RankModel {
   std::vector<double> ScoreItems(int64_t user) const override;
 
   /// Full forward pass on the user's pruned graph, with per-edge attention
-  /// weights (used by the explanation tooling and Fig. 6).
-  KucnetForward Forward(int64_t user) const;
-
-  /// Cancellable forward pass — the serving layer's full-quality tier. Hits
-  /// the `ctx` checkpoint at each stage boundary: "ppr" before the pruning
-  /// scores are fetched, "subgraph" per expanded head node during graph
-  /// construction, and "forward" before each message-passing layer. On
-  /// cancellation `*out` is reset and the checkpoint's status returned —
+  /// weights: the serving layer's full-quality tier, and (with an unbounded
+  /// `ExecContext()`) the forward the explanation tooling and Fig. 6 read.
+  /// Hits the `ctx` checkpoint at each stage boundary: "ppr" before the
+  /// pruning scores are fetched, "subgraph" per expanded head node during
+  /// graph construction, and "forward" before each message-passing layer.
+  /// On cancellation `*out` is reset and the checkpoint's status returned —
   /// partial work is abandoned, never half-filled into `out`.
   Status TryForward(int64_t user, const ExecContext& ctx,
                     KucnetForward* out) const;
@@ -160,7 +158,9 @@ class Kucnet : public RankModel {
   const KucnetOptions& options() const { return options_; }
 
   /// All trainable parameters (layer weights, attention, relation
-  /// embeddings, readout).
+  /// embeddings, readout). `TrySaveParameters(Params(), path)` writes the
+  /// weights (tensor/serialize.h) and `TryLoadParameters` restores them into
+  /// a model with identical options.
   std::vector<Parameter*> Params();
 
   /// Training-snapshot hooks: KUCNet's full training state is its
@@ -168,14 +168,6 @@ class Kucnet : public RankModel {
   /// divergence rollback work out of the box (see train/trainer.h).
   std::vector<Parameter*> TrainableParams() override { return Params(); }
   Adam* MutableOptimizer() override { return &optimizer_; }
-
-  /// Writes the trained weights to `path` (see tensor/serialize.h; v2
-  /// format, atomic, checksummed).
-  void SaveCheckpoint(const std::string& path);
-
-  /// Restores weights saved by SaveCheckpoint from a model with identical
-  /// options; aborts on shape/name mismatch.
-  void LoadCheckpoint(const std::string& path);
 
  private:
   struct LayerParams {

@@ -34,8 +34,11 @@ Dataset MakeBase(const RawData& raw, SplitKind kind) {
 }  // namespace
 
 Ckg Dataset::BuildCkg() const {
-  return Ckg::Build(num_users, num_items, num_kg_nodes, num_kg_relations,
-                    train, kg, user_kg);
+  Ckg g;
+  const Status built = Ckg::TryBuild(num_users, num_items, num_kg_nodes,
+                                     num_kg_relations, train, kg, user_kg, &g);
+  KUC_CHECK(built.ok()) << built.message();
+  return g;
 }
 
 std::vector<std::vector<int64_t>> Dataset::TrainItemsByUser() const {

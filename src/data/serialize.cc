@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "util/io.h"
-#include "util/logging.h"
 
 namespace kucnet {
 
@@ -77,11 +76,6 @@ Status TrySaveDataset(const Dataset& dataset, const std::string& dir,
   return AtomicWriteFile(f, dir + "/meta.txt", meta.str());
 }
 
-void SaveDataset(const Dataset& dataset, const std::string& dir) {
-  const Status st = TrySaveDataset(dataset, dir);
-  KUC_CHECK(st.ok()) << st.message();
-}
-
 Status TryLoadDataset(const std::string& dir, Dataset* out, FileSystem* fs) {
   Dataset d;
   const std::string meta_path = dir + "/meta.txt";
@@ -142,7 +136,7 @@ Status TryLoadDataset(const std::string& dir, Dataset* out, FileSystem* fs) {
   const std::string user_kg_path = dir + "/user_kg.txt";
   if (FsOrDefault(fs).Exists(user_kg_path)) {
     KUC_RETURN_IF_ERROR(TryReadTriplets(user_kg_path, &d.user_kg, &lines, fs));
-    // User-side triplets connect users to users (see Ckg::Build).
+    // User-side triplets connect users to users (see Ckg::TryBuild).
     KUC_RETURN_IF_ERROR(ValidateTriplets(user_kg_path, d.user_kg, lines,
                                          d.num_users, d.num_kg_relations,
                                          "user"));
@@ -157,13 +151,6 @@ Status TryLoadDataset(const std::string& dir, Dataset* out, FileSystem* fs) {
   }
   *out = std::move(d);
   return Status::Ok();
-}
-
-Dataset LoadDataset(const std::string& dir) {
-  Dataset d;
-  const Status st = TryLoadDataset(dir, &d);
-  KUC_CHECK(st.ok()) << st.message();
-  return d;
 }
 
 }  // namespace kucnet

@@ -25,17 +25,11 @@ namespace kucnet {
 Status TrySaveDataset(const Dataset& dataset, const std::string& dir,
                       FileSystem* fs = nullptr);
 
-/// Aborting wrapper around TrySaveDataset.
-void SaveDataset(const Dataset& dataset, const std::string& dir);
-
-/// Reads a dataset previously written by SaveDataset. Malformed rows and
+/// Reads a dataset previously written by TrySaveDataset. Malformed rows and
 /// ids outside the `meta.txt` ranges are reported with file, line, and
 /// cause.
 Status TryLoadDataset(const std::string& dir, Dataset* out,
                       FileSystem* fs = nullptr);
-
-/// Aborting wrapper around TryLoadDataset.
-Dataset LoadDataset(const std::string& dir);
 
 }  // namespace kucnet
 

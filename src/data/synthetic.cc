@@ -272,13 +272,19 @@ SyntheticConfig SynthDisGeNetConfig() {
   return cfg;
 }
 
-SyntheticConfig SynthConfigByName(const std::string& name) {
-  if (name == "synth-lastfm") return SynthLastFmConfig();
-  if (name == "synth-amazon-book") return SynthAmazonBookConfig();
-  if (name == "synth-ifashion") return SynthIFashionConfig();
-  if (name == "synth-disgenet") return SynthDisGeNetConfig();
-  KUC_CHECK(false) << "unknown synthetic config: " << name;
-  return SyntheticConfig{};
+Status SynthConfigByName(const std::string& name, SyntheticConfig* out) {
+  if (name == "synth-lastfm") {
+    *out = SynthLastFmConfig();
+  } else if (name == "synth-amazon-book") {
+    *out = SynthAmazonBookConfig();
+  } else if (name == "synth-ifashion") {
+    *out = SynthIFashionConfig();
+  } else if (name == "synth-disgenet") {
+    *out = SynthDisGeNetConfig();
+  } else {
+    return ErrorStatus() << "unknown synthetic config: " << name;
+  }
+  return Status::Ok();
 }
 
 }  // namespace kucnet

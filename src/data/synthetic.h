@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "util/status.h"
 
 /// \file
 /// Synthetic collaborative-knowledge-graph generator.
@@ -87,8 +88,8 @@ SyntheticConfig SynthIFashionConfig();
 SyntheticConfig SynthDisGeNetConfig();
 
 /// Lookup by name ("synth-lastfm", "synth-amazon-book", "synth-ifashion",
-/// "synth-disgenet"); aborts on unknown names.
-SyntheticConfig SynthConfigByName(const std::string& name);
+/// "synth-disgenet") into `*out`; an unknown name is an error naming it.
+Status SynthConfigByName(const std::string& name, SyntheticConfig* out);
 
 }  // namespace kucnet
 

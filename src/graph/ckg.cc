@@ -4,19 +4,6 @@
 
 namespace kucnet {
 
-Ckg Ckg::Build(int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
-               int64_t num_kg_relations,
-               const std::vector<std::array<int64_t, 2>>& interactions,
-               const std::vector<std::array<int64_t, 3>>& kg_triplets,
-               const std::vector<std::array<int64_t, 3>>& user_triplets) {
-  Ckg g;
-  const Status st =
-      TryBuild(num_users, num_items, num_kg_nodes, num_kg_relations,
-               interactions, kg_triplets, user_triplets, &g);
-  KUC_CHECK(st.ok()) << st.message();
-  return g;
-}
-
 Status Ckg::TryBuild(int64_t num_users, int64_t num_items,
                      int64_t num_kg_nodes, int64_t num_kg_relations,
                      const std::vector<std::array<int64_t, 2>>& interactions,

@@ -69,8 +69,8 @@ class Ckg {
   /// An empty graph (no nodes, no storage).
   Ckg() = default;
 
-  /// Builds the CKG from interactions and KG triplets; aborts where TryBuild
-  /// returns an error.
+  /// Builds the CKG from interactions and KG triplets into `*out`; fails on
+  /// id overflow or out-of-range inputs.
   ///
   /// \param num_users      number of user nodes
   /// \param num_items      number of items (KG ids [0, num_items))
@@ -86,13 +86,6 @@ class Ckg {
   ///
   /// Every edge is stored in both directions (r and -r). Each source's row
   /// is ordered by (rel, dst), and duplicate edges are collapsed.
-  static Ckg Build(int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
-                   int64_t num_kg_relations,
-                   const std::vector<std::array<int64_t, 2>>& interactions,
-                   const std::vector<std::array<int64_t, 3>>& kg_triplets,
-                   const std::vector<std::array<int64_t, 3>>& user_triplets = {});
-
-  /// Build's recoverable form: fails on id overflow or out-of-range inputs.
   static Status TryBuild(
       int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
       int64_t num_kg_relations,

@@ -68,16 +68,6 @@ CompGraphBuilder::CompGraphBuilder(GraphRef graph, CompGraphOptions options)
   KUC_CHECK_GE(options.max_edges_per_node, 0);
 }
 
-UserCompGraph CompGraphBuilder::Build(
-    int64_t user_node, const NodeScoreFn* score, Rng* rng,
-    const std::vector<ExcludedPair>& excluded) const {
-  UserCompGraph graph;
-  const Status status =
-      TryBuild(user_node, score, rng, excluded, ExecContext(), &graph);
-  KUC_CHECK(status.ok()) << status.message();
-  return graph;
-}
-
 namespace {
 
 /// Per-thread expansion state, like the PPR push's PushScratch: `slot[v]`

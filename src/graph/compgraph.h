@@ -101,19 +101,15 @@ class CompGraphBuilder {
 
   const CompGraphOptions& options() const { return options_; }
 
-  /// Builds the graph for `user_node`.
+  /// Builds the graph for `user_node` into `*out`. The expansion loop hits
+  /// the `ctx` checkpoint (stage "subgraph") once per expanded head node,
+  /// so a request deadline or injected fault abandons the expansion instead
+  /// of materializing every layer. On cancellation `*out` is reset and the
+  /// status returned; an unbounded `ExecContext()` never cancels.
   ///
   /// \param score  required iff prune == kPpr
   /// \param rng    required iff prune == kRandom
   /// \param excluded  interact edges (both directions) to hide
-  UserCompGraph Build(int64_t user_node, const NodeScoreFn* score = nullptr,
-                      Rng* rng = nullptr,
-                      const std::vector<ExcludedPair>& excluded = {}) const;
-
-  /// Cancellable Build: the expansion loop hits the `ctx` checkpoint (stage
-  /// "subgraph") once per expanded head node, so a request deadline or
-  /// injected fault abandons the expansion instead of materializing every
-  /// layer. On cancellation `*out` is reset and the status returned.
   Status TryBuild(int64_t user_node, const NodeScoreFn* score, Rng* rng,
                   const std::vector<ExcludedPair>& excluded,
                   const ExecContext& ctx, UserCompGraph* out) const;

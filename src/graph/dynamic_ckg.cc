@@ -11,11 +11,13 @@ DynamicCkg::DynamicCkg(int64_t num_users, int64_t num_items,
                        std::vector<std::array<int64_t, 2>> interactions,
                        std::vector<std::array<int64_t, 3>> kg_triplets,
                        std::vector<std::array<int64_t, 3>> user_triplets)
-    : base_(Ckg::Build(num_users, num_items, num_kg_nodes, num_kg_relations,
-                       interactions, kg_triplets, user_triplets)),
-      interactions_(std::move(interactions)),
+    : interactions_(std::move(interactions)),
       kg_triplets_(std::move(kg_triplets)),
       user_triplets_(std::move(user_triplets)) {
+  const Status built =
+      Ckg::TryBuild(num_users, num_items, num_kg_nodes, num_kg_relations,
+                    interactions_, kg_triplets_, user_triplets_, &base_);
+  KUC_CHECK(built.ok()) << built.message();
   overflow_.resize(base_.num_nodes());
   degree_.resize(base_.num_nodes());
   for (int64_t v = 0; v < base_.num_nodes(); ++v) {
@@ -92,9 +94,13 @@ bool DynamicCkg::AddKgTriplet(int64_t head, int64_t rel, int64_t tail,
 }
 
 Ckg DynamicCkg::Rebuild() const {
-  return Ckg::Build(num_users(), num_items(), num_kg_nodes(),
+  Ckg g;
+  const Status built =
+      Ckg::TryBuild(num_users(), num_items(), num_kg_nodes(),
                     num_kg_relations(), interactions_, kg_triplets_,
-                    user_triplets_);
+                    user_triplets_, &g);
+  KUC_CHECK(built.ok()) << built.message();
+  return g;
 }
 
 }  // namespace kucnet

@@ -29,8 +29,8 @@
 ///     dangling-node repair rule relies on.
 ///
 /// Insertions are deduplicated against base + overflow with the same exact
-/// (src, rel, dst) identity Ckg::Build uses, so Rebuild() — a from-scratch
-/// Build over initial + appended inputs — agrees with the overlay on
+/// (src, rel, dst) identity Ckg::TryBuild uses, so Rebuild() — a from-scratch
+/// build over initial + appended inputs — agrees with the overlay on
 /// every degree and neighbor multiset. Rebuild is the recompute oracle's
 /// entry point; it is deliberately O(edges).
 
@@ -38,7 +38,8 @@ namespace kucnet {
 
 class DynamicCkg {
  public:
-  /// Mirrors Ckg::Build; the initial lists seed the immutable base.
+  /// Mirrors Ckg::TryBuild; the initial lists seed the immutable base and
+  /// must be in range (checked).
   DynamicCkg(int64_t num_users, int64_t num_items, int64_t num_kg_nodes,
              int64_t num_kg_relations,
              std::vector<std::array<int64_t, 2>> interactions,
@@ -63,7 +64,7 @@ class DynamicCkg {
   // ---- Online insertion -----------------------------------------------------
 
   /// Inserts a (user, item) interaction — both directed edges, exactly as
-  /// Ckg::Build lays them out. Returns false (and appends nothing) if the
+  /// Ckg::TryBuild lays them out. Returns false (and appends nothing) if the
   /// interaction already exists. When `inserted` is non-null the directed
   /// edges actually added are appended to it, in insertion order.
   bool AddInteraction(int64_t user, int64_t item,
@@ -118,7 +119,7 @@ class DynamicCkg {
   /// CSR row, overflow via linear scan).
   bool HasEdge(int64_t src, int64_t rel, int64_t dst) const;
 
-  /// From-scratch Ckg::Build over initial + appended inputs. The recompute
+  /// From-scratch Ckg::TryBuild over initial + appended inputs. The recompute
   /// oracle's graph; agrees with this overlay on every degree and neighbor
   /// multiset (though not iteration order — CSR rows are re-sorted).
   Ckg Rebuild() const;

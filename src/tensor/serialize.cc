@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "util/logging.h"
-
 namespace kucnet {
 
 namespace {
@@ -131,18 +129,6 @@ Status TryLoadParameters(const std::vector<Parameter*>& params,
                          << kMagicV2 << ")";
   }
   return ParseV2(data, params, path);
-}
-
-void SaveParameters(const std::vector<Parameter*>& params,
-                    const std::string& path) {
-  const Status st = TrySaveParameters(params, path);
-  KUC_CHECK(st.ok()) << st.message();
-}
-
-void LoadParameters(const std::vector<Parameter*>& params,
-                    const std::string& path) {
-  const Status st = TryLoadParameters(params, path);
-  KUC_CHECK(st.ok()) << st.message();
 }
 
 bool IsCheckpoint(const std::string& path, FileSystem* fs) {

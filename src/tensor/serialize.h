@@ -21,10 +21,10 @@
 ///
 /// Saving is atomic (temp file + rename via the FileSystem seam): a failed
 /// or interrupted save never destroys an existing checkpoint. Loading
-/// verifies the checksum, names, and shapes, and the `Try*` tier reports
-/// problems as recoverable `Status` errors; the historical aborting
-/// functions remain as wrappers. Any other first line — including the
-/// retired v1 magic "KUCNET_CKPT_V1" — is rejected as unsupported.
+/// verifies the checksum, names, and shapes, and reports every problem as a
+/// recoverable `Status` error naming the file. Any other first line —
+/// including the retired v1 magic "KUCNET_CKPT_V1" — is rejected as
+/// unsupported.
 
 namespace kucnet {
 
@@ -55,14 +55,6 @@ Status TrySaveParameters(const std::vector<Parameter*>& params,
 /// any other magic fails with a Status naming the file and its magic.
 Status TryLoadParameters(const std::vector<Parameter*>& params,
                          const std::string& path, FileSystem* fs = nullptr);
-
-/// Aborting wrapper around TrySaveParameters.
-void SaveParameters(const std::vector<Parameter*>& params,
-                    const std::string& path);
-
-/// Aborting wrapper around TryLoadParameters.
-void LoadParameters(const std::vector<Parameter*>& params,
-                    const std::string& path);
 
 /// True if `path` holds a complete v2 parameter checkpoint: the magic must
 /// match and the checksum footer must verify (so a torn file is rejected

@@ -335,7 +335,7 @@ void TensorCase(uint64_t case_seed, CaseResult& result) {
 
 /// Random CKG with adversarial topology: isolated users (no interactions),
 /// dangling KG entities (no triplets), sometimes no edges at all.
-Ckg RandomCkg(Rng& rng, int64_t* num_nodes_out) {
+Status RandomCkg(Rng& rng, Ckg* out, int64_t* num_nodes_out) {
   const int64_t users = 1 + rng.UniformInt(6);
   const int64_t items = 1 + rng.UniformInt(10);
   const int64_t kg_nodes = items + rng.UniformInt(7);
@@ -357,14 +357,18 @@ Ckg RandomCkg(Rng& rng, int64_t* num_nodes_out) {
     kg.push_back({h, rng.UniformInt(relations), tail});
   }
   *num_nodes_out = users + kg_nodes;
-  return Ckg::Build(users, items, kg_nodes, relations, inter, kg);
+  return Ckg::TryBuild(users, items, kg_nodes, relations, inter, kg, {}, out);
 }
 
 void PprCase(uint64_t case_seed, CaseResult& result) {
   Rng rng(case_seed);
   ScopedFiniteChecks finite_checks;
   int64_t num_nodes = 0;
-  const Ckg ckg = RandomCkg(rng, &num_nodes);
+  Ckg ckg;
+  if (const Status built = RandomCkg(rng, &ckg, &num_nodes); !built.ok()) {
+    result.Fail() << "random CKG: " << built.message();
+    return;
+  }
   const int64_t source = rng.UniformInt(num_nodes);
   const real_t alpha = rng.Uniform(0.05, 0.95);
   const real_t epsilon = std::pow(10.0, -(3.0 + rng.Uniform() * 5.0));
@@ -1025,10 +1029,20 @@ struct ServeFuzzContext {
     popularity_counts = std::move(counts);
   }
 
-  const std::vector<double>& FullScores(int64_t user) {
+  /// The user's unbounded TryForward scores, memoized; a failed forward is
+  /// reported on `result` and yields no scores.
+  const std::vector<double>& FullScores(int64_t user, CaseResult& result) {
     auto it = full_scores.find(user);
     if (it == full_scores.end()) {
-      it = full_scores.emplace(user, model->Forward(user).item_scores).first;
+      KucnetForward forward;
+      const Status status = model->TryForward(user, ExecContext(), &forward);
+      if (!status.ok()) {
+        result.Fail() << "TryForward for user " << user << ": "
+                      << status.message();
+        static const std::vector<double> kNoScores;
+        return kNoScores;
+      }
+      it = full_scores.emplace(user, std::move(forward.item_scores)).first;
     }
     return it->second;
   }
@@ -1116,10 +1130,11 @@ void ServeCase(ServeFuzzContext& ctx, uint64_t case_seed, CaseResult& result) {
   const bool cache_fresh = warm && !expired;
   if (full_ok) {
     expected_tier = ServeTier::kFull;
-    tier_scores = ctx.FullScores(user);
+    tier_scores = ctx.FullScores(user, result);
   } else if (std::string(fallback_fault) != "cache" && cache_fresh) {
     expected_tier = ServeTier::kCached;
-    tier_scores = ctx.FullScores(user);  // the warmup deposited exactly these
+    // The warmup deposited exactly these.
+    tier_scores = ctx.FullScores(user, result);
   } else if (std::string(fallback_fault) != "heuristic") {
     expected_tier = ServeTier::kHeuristic;
     tier_scores = ctx.HeuristicScores(user);
@@ -1288,7 +1303,8 @@ void BatchedServeCase(ServeFuzzContext& ctx, uint64_t case_seed,
                     << ") not served from the full tier";
       return;
     }
-    const std::vector<double>& scores = ctx.FullScores(req_users[r]);
+    const std::vector<double>& scores =
+        ctx.FullScores(req_users[r], result);
     const std::vector<int64_t> expected =
         ReplayRank(ctx.train_items, req_users[r], scores, req_top_n[r]);
     if (response.items.size() != expected.size()) {
@@ -1352,11 +1368,21 @@ struct FleetFuzzContext {
     popularity_counts = std::move(counts);
   }
 
-  const std::vector<double>& FullScores(int64_t user) {
+  /// The user's unbounded TryForward scores on replica 0, memoized; a
+  /// failed forward is reported on `result` and yields no scores.
+  const std::vector<double>& FullScores(int64_t user, CaseResult& result) {
     auto it = full_scores.find(user);
     if (it == full_scores.end()) {
-      it = full_scores.emplace(user, models[0]->Forward(user).item_scores)
-               .first;
+      KucnetForward forward;
+      const Status status =
+          models[0]->TryForward(user, ExecContext(), &forward);
+      if (!status.ok()) {
+        result.Fail() << "TryForward for user " << user << ": "
+                      << status.message();
+        static const std::vector<double> kNoScores;
+        return kNoScores;
+      }
+      it = full_scores.emplace(user, std::move(forward.item_scores)).first;
     }
     return it->second;
   }
@@ -1485,8 +1511,8 @@ void FleetCase(FleetFuzzContext& ctx, uint64_t case_seed, CaseResult& result) {
                       << plan(k);
         return;
       }
-      const std::vector<int64_t> expected =
-          ReplayRank(ctx.train_items, user, ctx.FullScores(user), top_n);
+      const std::vector<int64_t> expected = ReplayRank(
+          ctx.train_items, user, ctx.FullScores(user, result), top_n);
       if (got.response.items.size() != expected.size()) {
         result.Fail() << "full replay size mismatch " << plan(k);
         return;

@@ -193,7 +193,7 @@ OracleDensePpr OraclePprDense(const Ckg& ckg, int64_t source, real_t alpha,
                               int iterations);
 
 /// Recompute-from-scratch oracle for the streaming path: rebuilds the
-/// dynamic graph as a static Ckg (Ckg::Build over initial + appended
+/// dynamic graph as a static Ckg (Ckg::TryBuild over initial + appended
 /// inputs) and runs a full forward push for `user`. An incrementally
 /// repaired estimate (ppr/dynamic_ppr.h) is *not* bitwise-comparable to
 /// this — push order differs — but both satisfy the push invariant with

@@ -8,12 +8,13 @@
 /// \file
 /// Recoverable-error plumbing for the fault-tolerance layer.
 ///
-/// The library historically aborts on any IO problem (KUC_CHECK). Code that
-/// must survive torn writes, truncated reads, and malformed input — the
-/// checkpoint/resume path above all — instead returns a `Status` and lets the
-/// caller decide between retrying, falling back to a previous snapshot, and
-/// aborting with context. Legacy aborting entry points remain as thin
-/// wrappers that KUC_CHECK the returned status.
+/// Every operation that can meet torn writes, truncated reads, malformed
+/// input or a cancelled request — dataset and checkpoint IO, graph and
+/// computation-graph construction, the forward pass — has one entry point,
+/// a `Try*` function that returns a `Status` and lets the caller decide
+/// between retrying, falling back to a previous snapshot, and reporting the
+/// error. A caller whose inputs cannot fail checks the status in place
+/// (KUC_CHECK); kucnet_cli prints it and exits non-zero.
 
 namespace kucnet {
 

@@ -62,9 +62,12 @@ TEST_P(CompGraphPropertyTest, StructuralInvariants) {
   for (int64_t user = 0; user < 5; ++user) {
     const NodeScoreFn score = ppr.ScoreFn(user);
     Rng rng(param.seed * 31 + user);
-    const UserCompGraph graph = builder.Build(
+    UserCompGraph graph;
+    const Status built = builder.TryBuild(
         ckg.UserNode(user), param.prune == PruneMode::kPpr ? &score : nullptr,
-        param.prune == PruneMode::kRandom ? &rng : nullptr);
+        param.prune == PruneMode::kRandom ? &rng : nullptr, {}, ExecContext(),
+        &graph);
+    ASSERT_TRUE(built.ok()) << built.message();
 
     ASSERT_EQ(static_cast<int32_t>(graph.layers.size()), param.depth);
     int64_t prev_size = 1;
@@ -134,10 +137,15 @@ TEST_P(CompGraphPropertyTest, PrunedIsSubgraphOfUnpruned) {
   const int64_t user = ckg.UserNode(0);
   const NodeScoreFn score = ppr.ScoreFn(0);
   Rng rng(param.seed);
-  const UserCompGraph full = unpruned_builder.Build(user);
-  const UserCompGraph pruned = pruned_builder.Build(
+  UserCompGraph full;
+  ASSERT_TRUE(unpruned_builder.TryBuild(user, nullptr, nullptr, {},
+                                        ExecContext(), &full).ok());
+  UserCompGraph pruned;
+  const Status built = pruned_builder.TryBuild(
       user, param.prune == PruneMode::kPpr ? &score : nullptr,
-      param.prune == PruneMode::kRandom ? &rng : nullptr);
+      param.prune == PruneMode::kRandom ? &rng : nullptr, {}, ExecContext(),
+      &pruned);
+  ASSERT_TRUE(built.ok()) << built.message();
 
   EXPECT_LE(pruned.TotalEdges(), full.TotalEdges());
   // Every pruned-graph edge (in global-id form) exists in the full graph at

@@ -119,7 +119,8 @@ TEST(SyntheticTest, UserSideKgOnlyWhenConfigured) {
 TEST(SyntheticTest, NamedConfigsResolve) {
   for (const char* name : {"synth-lastfm", "synth-amazon-book",
                            "synth-ifashion", "synth-disgenet"}) {
-    SyntheticConfig cfg = SynthConfigByName(name);
+    SyntheticConfig cfg;
+    ASSERT_TRUE(SynthConfigByName(name, &cfg).ok());
     EXPECT_EQ(cfg.name, name);
     const auto data = GenerateSynthetic(cfg);
     EXPECT_GT(data.raw.interactions.size(), 0u);
@@ -127,8 +128,11 @@ TEST(SyntheticTest, NamedConfigsResolve) {
   }
 }
 
-TEST(SyntheticDeathTest, UnknownConfigNameAborts) {
-  EXPECT_DEATH(SynthConfigByName("nope"), "unknown synthetic config");
+TEST(SyntheticTest, UnknownConfigNameIsAnError) {
+  SyntheticConfig cfg;
+  const Status st = SynthConfigByName("nope", &cfg);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.message(), "unknown synthetic config: nope");
 }
 
 TEST(SplitTest, TraditionalTestItemsAppearInTraining) {
@@ -241,8 +245,9 @@ TEST(SerializeTest, RoundTrip) {
   Dataset d = NewItemSplit(raw, 0.2, rng);
   const std::string dir = ::testing::TempDir() + "/roundtrip_plain";
   std::filesystem::create_directories(dir);
-  SaveDataset(d, dir);
-  Dataset loaded = LoadDataset(dir);
+  ASSERT_TRUE(TrySaveDataset(d, dir).ok());
+  Dataset loaded;
+  ASSERT_TRUE(TryLoadDataset(dir, &loaded).ok());
   EXPECT_EQ(loaded.name, d.name);
   EXPECT_EQ(loaded.kind, d.kind);
   EXPECT_EQ(loaded.num_users, d.num_users);
@@ -262,8 +267,9 @@ TEST(SerializeTest, RoundTripWithUserKg) {
   ASSERT_FALSE(d.user_kg.empty());
   const std::string dir = ::testing::TempDir() + "/roundtrip_userkg";
   std::filesystem::create_directories(dir);
-  SaveDataset(d, dir);
-  Dataset loaded = LoadDataset(dir);
+  ASSERT_TRUE(TrySaveDataset(d, dir).ok());
+  Dataset loaded;
+  ASSERT_TRUE(TryLoadDataset(dir, &loaded).ok());
   EXPECT_EQ(loaded.user_kg, d.user_kg);
 }
 

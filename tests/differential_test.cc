@@ -57,7 +57,8 @@ TEST(OracleTest, TopNSinksNonFiniteAndBreaksTiesByIndex) {
 TEST(OracleTest, PprPushStrandsMassAtDanglingSource) {
   // One user, no edges: the source is dangling, so the push must absorb the
   // entire unit of restart mass immediately.
-  Ckg g = Ckg::Build(1, 1, 1, 1, {}, {});
+  Ckg g;
+  ASSERT_TRUE(Ckg::TryBuild(1, 1, 1, 1, {}, {}, {}, &g).ok());
   const OraclePprResult r = OraclePprPush(g, 0, 0.15, 1e-6);
   ASSERT_EQ(r.estimate.size(), 1u);
   EXPECT_DOUBLE_EQ(r.estimate.at(0), 1.0);

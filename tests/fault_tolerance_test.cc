@@ -88,7 +88,7 @@ class FaultToleranceTest : public ::testing::Test {
   }
 
   std::string CheckpointBytes(Kucnet& model, const std::string& path) {
-    model.SaveCheckpoint(path);
+    EXPECT_TRUE(TrySaveParameters(model.Params(), path).ok());
     std::string bytes;
     KUC_CHECK(DefaultFileSystem().ReadFile(path, &bytes).ok());
     return bytes;

@@ -28,8 +28,12 @@ Ckg ToyCkg() {
       {1, 0, 5},  // IronMan directed_by(ish) RDJ -- extra connectivity
       {4, 0, 5},  // Avengers ... RDJ
   };
-  return Ckg::Build(/*num_users=*/2, /*num_items=*/5, /*num_kg_nodes=*/8,
-                    /*num_kg_relations=*/2, interactions, kg);
+  Ckg g;
+  EXPECT_TRUE(Ckg::TryBuild(/*num_users=*/2, /*num_items=*/5,
+                            /*num_kg_nodes=*/8, /*num_kg_relations=*/2,
+                            interactions, kg, {}, &g)
+                  .ok());
+  return g;
 }
 
 // A reproducible random CKG for property tests.
@@ -47,7 +51,10 @@ Ckg RandomCkg(uint64_t seed, int64_t users = 6, int64_t items = 10,
     kg.push_back(
         {rng.UniformInt(kg_nodes), rng.UniformInt(rels), rng.UniformInt(kg_nodes)});
   }
-  return Ckg::Build(users, items, kg_nodes, rels, inter, kg);
+  Ckg g;
+  EXPECT_TRUE(
+      Ckg::TryBuild(users, items, kg_nodes, rels, inter, kg, {}, &g).ok());
+  return g;
 }
 
 TEST(CkgTest, SizesAndIdLayout) {
@@ -141,7 +148,8 @@ TEST(CkgTest, AdjacencyIsSymmetricAndBinary) {
 
 TEST(CkgTest, DuplicateInputEdgesCollapse) {
   std::vector<std::array<int64_t, 2>> inter = {{0, 0}, {0, 0}, {0, 0}};
-  Ckg g = Ckg::Build(1, 1, 1, 0, inter, {});
+  Ckg g;
+  ASSERT_TRUE(Ckg::TryBuild(1, 1, 1, 0, inter, {}, {}, &g).ok());
   EXPECT_EQ(g.num_edges(), 2);  // forward + inverse
 }
 
@@ -210,7 +218,9 @@ TEST(CompGraphTest, LayersMatchRecursiveDefinition) {
   opts.self_loops = false;
   opts.max_edges_per_node = 0;
   CompGraphBuilder builder(&g, opts);
-  UserCompGraph cg = builder.Build(g.UserNode(0));
+  UserCompGraph cg;
+  ASSERT_TRUE(builder.TryBuild(g.UserNode(0), nullptr, nullptr, {},
+                               ExecContext(), &cg).ok());
 
   std::set<int64_t> frontier = {g.UserNode(0)};
   for (int32_t l = 0; l < 3; ++l) {
@@ -234,7 +244,9 @@ TEST(CompGraphTest, SelfLoopsKeepNodesAlive) {
   opts.depth = 3;
   opts.self_loops = true;
   CompGraphBuilder builder(&g, opts);
-  UserCompGraph cg = builder.Build(g.UserNode(0));
+  UserCompGraph cg;
+  ASSERT_TRUE(builder.TryBuild(g.UserNode(0), nullptr, nullptr, {},
+                               ExecContext(), &cg).ok());
   // Layer l nodes are a superset of layer l-1 nodes.
   std::set<int64_t> prev = {g.UserNode(0)};
   for (const auto& layer : cg.layers) {
@@ -256,7 +268,9 @@ TEST(CompGraphTest, Proposition1UiGraphsAreSubgraphs) {
     opts.self_loops = true;
     CompGraphBuilder builder(&g, opts);
     const int64_t u = g.UserNode(0);
-    UserCompGraph cg = builder.Build(u);
+    UserCompGraph cg;
+    ASSERT_TRUE(builder.TryBuild(u, nullptr, nullptr, {},
+                                 ExecContext(), &cg).ok());
 
     // Materialize per-layer edge sets of the user-centric graph.
     std::vector<std::set<std::tuple<int64_t, int64_t, int64_t>>> uc(3);
@@ -294,7 +308,9 @@ TEST(CompGraphTest, PruningRespectsCap) {
   opts.prune = PruneMode::kRandom;
   CompGraphBuilder builder(&g, opts);
   Rng rng(1);
-  UserCompGraph cg = builder.Build(g.UserNode(0), nullptr, &rng);
+  UserCompGraph cg;
+  ASSERT_TRUE(builder.TryBuild(g.UserNode(0), nullptr, &rng, {},
+                               ExecContext(), &cg).ok());
   for (const auto& layer : cg.layers) {
     // Each head contributes at most K edges.
     std::unordered_map<int64_t, int64_t> per_head;
@@ -317,7 +333,9 @@ TEST(CompGraphTest, PprPruningKeepsHighestScoredTails) {
   NodeScoreFn score = [&](int64_t node) {
     return node == g.ItemNode(1) ? 1.0 : 0.0;
   };
-  UserCompGraph cg = builder.Build(g.UserNode(0), &score);
+  UserCompGraph cg;
+  ASSERT_TRUE(builder.TryBuild(g.UserNode(0), &score, nullptr, {},
+                               ExecContext(), &cg).ok());
   ASSERT_EQ(cg.layers[0].num_edges(), 1);
   EXPECT_EQ(cg.layers[0].nodes[cg.layers[0].dst_index[0]], g.ItemNode(1));
 }
@@ -329,7 +347,9 @@ TEST(CompGraphTest, ExcludedPairsAreHidden) {
   opts.self_loops = false;
   CompGraphBuilder builder(&g, opts);
   std::vector<ExcludedPair> excluded = {{g.UserNode(0), g.ItemNode(0)}};
-  UserCompGraph cg = builder.Build(g.UserNode(0), nullptr, nullptr, excluded);
+  UserCompGraph cg;
+  ASSERT_TRUE(builder.TryBuild(g.UserNode(0), nullptr, nullptr, excluded,
+                               ExecContext(), &cg).ok());
   // Layer 1 must not contain item 0 (only edge to it was excluded).
   for (const int64_t n : cg.layers[0].nodes) {
     EXPECT_NE(n, g.ItemNode(0));
@@ -356,7 +376,9 @@ TEST(CompGraphTest, FinalIndexLookup) {
   CompGraphOptions opts;
   opts.depth = 3;
   CompGraphBuilder builder(&g, opts);
-  UserCompGraph cg = builder.Build(g.UserNode(0));
+  UserCompGraph cg;
+  ASSERT_TRUE(builder.TryBuild(g.UserNode(0), nullptr, nullptr, {},
+                               ExecContext(), &cg).ok());
   // Item 4 (new) is reachable at depth 3 via KG bridge.
   EXPECT_GE(cg.FinalIndexOf(g.ItemNode(4)), 0);
   // A made-up node id is not present.
@@ -373,8 +395,12 @@ TEST(CompGraphTest, RandomPruneDeterministicGivenSeed) {
   opts.prune = PruneMode::kRandom;
   CompGraphBuilder builder(&g, opts);
   Rng rng1(9), rng2(9);
-  UserCompGraph a = builder.Build(g.UserNode(1), nullptr, &rng1);
-  UserCompGraph b = builder.Build(g.UserNode(1), nullptr, &rng2);
+  UserCompGraph a;
+  ASSERT_TRUE(builder.TryBuild(g.UserNode(1), nullptr, &rng1, {},
+                               ExecContext(), &a).ok());
+  UserCompGraph b;
+  ASSERT_TRUE(builder.TryBuild(g.UserNode(1), nullptr, &rng2, {},
+                               ExecContext(), &b).ok());
   ASSERT_EQ(a.layers.size(), b.layers.size());
   for (size_t l = 0; l < a.layers.size(); ++l) {
     EXPECT_EQ(a.layers[l].nodes, b.layers[l].nodes);

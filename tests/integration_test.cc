@@ -13,6 +13,7 @@
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "eval/metrics.h"
+#include "tensor/serialize.h"
 #include "train/trainer.h"
 
 namespace kucnet {
@@ -32,8 +33,9 @@ TEST(IntegrationTest, FullPipelineTraditional) {
   // 2. Round-trip through disk; everything downstream uses the loaded copy.
   const std::string dir = ::testing::TempDir() + "/integration_traditional";
   std::filesystem::create_directories(dir);
-  SaveDataset(original, dir);
-  const Dataset dataset = LoadDataset(dir);
+  ASSERT_TRUE(TrySaveDataset(original, dir).ok());
+  Dataset dataset;
+  ASSERT_TRUE(TryLoadDataset(dir, &dataset).ok());
   ASSERT_EQ(dataset.train, original.train);
 
   // 3. Graph + PPR.
@@ -58,7 +60,8 @@ TEST(IntegrationTest, FullPipelineTraditional) {
   // 6. Explanations exist for a top recommendation and are structurally
   // valid paths from the user.
   const int64_t user = dataset.TestUsers().front();
-  const KucnetForward forward = model.Forward(user);
+  KucnetForward forward;
+  ASSERT_TRUE(model.TryForward(user, ExecContext(), &forward).ok());
   const auto top = TopNIndices(forward.item_scores, 1);
   ASSERT_FALSE(top.empty());
   const auto paths = ExplainItem(forward, ckg, top[0], 0.0, 5);
@@ -68,11 +71,11 @@ TEST(IntegrationTest, FullPipelineTraditional) {
 
   // 7. Checkpoint round-trip: restored model scores identically.
   const std::string ckpt = dir + "/model.ckpt";
-  model.SaveCheckpoint(ckpt);
+  ASSERT_TRUE(TrySaveParameters(model.Params(), ckpt).ok());
   const auto scores_before = model.ScoreItems(user);
   Kucnet restored(&dataset, &ckg, &ppr, options);
   EXPECT_NE(restored.ScoreItems(user), scores_before);  // fresh init differs
-  restored.LoadCheckpoint(ckpt);
+  ASSERT_TRUE(TryLoadParameters(restored.Params(), ckpt).ok());
   EXPECT_EQ(restored.ScoreItems(user), scores_before);
 }
 

@@ -76,7 +76,8 @@ TEST(KucnetTest, ScoreShapesAndUnreachableZero) {
   for (const double s : scores) nonzero += (s != 0.0);
   EXPECT_GT(nonzero, 0);
   // Items not reachable in the final layer must score exactly 0.
-  const KucnetForward fwd = f.model->Forward(0);
+  KucnetForward fwd;
+  ASSERT_TRUE(f.model->TryForward(0, ExecContext(), &fwd).ok());
   for (int64_t i = 0; i < f.dataset.num_items; ++i) {
     if (fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) < 0) {
       EXPECT_EQ(scores[i], 0.0) << "item " << i;
@@ -93,7 +94,8 @@ TEST(KucnetTest, ForwardDeterministic) {
 
 TEST(KucnetTest, AttentionWeightsInUnitInterval) {
   Fixture f(SplitKind::kTraditional, SmallOptions());
-  const KucnetForward fwd = f.model->Forward(1);
+  KucnetForward fwd;
+  ASSERT_TRUE(f.model->TryForward(1, ExecContext(), &fwd).ok());
   ASSERT_GT(fwd.graph.TotalEdges(), 0);
   ASSERT_EQ(fwd.attention.size(), fwd.graph.layers.size());
   for (size_t l = 0; l < fwd.attention.size(); ++l) {
@@ -111,7 +113,8 @@ TEST(KucnetTest, NoAttentionVariantHasUnitWeights) {
   opts.use_attention = false;
   Fixture f(SplitKind::kTraditional, opts);
   EXPECT_EQ(f.model->name(), "KUCNet-w.o.-Attn");
-  const KucnetForward fwd = f.model->Forward(1);
+  KucnetForward fwd;
+  ASSERT_TRUE(f.model->TryForward(1, ExecContext(), &fwd).ok());
   ASSERT_GT(fwd.graph.TotalEdges(), 0);
   ASSERT_EQ(fwd.attention.size(), fwd.graph.layers.size());
   for (size_t l = 0; l < fwd.attention.size(); ++l) {
@@ -226,7 +229,8 @@ TEST(KucnetTest, NewItemsAreScoredThroughTheKg) {
   const auto test_by_user = f.dataset.TestItemsByUser();
   bool reachable = false;
   for (const int64_t u : f.dataset.TestUsers()) {
-    const KucnetForward fwd = f.model->Forward(u);
+    KucnetForward fwd;
+    ASSERT_TRUE(f.model->TryForward(u, ExecContext(), &fwd).ok());
     for (const int64_t i : test_by_user[u]) {
       if (fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) >= 0) reachable = true;
     }
@@ -251,7 +255,8 @@ TEST(KucnetTest, ScorePairOnUiGraphAgreesOnReachability) {
       opts.attention_on_source = on_source;
       Fixture f(SplitKind::kTraditional, opts);
       for (int64_t u = 0; u < 6; ++u) {
-        const KucnetForward fwd = f.model->Forward(u);
+        KucnetForward fwd;
+        ASSERT_TRUE(f.model->TryForward(u, ExecContext(), &fwd).ok());
         for (int64_t i = 0; i < f.dataset.num_items; ++i) {
           const auto [score, edges] = f.model->ScorePairOnUiGraph(u, i);
           const bool reachable =
@@ -277,7 +282,8 @@ TEST(KucnetTest, PerPairGraphCostExceedsUserCentric) {
   opts.prune = PruneMode::kNone;
   opts.sample_k = 0;
   Fixture f(SplitKind::kTraditional, opts);
-  const KucnetForward fwd = f.model->Forward(0);
+  KucnetForward fwd;
+  ASSERT_TRUE(f.model->TryForward(0, ExecContext(), &fwd).ok());
   const int64_t user_centric_edges = fwd.graph.TotalEdges();
   int64_t per_pair_total = 0;
   for (int64_t i = 0; i < f.dataset.num_items; ++i) {
@@ -301,7 +307,8 @@ TEST(ExplainTest, PathsReachTheItemAndRespectThreshold) {
   for (int e = 0; e < 3; ++e) f.model->TrainEpoch(rng);
   // Find a user and an item that is reachable.
   for (const int64_t u : f.dataset.TestUsers()) {
-    const KucnetForward fwd = f.model->Forward(u);
+    KucnetForward fwd;
+    ASSERT_TRUE(f.model->TryForward(u, ExecContext(), &fwd).ok());
     int64_t item = -1;
     for (int64_t i = 0; i < f.dataset.num_items; ++i) {
       if (fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) >= 0 &&
@@ -335,7 +342,8 @@ TEST(ExplainTest, PathsReachTheItemAndRespectThreshold) {
 
 TEST(ExplainTest, HighThresholdPrunesPaths) {
   Fixture f(SplitKind::kTraditional, SmallOptions());
-  const KucnetForward fwd = f.model->Forward(0);
+  KucnetForward fwd;
+  ASSERT_TRUE(f.model->TryForward(0, ExecContext(), &fwd).ok());
   int64_t item = -1;
   for (int64_t i = 0; i < f.dataset.num_items; ++i) {
     if (fwd.graph.FinalIndexOf(f.ckg.ItemNode(i)) >= 0) {

@@ -684,9 +684,13 @@ TEST_F(ObsTest, ModelOutputsBitIdenticalWithObsOnAndOff) {
   for (int64_t user = 0; user < 4; ++user) {
     SCOPED_TRACE("user " + std::to_string(user));
     obs::SetEnabled(false);
-    const std::vector<double> off = f.model->Forward(user).item_scores;
+    KucnetForward off_forward;
+    ASSERT_TRUE(f.model->TryForward(user, ExecContext(), &off_forward).ok());
     obs::SetEnabled(true);
-    const std::vector<double> on = f.model->Forward(user).item_scores;
+    KucnetForward on_forward;
+    ASSERT_TRUE(f.model->TryForward(user, ExecContext(), &on_forward).ok());
+    const std::vector<double>& off = off_forward.item_scores;
+    const std::vector<double>& on = on_forward.item_scores;
     ASSERT_EQ(off.size(), on.size());
     ASSERT_FALSE(off.empty());
     EXPECT_EQ(std::memcmp(off.data(), on.data(), off.size() * sizeof(double)),

@@ -44,8 +44,10 @@ Ckg SimpleRandomCkg(uint64_t seed, int64_t users = 5, int64_t items = 12,
     if (t == h) t = (t + 1) % kg_nodes;
     kg.push_back({h, 0, t});
   }
-  // Single relation id 0 throughout: (h, 0, t) duplicates collapse in Build.
-  return Ckg::Build(users, items, kg_nodes, 1, inter, kg);
+  // Single relation id 0 throughout: (h, 0, t) duplicates collapse.
+  Ckg g;
+  EXPECT_TRUE(Ckg::TryBuild(users, items, kg_nodes, 1, inter, kg, {}, &g).ok());
+  return g;
 }
 
 // The power-iteration tests run on testing::OraclePprDense, the dense
@@ -156,7 +158,8 @@ TEST(PprEdgeCaseTest, IsolatedUserKeepsMassAtSourceWithoutCrashing) {
   // every item must score exactly zero — no crash, no division by zero.
   const std::vector<std::array<int64_t, 2>> inter = {{0, 0}, {1, 1}};
   const std::vector<std::array<int64_t, 3>> kg;
-  Ckg g = Ckg::Build(3, 2, 2, 1, inter, kg);
+  Ckg g;
+  ASSERT_TRUE(Ckg::TryBuild(3, 2, 2, 1, inter, kg, {}, &g).ok());
   const auto push = PprForwardPush(g, g.UserNode(2), 0.15, 1e-8);
   ASSERT_EQ(push.size(), 1u);
   EXPECT_NEAR(push.at(g.UserNode(2)), 1.0, 1e-9);
@@ -171,7 +174,8 @@ TEST(PprEdgeCaseTest, EmptyKgStillRanksInteractedItems) {
   // graph, which must still produce positive scores for interacted items.
   const std::vector<std::array<int64_t, 2>> inter = {{0, 0}, {0, 1}, {1, 1}};
   const std::vector<std::array<int64_t, 3>> kg;
-  Ckg g = Ckg::Build(2, 2, 2, 1, inter, kg);
+  Ckg g;
+  ASSERT_TRUE(Ckg::TryBuild(2, 2, 2, 1, inter, kg, {}, &g).ok());
   PprTable table = PprTable::Compute(g);
   EXPECT_GT(table.Score(0, g.ItemNode(0)), 0.0);
   EXPECT_GT(table.Score(0, g.ItemNode(1)), 0.0);
@@ -183,7 +187,8 @@ TEST(PprEdgeCaseTest, EdgeFreeGraphScoresZeroEverywhere) {
   // Compute must not crash and items must be unranked (score 0).
   const std::vector<std::array<int64_t, 2>> inter;
   const std::vector<std::array<int64_t, 3>> kg;
-  Ckg g = Ckg::Build(2, 3, 3, 1, inter, kg);
+  Ckg g;
+  ASSERT_TRUE(Ckg::TryBuild(2, 3, 3, 1, inter, kg, {}, &g).ok());
   PprTable table = PprTable::Compute(g);
   for (int64_t user = 0; user < 2; ++user) {
     for (int64_t item = 0; item < 3; ++item) {
@@ -204,7 +209,8 @@ TEST(PprOracleTest, PushMatchesOracleOnGraphWithDanglingNodes) {
       {0, 0}, {0, 1}, {1, 1}, {2, 0}, {2, 2}};
   const std::vector<std::array<int64_t, 3>> kg = {
       {0, 0, 3}, {1, 0, 3}, {2, 0, 4}, {4, 0, 5}};
-  Ckg g = Ckg::Build(4, 3, 18, 1, inter, kg);
+  Ckg g;
+  ASSERT_TRUE(Ckg::TryBuild(4, 3, 18, 1, inter, kg, {}, &g).ok());
   for (int64_t source = 0; source < g.num_nodes(); ++source) {
     const auto push = PprForwardPush(g, source, 0.2, 1e-7);
     const testing::OraclePprResult oracle =
@@ -232,7 +238,8 @@ TEST(PprOracleTest, DanglingSourceAgainstDenseReference) {
   const std::vector<std::array<int64_t, 3>> kg = {{0, 0, 1}};
   // Node layout: user 0, item node (kg id 0), entity node (kg id 1, only a
   // back-edge from the item), plus kg id 2 fully dangling.
-  Ckg g = Ckg::Build(1, 1, 3, 1, inter, kg);
+  Ckg g;
+  ASSERT_TRUE(Ckg::TryBuild(1, 1, 3, 1, inter, kg, {}, &g).ok());
   const real_t epsilon = 1e-8;
   const auto push = PprForwardPush(g, g.UserNode(0), 0.15, epsilon);
   const testing::OracleDensePpr dense =
